@@ -142,10 +142,16 @@ class World:
 
     def _bump(self, side: str, phase: str, ops: PrimitiveOps,
               before: OpCounters) -> None:
-        delta = ops.counters.delta(before)
-        bucket = self.phase_ops.setdefault((side, phase), Counter())
-        bucket.update(delta.as_dict())
-        self.phase_calls[(side, phase)] += 1
+        key, now = (side, phase), ops.counters
+        bucket = self.phase_ops.get(key)
+        if bucket is None:
+            bucket = self.phase_ops[key] = Counter()
+        bucket["hash"] += now.hash_ops - before.hash_ops
+        bucket["xor"] += now.xor_ops - before.xor_ops
+        bucket["enc"] += now.enc_ops - before.enc_ops
+        bucket["dec"] += now.dec_ops - before.dec_ops
+        bucket["fe"] += now.fe_ops - before.fe_ops
+        self.phase_calls[key] += 1
 
     def _send(self, src: str, dst: str, payload: bytes) -> Envelope:
         self.width_counts[len(payload)] += 1

@@ -19,7 +19,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, replace
 
-from .primitives import WIDTH, Ciphertext, Digest160, HelperData, sha256_160
+from .primitives import (
+    WIDTH, Ciphertext, Digest160, HelperData, _unchecked_digest, sha256_160,
+)
 
 
 class NotFound(Exception):
@@ -148,7 +150,7 @@ class BlockAddress:
 
 
 def _block_digest(height: int, prev: Digest160, payload: bytes) -> Digest160:
-    return Digest160(sha256_160(struct.pack(">Q", height) + prev.value + payload))
+    return _unchecked_digest(sha256_160(struct.pack(">Q", height) + prev.value + payload))
 
 
 class Ledger:

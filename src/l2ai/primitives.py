@@ -10,6 +10,13 @@ Width conventions used across the package:
 * biometric templates are 256-bit (32-byte) strings
 * hash core is SHA-256 truncated to its first 160 bits
 
+Widths are checked where values enter the system: the public constructors
+(``Digest160(raw)``, ``Digest160.from_hex``) and every wire or ledger
+``from_bytes``/``parse_record`` reject a wrong width with ``ValueError``.
+Values derived inside the package (hash outputs, XORs, sketch keys, random
+draws, block digests) have their width by construction and are built
+unchecked.
+
 Operation counters track protocol-level invocations only. Internal hashing
 done by the sketch, the cipher keystream, or the ledger's chain maintenance
 goes through the uncounted core on purpose: the per-phase cost figures the
@@ -23,7 +30,7 @@ import hashlib
 import hmac
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 WIDTH = 20          # bytes per protocol digest
 BIO_WIDTH = 32      # bytes per biometric template
@@ -51,18 +58,36 @@ def unpack_ts(raw: bytes) -> int:
     return struct.unpack(">Q", raw)[0]
 
 
-@dataclass(frozen=True)
 class Digest160:
-    """A 160-bit protocol value. Equality and XOR are bitwise."""
+    """A 160-bit protocol value. Equality and XOR are bitwise; immutable."""
 
-    value: bytes
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if len(self.value) != WIDTH:
-            raise ValueError(f"digest must be {WIDTH} bytes, got {len(self.value)}")
+    def __init__(self, value: bytes):
+        if len(value) != WIDTH:
+            raise ValueError(f"digest must be {WIDTH} bytes, got {len(value)}")
+        _set_value(self, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Digest160 is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Digest160 is immutable")
+
+    def __reduce__(self):
+        return Digest160, (self.value,)
+
+    def __eq__(self, other):
+        if other.__class__ is not Digest160:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash(self.value)
 
     def __xor__(self, other: "Digest160") -> "Digest160":
-        return Digest160(bytes(a ^ b for a, b in zip(self.value, other.value)))
+        return _unchecked_digest((int.from_bytes(self.value, "big") ^
+                                  int.from_bytes(other.value, "big")).to_bytes(WIDTH, "big"))
 
     def __bytes__(self) -> bytes:
         return self.value
@@ -80,6 +105,17 @@ class Digest160:
 
     def __repr__(self) -> str:
         return f"Digest160({self.value.hex()})"
+
+
+_set_value = Digest160.value.__set__
+
+
+def _unchecked_digest(raw: bytes) -> Digest160:
+    """Digest160 without the width check, for values that are 20 bytes by
+    construction. Anything read from outside goes through Digest160(raw)."""
+    digest = object.__new__(Digest160)
+    _set_value(digest, raw)
+    return digest
 
 
 @dataclass(frozen=True)
@@ -150,12 +186,16 @@ def _tag(k_mac: bytes, nonce: bytes, body: bytes) -> bytes:
     return sha256_160(k_mac + nonce + struct.pack(">Q", len(body)) + body)
 
 
+def _xor_bytes(data: bytes, stream: bytes) -> bytes:
+    return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(len(data), "big")
+
+
 def seal(key: Digest160, plaintext: bytes, nonce: bytes) -> Ciphertext:
     if len(nonce) != NONCE_WIDTH:
         raise ValueError(f"nonce must be {NONCE_WIDTH} bytes")
     k_enc = hashlib.sha256(b"enc" + key.value).digest()
     k_mac = hashlib.sha256(b"mac" + key.value).digest()
-    body = bytes(p ^ s for p, s in zip(plaintext, _keystream(k_enc, nonce, len(plaintext))))
+    body = _xor_bytes(plaintext, _keystream(k_enc, nonce, len(plaintext)))
     return Ciphertext(nonce=nonce, body=body, tag=_tag(k_mac, nonce, body))
 
 
@@ -164,7 +204,7 @@ def open_sealed(key: Digest160, ct: Ciphertext) -> bytes:
     k_mac = hashlib.sha256(b"mac" + key.value).digest()
     if not hmac.compare_digest(_tag(k_mac, ct.nonce, ct.body), ct.tag):
         raise AuthFailure("ciphertext tag mismatch")
-    return bytes(c ^ s for c, s in zip(ct.body, _keystream(k_enc, ct.nonce, len(ct.body))))
+    return _xor_bytes(ct.body, _keystream(k_enc, ct.nonce, len(ct.body)))
 
 
 # --- biometric sketch -----------------------------------------------------------
@@ -210,16 +250,24 @@ def repetition_encode(message: int) -> int:
     return codeword
 
 
+_BLOCK_LSBS = sum(1 << (5 * j) for j in range(FE_BLOCKS))
+
+
 def repetition_decode(word: int) -> int:
-    message = 0
-    for j in range(FE_BLOCKS):
-        if bin((word >> (5 * j)) & 0b11111).count("1") >= 3:
-            message |= 1 << j
-    return message
+    """Majority-decode all 51 blocks at once. Bit 5j of `maj` is set iff at
+    least three of bits 5j..5j+4 of the word are: s and carry add the first
+    three bits (count = s + 2*carry), so the count reaches 3 iff carry and
+    one of s, d, e are set, or s, d and e all are. Bits 5j of `maj`, read as
+    every fifth binary digit, are the message; the pad bit is never read."""
+    a, b, c, d, e = word, word >> 1, word >> 2, word >> 3, word >> 4
+    s = a ^ b ^ c
+    carry = (a & b) | (c & (a ^ b))
+    maj = ((carry & (s | d | e)) | (s & d & e)) & _BLOCK_LSBS
+    return int(format(maj, "0255b")[4::5], 2)
 
 
 def derive_fe_key(message: int) -> Digest160:
-    return Digest160(sha256_160(b"fe-key" + message.to_bytes(7, "big")))
+    return _unchecked_digest(sha256_160(b"fe-key" + message.to_bytes(7, "big")))
 
 
 def gen_sketch(bio: BioTemplate, message: int) -> tuple[Digest160, HelperData]:
@@ -286,7 +334,7 @@ class PrimitiveOps:
 
     def hash(self, data: bytes) -> Digest160:
         self.counters.hash_ops += 1
-        return Digest160(sha256_160(data))
+        return _unchecked_digest(sha256_160(data))
 
     def xor(self, a: Digest160, b: Digest160) -> Digest160:
         self.counters.xor_ops += 1
@@ -316,7 +364,7 @@ class PrimitiveOps:
     # uncounted seeded draws
 
     def rand_digest(self) -> Digest160:
-        return Digest160(self.rng.randbytes(WIDTH))
+        return _unchecked_digest(self.rng.randbytes(WIDTH))
 
     def rand_template(self) -> BioTemplate:
         return BioTemplate(self.rng.randbytes(BIO_WIDTH))

@@ -336,7 +336,6 @@ class HospitalServer:
         self._h_s = ops.hash(self.s_hms.value)
         self._h_pair = ops.hash(self.id_hms.value + self.s_hms.value)
         self.token_roles: dict[bytes, Role] = {}
-        self.transcripts: list[AuthTranscript] = []
 
     @classmethod
     def setup(cls, seed: int, clock: SimClock, ledger: Ledger,
@@ -368,9 +367,12 @@ class HospitalServer:
         """Admit a token holder: recover their identity, derive the card
         values, and anchor the identity index."""
         ops = self.ops
-        if not self.ledger.any_digest(req.x):
+        try:
+            record = self.ledger.get_token(req.x)
+        except NotFound:
+            record = None
+        if record is None or record.revoked:
             raise UnknownToken("token digest not live on the ledger")
-        record = self.ledger.get_token(req.x)
         t_g = Digest160(ops.dec(self.s_hms, record.y))
 
         user_id = ops.xor(req.did, ops.hash(req.x.value + t_g.value))
@@ -445,7 +447,6 @@ class HospitalServer:
 
         transcript = AuthTranscript(c_i=c_i, w1=w1, m1=msg1.m1, m2=m2, m3=m3,
                                     sk=sk, n_s=n_s, t1=msg1.t1, t2=t2)
-        self.transcripts.append(transcript)
         return Msg2(m3=m3, m2=m2, t2=t2), transcript
 
     # --- authorization ----------------------------------------------------------------

@@ -12,6 +12,8 @@ from l2ai.harness import (
     check_invariants, run_scenario,
 )
 from l2ai.permissions import Role
+from l2ai.primitives import Digest160
+from l2ai.protocol import RegRequest
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -97,6 +99,24 @@ def test_checker_catches_rigged_acceptances():
     text = "\n".join(result.violations)
     assert "tampered delivery" in text
     assert "accepted 2 times" in text
+
+
+def test_registration_with_identity_index_digest_is_unknown_token():
+    # A live identity-index digest is not a token digest: the server must
+    # reject the request, not let a ledger miss escape the handler.
+    world = World(seed=1)
+    world.register_user("alice")
+    world.drain()
+    h_dtid = world.ledger.live_index_for(world.users["alice"].creds.user_id)
+    assert h_dtid is not None
+    filler = Digest160.zero()
+    env = world.channel.send("alice", SERVER,
+                             RegRequest(x=h_dtid, did=filler, pwd=filler).to_bytes())
+    world.drain()
+    assert world.channel.delivered[-1] == (env, "rejected UnknownToken")
+    world.finalize()
+    assert check_invariants(world) == []
+    assert world.ledger.verify_chain()
 
 
 def test_wrong_password_never_reaches_wire():

@@ -1,6 +1,9 @@
 """Primitive-layer tests: frozen hash vectors, cipher authentication,
 sketch tolerance, clock and counter behavior."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +15,13 @@ from l2ai.primitives import (
     OpCounters, PrimitiveOps, SimClock,
     gen_sketch, is_fresh, open_sealed, recover_key,
     repetition_decode, repetition_encode, seal, sha256_160,
+)
+from l2ai.ledger import (
+    BlockAddress, IdentityIndex, Ledger, SmartCard, TokenRecord, parse_record,
+)
+from l2ai.protocol import (
+    MSG1_WIDTH, MSG2_WIDTH, PROVISIONAL_WIDTH, REG_REQUEST_WIDTH,
+    Msg1, Msg2, ProvisionalCard, RegRequest,
 )
 
 # SHA-256 of the classic public test strings, truncated to 160 bits.
@@ -68,6 +78,27 @@ def test_digest_width_enforced():
 digests = st.binary(min_size=WIDTH, max_size=WIDTH).map(Digest160)
 
 
+@given(digests, digests)
+def test_xor_matches_bytewise_reference(a, b):
+    assert (a ^ b).value == bytes(x ^ y for x, y in zip(a.value, b.value))
+
+
+def test_digest_value_semantics():
+    raw = sha256_160(b"value")
+    derived = PrimitiveOps(seed=0).hash(b"value")
+    checked = Digest160(raw)
+    assert derived == checked and hash(derived) == hash(checked)
+    assert len({derived, checked, Digest160.from_hex(raw.hex())}) == 1
+    assert derived != raw and derived != None  # noqa: E711
+    assert bytes(derived) == raw and repr(derived) == f"Digest160({raw.hex()})"
+    with pytest.raises(AttributeError):
+        derived.value = b"\x00" * WIDTH
+    with pytest.raises(AttributeError):
+        del derived.value
+    assert copy.copy(derived) == derived
+    assert pickle.loads(pickle.dumps(derived)) == derived
+
+
 @given(digests, digests, digests)
 def test_xor_algebra(a, b, c):
     zero = Digest160.zero()
@@ -76,6 +107,59 @@ def test_xor_algebra(a, b, c):
     assert (a ^ b) ^ b == a
     assert a ^ b == b ^ a
     assert (a ^ b) ^ c == a ^ (b ^ c)
+
+
+# --- widths are checked where values enter -------------------------------------
+
+WIRE_DECODERS = [
+    (RegRequest.from_bytes, REG_REQUEST_WIDTH),
+    (ProvisionalCard.from_bytes, PROVISIONAL_WIDTH),
+    (Msg1.from_bytes, MSG1_WIDTH),
+    (Msg2.from_bytes, MSG2_WIDTH),
+    (HelperData.from_bytes, BIO_WIDTH + WIDTH),
+    (SmartCard.from_bytes, 6 * WIDTH + (BIO_WIDTH + WIDTH) + WIDTH),   # + helper, card id
+    (lambda raw: BlockAddress.from_bytes(bytes(8) + raw[8:]), 8 + WIDTH),
+]
+
+
+@pytest.mark.parametrize("decode,width", WIRE_DECODERS)
+@given(st.data())
+@settings(max_examples=25)
+def test_wire_decoders_reject_wrong_width(decode, width, data):
+    decode(bytes(width))
+    size = data.draw(st.integers(min_value=8, max_value=2 * width).filter(lambda n: n != width))
+    with pytest.raises(ValueError):
+        decode(data.draw(st.binary(min_size=size, max_size=size)))
+
+
+def test_parse_record_rejects_short_digests():
+    ops = PrimitiveOps(seed=30)
+    token = TokenRecord(x=ops.rand_digest(), y=ops.enc(ops.rand_digest(), b"t"))
+    ident = IdentityIndex(h_dtid=ops.rand_digest(), user_id=ops.rand_digest(),
+                          superseded_by=ops.rand_digest())
+    for payload in (token.serialize()[:WIDTH], ident.serialize()[:-1]):
+        with pytest.raises(ValueError):
+            parse_record(payload)
+
+
+@given(st.binary(max_size=2 * WIDTH).filter(lambda raw: len(raw) != WIDTH))
+def test_from_hex_rejects_wrong_width(raw):
+    with pytest.raises(ValueError):
+        Digest160.from_hex(raw.hex())
+
+
+def test_ledger_import_never_accepts_short_prev_digest():
+    ops, ledger = PrimitiveOps(seed=31), Ledger()
+    for _ in range(3):
+        ledger.append(TokenRecord(x=ops.rand_digest(), y=ops.enc(ops.rand_digest(), b"t")))
+    lines = ledger.export_lines()
+    height, prev_hex, rest = lines[1].split(" ", 2)
+    lines[1] = f"{height} {prev_hex[:-2]} {rest}"          # 19-byte prev digest
+    try:
+        imported = Ledger.from_lines(lines)
+    except ValueError:
+        return
+    assert not imported.verify_chain()
 
 
 # --- cipher ---------------------------------------------------------------------
@@ -130,6 +214,26 @@ def test_cipher_matches_reference_bytes():
     nonce = ops.rng.randbytes(16)
     plaintext = ops.rng.randbytes(20)
     assert seal(key, plaintext, nonce).to_bytes() == oracle.seal(key.value, nonce, plaintext)
+
+
+# Known-answer envelopes (key bytes 0..19, nonce bytes 100..115), recorded
+# with a byte-by-byte keystream XOR.
+SEAL_VECTORS = [
+    (b"", "6465666768696a6b6c6d6e6f707172730000000078d67825da8776b8bc498df4"
+          "6cad6bbcb1e871d6"),
+    (b"L2AI known-answer plaintext spanning two keystream blocks!",
+     "6465666768696a6b6c6d6e6f707172730000003a874629f11554b7f1ee863540c6"
+     "5b64f55799eeb7d58b8351258d4f3b4e71b5bf2339cdab53762ac147f02f53c52a"
+     "c9efbbbc0bb3d3a04fcd1a0e400719e8c11afca32a1b374233051179ed790eae"),
+]
+
+
+@pytest.mark.parametrize("plaintext,expected", SEAL_VECTORS)
+def test_cipher_known_answer(plaintext, expected):
+    key, nonce = Digest160(bytes(range(20))), bytes(range(100, 116))
+    ct = seal(key, plaintext, nonce)
+    assert ct.to_bytes().hex() == expected
+    assert open_sealed(key, Ciphertext.from_bytes(bytes.fromhex(expected))) == plaintext
 
 
 def test_ciphertext_envelope_roundtrip():
@@ -219,6 +323,17 @@ def test_sketch_recovers_under_any_in_budget_pattern(seed, data):
     if data.draw(st.booleans()):
         flips.append(FE_PAD_BIT)
     assert recover_key(bio.with_flips(flips), helper) == sigma
+
+
+def majority_decode_reference(word: int) -> int:
+    return sum(1 << j for j in range(FE_BLOCKS)
+               if bin((word >> (5 * j)) & 0b11111).count("1") >= 3)
+
+
+@given(st.integers(min_value=0, max_value=2 ** (BIO_WIDTH * 8) - 1))
+def test_repetition_decode_matches_popcount_majority(word):
+    # arbitrary words, not only codewords with a few flips; bit 255 is padding
+    assert repetition_decode(word) == majority_decode_reference(word)
 
 
 def test_helper_data_serialization_roundtrip():
