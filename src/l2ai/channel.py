@@ -72,6 +72,11 @@ class Envelope:
     def touched(self) -> bool:
         return self.tampered or self.replay_of is not None
 
+    @property
+    def origin(self) -> int:
+        """The seq of the honest send this delivery stems from."""
+        return self.seq if self.replay_of is None else self.replay_of
+
 
 Handler = Callable[[Envelope], str]
 
@@ -84,6 +89,7 @@ class Channel:
         self.wire_history: list[bytes] = []       # every payload that hit the wire
         self.log: list[str] = []
         self.delivered: list[tuple[Envelope, str]] = []
+        self.drops = 0                            # sends swallowed by a drop action
         self._next_seq = 1
         self._next_replay = -1
         self._pushes = 0
@@ -170,6 +176,7 @@ class Channel:
                 raise ChannelError(f"drop for seq={seq} names {want[0]}->{want[1]} "
                                    f"but the send is {src}->{dst}")
             self._log(now, f"DROP seq={seq} {src}->{dst}")
+            self.drops += 1
             return env
         self._push(env)
         return env

@@ -2,9 +2,14 @@
 and any number of user gateways together, runs scenario scripts or
 programmatic sessions over them, and writes line-oriented reports.
 
-Outcome strings, not exceptions, cross the harness boundary: channel
-delivery handlers catch protocol rejections and return "rejected <Class>",
-so an attack scenario runs to completion and the run is judged afterwards.
+Outcome strings, not exceptions, cross the harness boundary. Every protocol
+call goes through World._metered, which charges the call's counted operations
+to its (side, phase), also when it is rejected part way, and turns a Reject or
+ValueError into "rejected <Class>"; so an attack scenario runs to completion.
+Each send is tied to its owner when it is made (a Session for msg1 and server
+replies, a user for enrollment traffic), and a delivery handler records its
+result on the owner of the envelope's origin. Only what never happened is left
+to finalize: it taints users whose enrollment traffic never arrived.
 
 The invariant checker encodes what a run must satisfy regardless of the
 adversary script:
@@ -23,20 +28,18 @@ anything about the authentication protocol; tainted users are exempt from
 the completion invariant but their later traffic still must not break the
 others.
 
-Per-phase operation counts are measured by snapshotting each side's
-counters around the phase call; EXPECTED_OPS pins the per-call costs the
-metrics suite enforces.
+EXPECTED_OPS pins the per-call costs the metrics suite enforces.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 
 from .channel import Channel, DEFAULT_DELAY, Envelope, Scenario, parse_scenario
 from .ledger import Ledger
 from .permissions import DEFAULT_SCOPE, PermissionTable, Role, SCOPE_CATALOG
-from .primitives import Digest160, OpCounters, PrimitiveOps, SimClock, sha256_160
+from .primitives import Digest160, PrimitiveOps, SimClock, sha256_160
 from .protocol import (
     DEFAULT_DELTA_T, MSG1_WIDTH, MSG2_WIDTH, PROVISIONAL_WIDTH,
     REG_REQUEST_WIDTH, Credentials, HospitalServer, Msg1, Msg2,
@@ -109,15 +112,12 @@ class World:
         self.sessions: list[Session] = []
         self.step_notes: list[str] = []
         self.tainted: set[str] = set()
-        self.phase_ops: dict[tuple[str, str], Counter] = {}
+        self.phase_ops: dict[tuple[str, str], Counter] = defaultdict(Counter)
         self.phase_calls: Counter = Counter()
         self.width_counts: Counter = Counter()
         self._cred_draw: dict[str, PrimitiveOps] = {}
-        self._by_msg1_seq: dict[int, Session] = {}
-        self._reply_to_session: dict[int, Session] = {}
-        self._scope_by_seq: dict[int, str] = {}
-        self._reg_user_by_seq: dict[int, str] = {}
-        self._prov_user_by_seq: dict[int, str] = {}
+        self._session_by_seq: dict[int, Session] = {}   # msg1 and server-reply sends
+        self._user_by_seq: dict[int, str] = {}          # reg-request, provisional sends
 
     # --- entities ------------------------------------------------------------
 
@@ -140,18 +140,27 @@ class World:
 
     # --- instrumentation -------------------------------------------------------
 
-    def _bump(self, side: str, phase: str, ops: PrimitiveOps,
-              before: OpCounters) -> None:
-        key, now = (side, phase), ops.counters
-        bucket = self.phase_ops.get(key)
-        if bucket is None:
-            bucket = self.phase_ops[key] = Counter()
-        bucket["hash"] += now.hash_ops - before.hash_ops
-        bucket["xor"] += now.xor_ops - before.xor_ops
-        bucket["enc"] += now.enc_ops - before.enc_ops
-        bucket["dec"] += now.dec_ops - before.dec_ops
-        bucket["fe"] += now.fe_ops - before.fe_ops
-        self.phase_calls[key] += 1
+    def _metered(self, side: str, phase: str, ops: PrimitiveOps, call, *args,
+                 rejects=(Reject, ValueError)):
+        """Run call(*args) and charge the counted operations it used to
+        (side, phase), as one call, whether or not it completes. Returns
+        (result, None), or (None, "rejected <Class>") when it raises one of
+        `rejects`; anything else propagates."""
+        c = ops.counters
+        hash_ops, xor_ops, enc_ops, dec_ops, fe_ops = (
+            c.hash_ops, c.xor_ops, c.enc_ops, c.dec_ops, c.fe_ops)
+        try:
+            return call(*args), None
+        except rejects as exc:
+            return None, f"rejected {type(exc).__name__}"
+        finally:
+            bucket = self.phase_ops[(side, phase)]
+            bucket["hash"] += c.hash_ops - hash_ops
+            bucket["xor"] += c.xor_ops - xor_ops
+            bucket["enc"] += c.enc_ops - enc_ops
+            bucket["dec"] += c.dec_ops - dec_ops
+            bucket["fe"] += c.fe_ops - fe_ops
+            self.phase_calls[(side, phase)] += 1
 
     def _send(self, src: str, dst: str, payload: bytes) -> Envelope:
         self.width_counts[len(payload)] += 1
@@ -160,15 +169,16 @@ class World:
     # --- honest steps -------------------------------------------------------------
 
     def register_user(self, name: str, role: Role = Role.DOCTOR) -> None:
+        # the token is delivered out of band; a failure in either call is the
+        # caller's mistake, not an outcome of the run, so it propagates
         gateway = self.get_user(name)
-        before = self.server.ops.counters.snapshot()
-        token = self.server.issue_token(name.encode(), role)   # out-of-band delivery
-        self._bump("server", "issue-token", self.server.ops, before)
-        before = gateway.ops.counters.snapshot()
-        req = gateway.build_registration(token)
-        self._bump("user", "register", gateway.ops, before)
+        token, _ = self._metered("server", "issue-token", self.server.ops,
+                                 self.server.issue_token, name.encode(), role,
+                                 rejects=())
+        req, _ = self._metered("user", "register", gateway.ops,
+                               gateway.build_registration, token, rejects=())
         env = self._send(name, SERVER, req.to_bytes())
-        self._reg_user_by_seq[env.seq] = name
+        self._user_by_seq[env.seq] = name
 
     def auth_attempt(self, name: str, scope: str = DEFAULT_SCOPE,
                      creds: Credentials | None = None) -> Session:
@@ -176,22 +186,15 @@ class World:
         original = gateway.creds
         if creds is not None:
             gateway.creds = creds
-        before = gateway.ops.counters.snapshot()
         try:
-            msg1 = gateway.start_login()
-        except Reject as exc:
-            self._bump("user", "login", gateway.ops, before)
-            session = Session(user=name, scope=scope,
-                              local_reject=f"rejected {type(exc).__name__}")
-            self.sessions.append(session)
-            return session
+            msg1, rejected = self._metered("user", "login", gateway.ops,
+                                           gateway.start_login)
         finally:
             gateway.creds = original
-        self._bump("user", "login", gateway.ops, before)
-        env = self._send(name, SERVER, msg1.to_bytes())
-        session = Session(user=name, scope=scope, msg1_env=env)
-        self._by_msg1_seq[env.seq] = session
-        self._scope_by_seq[env.seq] = scope
+        session = Session(user=name, scope=scope, local_reject=rejected)
+        if not rejected:
+            session.msg1_env = self._send(name, SERVER, msg1.to_bytes())
+            self._session_by_seq[session.msg1_env.seq] = session
         self.sessions.append(session)
         return session
 
@@ -200,30 +203,18 @@ class World:
         serial = self.phase_calls[("user", "update-creds")] + 1
         new_password = f"pw-{name}-v{serial}".encode()
         new_bio = self._cred_draw[name].rand_template()
-        before = gateway.ops.counters.snapshot()
-        try:
-            gateway.change_credentials(new_password, new_bio)
-        except Reject as exc:
-            self.step_notes.append(f"step kind=update-creds user={name} "
-                                   f"result=rejected {type(exc).__name__}")
-            return
-        finally:
-            self._bump("user", "update-creds", gateway.ops, before)
-        self.step_notes.append(f"step kind=update-creds user={name} result=ok")
+        _, rejected = self._metered("user", "update-creds", gateway.ops,
+                                    gateway.change_credentials, new_password, new_bio)
+        self.step_notes.append(f"step kind=update-creds user={name} "
+                               f"result={rejected or 'ok'}")
 
     def update_authorization(self, name: str, role: Role) -> None:
         gateway = self.get_user(name)
-        before = self.server.ops.counters.snapshot()
-        try:
-            self.server.update_authorization(gateway.creds.user_id, role)
-        except Reject as exc:
-            self.step_notes.append(f"step kind=update-auth user={name} "
-                                   f"result=rejected {type(exc).__name__}")
-            return
-        finally:
-            self._bump("server", "update-auth", self.server.ops, before)
-        self.step_notes.append(f"step kind=update-auth user={name} "
-                               f"result=ok role={role.value}")
+        _, rejected = self._metered("server", "update-auth", self.server.ops,
+                                    self.server.update_authorization,
+                                    gateway.creds.user_id, role)
+        result = rejected or f"ok role={role.value}"
+        self.step_notes.append(f"step kind=update-auth user={name} result={result}")
 
     def drain(self, strict: bool = False) -> None:
         self.channel.run(self.handlers, strict=strict)
@@ -232,38 +223,36 @@ class World:
 
     def _server_handler(self, env: Envelope) -> str:
         width = len(env.payload)
-        origin = env.replay_of if env.replay_of is not None else env.seq
         if width == REG_REQUEST_WIDTH:
-            if env.touched and origin in self._reg_user_by_seq:
-                self.tainted.add(self._reg_user_by_seq[origin])
-            before = self.server.ops.counters.snapshot()
-            try:
-                provisional = self.server.register(RegRequest.from_bytes(env.payload))
-            except (Reject, ValueError) as exc:
-                return f"rejected {type(exc).__name__}"
-            finally:
-                self._bump("server", "register", self.server.ops, before)
+            user = self._user_by_seq.get(env.origin)
+            if env.touched and user is not None:
+                self.tainted.add(user)
+            provisional, rejected = self._metered(
+                "server", "register", self.server.ops,
+                lambda: self.server.register(RegRequest.from_bytes(env.payload)))
+            if rejected:
+                return rejected
             reply = self._send(SERVER, env.src, provisional.to_bytes())
-            if origin in self._reg_user_by_seq:
-                self._prov_user_by_seq[reply.seq] = self._reg_user_by_seq[origin]
+            if user is not None:
+                self._user_by_seq[reply.seq] = user
             return "provisional-issued"
 
         if width == MSG1_WIDTH:
-            scope = self._scope_by_seq.get(origin, DEFAULT_SCOPE)
-            before = self.server.ops.counters.snapshot()
-            try:
-                msg2, transcript = self.server.authenticate(
-                    Msg1.from_bytes(env.payload), scope)
-            except (Reject, ValueError) as exc:
-                return f"rejected {type(exc).__name__}"
-            finally:
-                self._bump("server", "auth", self.server.ops, before)
+            session = self._session_by_seq.get(env.origin)
+            scope = session.scope if session is not None else DEFAULT_SCOPE
+            result, rejected = self._metered(
+                "server", "auth", self.server.ops,
+                lambda: self.server.authenticate(Msg1.from_bytes(env.payload), scope))
+            if rejected:
+                if session is not None and env.seq > 0:
+                    session.server_reject = rejected
+                return rejected
+            msg2, transcript = result
             reply = self._send(SERVER, env.src, msg2.to_bytes())
-            session = self._by_msg1_seq.get(origin)
             if session is not None:
                 session.sk_server = transcript.sk
                 session.reply_seq = reply.seq
-                self._reply_to_session[reply.seq] = session
+                self._session_by_seq[reply.seq] = session
             return f"accepted sk={transcript.sk.hex()[:8]}"
 
         return f"rejected UnexpectedMessage ({width}B to server)"
@@ -271,32 +260,26 @@ class World:
     def _user_handler(self, name: str, env: Envelope) -> str:
         gateway = self.users[name]
         width = len(env.payload)
-        origin = env.replay_of if env.replay_of is not None else env.seq
         if width == PROVISIONAL_WIDTH:
-            if env.touched and origin in self._prov_user_by_seq:
-                self.tainted.add(self._prov_user_by_seq[origin])
-            before = gateway.ops.counters.snapshot()
-            try:
-                gateway.accept_provisional(ProvisionalCard.from_bytes(env.payload))
-            except (Reject, ValueError) as exc:
-                return f"rejected {type(exc).__name__}"
-            finally:
-                self._bump("user", "finalize", gateway.ops, before)
-            return "registered"
+            if env.touched and env.origin in self._user_by_seq:
+                self.tainted.add(self._user_by_seq[env.origin])
+            _, rejected = self._metered(
+                "user", "finalize", gateway.ops,
+                lambda: gateway.accept_provisional(ProvisionalCard.from_bytes(env.payload)))
+            return rejected or "registered"
 
         if width == MSG2_WIDTH:
-            session = self._reply_to_session.get(origin)
-            if session is not None and env.seq > 0:
-                session.reply_env = env
-            before = gateway.ops.counters.snapshot()
-            try:
-                sk = gateway.accept_server_reply(Msg2.from_bytes(env.payload))
-            except (Reject, ValueError) as exc:
-                if session is not None and env.seq > 0:
-                    session.user_reject = f"rejected {type(exc).__name__}"
-                return f"rejected {type(exc).__name__}"
-            finally:
-                self._bump("user", "verify", gateway.ops, before)
+            session = self._session_by_seq.get(env.origin)
+            original = session if env.seq > 0 else None      # not a replayed copy
+            if original is not None:
+                original.reply_env = env
+            sk, rejected = self._metered(
+                "user", "verify", gateway.ops,
+                lambda: gateway.accept_server_reply(Msg2.from_bytes(env.payload)))
+            if rejected:
+                if original is not None:
+                    original.user_reject = rejected
+                return rejected
             if session is not None:
                 session.sk_user = sk
             return f"verified sk={sk.hex()[:8]}"
@@ -306,17 +289,10 @@ class World:
     # --- post-run resolution ------------------------------------------------------
 
     def finalize(self) -> None:
-        """Resolve drops into session state and user taint; call after the
-        final drain."""
+        """Taint users whose enrollment traffic never arrived; call after the
+        final drain. Every other verdict is recorded at delivery."""
         delivered = {env.seq for env, _ in self.channel.delivered}
-        for env, outcome in self.channel.delivered:
-            if env.seq > 0 and env.seq in self._by_msg1_seq and \
-                    outcome.startswith("rejected"):
-                self._by_msg1_seq[env.seq].server_reject = outcome
-        for seq, user in self._reg_user_by_seq.items():
-            if seq not in delivered:
-                self.tainted.add(user)
-        for seq, user in self._prov_user_by_seq.items():
+        for seq, user in self._user_by_seq.items():
             if seq not in delivered:
                 self.tainted.add(user)
 
@@ -324,10 +300,7 @@ class World:
 
     def report_lines(self, violations: list[str] | None = None) -> list[str]:
         ch = self.channel
-        delivered = {env.seq for env, _ in ch.delivered}
         sends = ch._next_seq - 1
-        drops = sum(1 for s in range(1, sends + 1) if s not in delivered
-                    and not any(e.seq == s for (_, _, e) in ch._queue))
         replays = sum(1 for env, _ in ch.delivered if env.replay_of is not None)
         tampered = sum(1 for env, _ in ch.delivered if env.tampered)
 
@@ -366,7 +339,7 @@ class World:
         lines.extend([
             f"summary sessions={len(self.sessions)} verified={verified} "
             f"rejected={rejected} pending={pending} local={local}",
-            f"summary sends={sends} deliveries={len(ch.delivered)} drops={drops} "
+            f"summary sends={sends} deliveries={len(ch.delivered)} drops={ch.drops} "
             f"replay-deliveries={replays} tampered-deliveries={tampered}",
             f"summary users={len(self.users)} tainted={len(self.tainted)}",
             f"summary ledger-blocks={len(self.ledger.blocks)} "
@@ -405,8 +378,7 @@ def check_invariants(world: World) -> list[str]:
         if accepted and env.tampered and auth_wire:
             violations.append(f"tampered delivery seq={env.seq} accepted: {outcome}")
         if accepted and auth_wire:
-            origin = env.replay_of if env.replay_of is not None else env.seq
-            accepted_per_origin[origin] += 1
+            accepted_per_origin[env.origin] += 1
     for origin, count in sorted(accepted_per_origin.items()):
         if count > 1:
             violations.append(f"message seq={origin} accepted {count} times "

@@ -6,6 +6,8 @@ the user gateways. Nothing ever rewrites an existing block. Revocation and
 replacement are expressed purely by appending newer records; for every
 index key the latest record wins, so a token tombstone (revoked=True) or a
 superseded identity marker shadows the earlier record without touching it.
+The identity index holds live records only: a superseded one leaves the
+index, while its block stays on the chain.
 
 Block payloads are serialized as a kind-tag byte followed by fixed-width
 fields in declaration order; the one variable-width field (a token's sealed
@@ -108,12 +110,18 @@ class CardRecord:
 
 
 def parse_record(payload: bytes):
+    if not payload:
+        raise ValueError("empty record payload")
     tag = payload[0]
     body = payload[1:]
     if tag == TOKEN_TAG:
+        if len(body) <= WIDTH:
+            raise ValueError("token record too short")
         return TokenRecord(x=Digest160(body[:WIDTH]), revoked=bool(body[WIDTH]),
                            y=Ciphertext.from_bytes(body[WIDTH + 1:]))
     if tag == IDENT_TAG:
+        if len(body) <= 2 * WIDTH:
+            raise ValueError("identity record too short")
         has_marker = bool(body[2 * WIDTH])
         marker = Digest160(body[2 * WIDTH + 1:3 * WIDTH + 1])
         return IdentityIndex(h_dtid=Digest160(body[:WIDTH]),
@@ -145,6 +153,8 @@ class BlockAddress:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "BlockAddress":
+        if len(raw) < 8:
+            raise ValueError("block address too short")
         return cls(height=struct.unpack(">Q", raw[:8])[0],
                    card_uid=Digest160(raw[8:]))
 
@@ -159,7 +169,7 @@ class Ledger:
     def __init__(self):
         self.blocks: list[LedgerBlock] = []
         self._tokens: dict[bytes, TokenRecord] = {}
-        self._idents: dict[bytes, IdentityIndex] = {}
+        self._idents: dict[bytes, IdentityIndex] = {}    # live records only
         self._cards: dict[bytes, tuple[int, CardRecord]] = {}
         self._live_by_user: dict[bytes, Digest160] = {}
 
@@ -186,9 +196,11 @@ class Ledger:
                 if current is not None and current != record.h_dtid:
                     raise ValueError("user already has a live identity index")
                 self._live_by_user[record.user_id.value] = record.h_dtid
-            elif self._live_by_user.get(record.user_id.value) == record.h_dtid:
-                del self._live_by_user[record.user_id.value]
-            self._idents[record.h_dtid.value] = record
+                self._idents[record.h_dtid.value] = record
+            else:
+                if self._live_by_user.get(record.user_id.value) == record.h_dtid:
+                    del self._live_by_user[record.user_id.value]
+                self._idents.pop(record.h_dtid.value, None)
         elif isinstance(record, CardRecord):
             previous = self._cards.get(record.card.card_uid.value)
             if previous is not None:
@@ -202,8 +214,7 @@ class Ledger:
     def replace_index(self, old_h: Digest160, new_h: Digest160,
                       user_id: Digest160) -> None:
         current = self._idents.get(old_h.value)
-        if current is None or current.superseded_by is not None \
-                or current.user_id != user_id:
+        if current is None or current.user_id != user_id:
             raise NotFound("no live identity index for the given digest")
         self.append(IdentityIndex(h_dtid=old_h, user_id=user_id, superseded_by=new_h))
         self.append(IdentityIndex(h_dtid=new_h, user_id=user_id))
@@ -222,12 +233,11 @@ class Ledger:
         token = self._tokens.get(x.value)
         if token is not None and not token.revoked:
             return True
-        ident = self._idents.get(x.value)
-        return ident is not None and ident.superseded_by is None
+        return x.value in self._idents
 
     def get_identity(self, h_dtid: Digest160) -> Digest160:
         ident = self._idents.get(h_dtid.value)
-        if ident is None or ident.superseded_by is not None:
+        if ident is None:
             raise NotFound("no live identity index for the given digest")
         return ident.user_id
 
@@ -280,7 +290,7 @@ class Ledger:
             payload = bytes.fromhex(payload_hex)
             try:
                 record = parse_record(payload)
-            except (ValueError, IndexError):
+            except ValueError:
                 record = None
             block = LedgerBlock(height=int(height_s),
                                 prev_digest=Digest160.from_hex(prev_hex),

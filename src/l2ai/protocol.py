@@ -471,7 +471,10 @@ class HospitalServer:
         mask = ops.concat_mask(d_tid, self.id_hms)
         t_g_old = ops.xor(card.ax_ui, mask)
         x_old = ops.hash(t_g_old.value)
-        self.ledger.revoke_token(x_old)
+        try:
+            self.ledger.revoke_token(x_old)
+        except NotFound:
+            raise UnknownPrincipal("card does not point at a known token") from None
         self.token_roles.pop(x_old.value, None)
 
         t_g_new = ops.rand_digest()

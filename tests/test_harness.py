@@ -16,6 +16,7 @@ from l2ai.primitives import Digest160
 from l2ai.protocol import RegRequest
 
 GOLDEN = Path(__file__).parent / "golden"
+RACES = Path(__file__).parent / "races"
 
 
 def run_text(text: str, seed: int = 42):
@@ -117,6 +118,40 @@ def test_registration_with_identity_index_digest_is_unknown_token():
     world.finalize()
     assert check_invariants(world) == []
     assert world.ledger.verify_chain()
+
+
+def test_update_auth_on_tainted_card_is_a_rejection(tmp_path, capsys):
+    # a tampered provisional card points at no known token: the role update
+    # is rejected like any other, instead of a ledger miss escaping the run
+    scn = tmp_path / "s.scn"
+    scn.write_text("honest register alice\nmodify 2 25 ff\nhonest update-auth alice P\n")
+    assert cli_main(["run", str(scn)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "step kind=update-auth user=alice result=rejected UnknownPrincipal" in out
+    assert "summary users=1 tainted=1" in out
+    assert "summary violations=0" in out
+
+
+# Delivery-order races around one login and around enrollment. Their full
+# reports are pinned: among other things, a server rejection of the original
+# msg1 outranks the user's rejection of a reply, and a replay of enrollment
+# traffic taints the user.
+RACE_SCENARIOS = {
+    "replay-reply-race": "honest auth alice\nreplay 3 120\n",
+    "replay-tampered-reply": "honest auth alice\nreplay 3 120\nmodify 4 5 80\n",
+    "replay-dropped-reply":
+        "honest auth alice\nreplay 3 120\nmodify 4 5 80\ndrop hms alice 4\n",
+    "replay-provisional": "replay 2 60\nhonest auth alice\n",
+    "replay-reg-request": "replay 1 10\nhonest auth alice\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RACE_SCENARIOS))
+def test_race_report_is_pinned(name, tmp_path, capsys):
+    scn = tmp_path / "s.scn"
+    scn.write_text("honest register alice\n" + RACE_SCENARIOS[name])
+    assert cli_main(["run", str(scn)]) == 0
+    assert capsys.readouterr().out == (RACES / f"{name}.txt").read_text()
 
 
 def test_wrong_password_never_reaches_wire():

@@ -184,3 +184,41 @@ def test_any_digest_agrees_with_linear_scan():
 
     for x in tracked + [ops.rand_digest() for _ in range(5)]:
         assert ledger.any_digest(x) == scan(x)
+
+    # the identity index holds live records only, not one per supersede
+    live = {}
+    for block in ledger.blocks:
+        if isinstance(block.record, IdentityIndex):
+            live[block.record.h_dtid.value] = block.record.superseded_by is None
+    assert len(ledger._idents) == sum(live.values())
+
+
+# --- short input is a ValueError, like every other malformed record -----------
+
+@pytest.mark.parametrize("payload", [
+    b"",                                    # no tag byte
+    bytes([0x02]) + bytes(19),              # 20-byte identity payload
+    bytes([0x01]) + bytes(20),              # 21-byte token payload: no revoked flag
+], ids=["empty", "ident-20", "token-21"])
+def test_parse_record_short_payload_is_value_error(payload):
+    with pytest.raises(ValueError):
+        parse_record(payload)
+
+
+@pytest.mark.parametrize("size", [0, 1, 7])
+def test_block_address_short_input_is_value_error(size):
+    with pytest.raises(ValueError):
+        BlockAddress.from_bytes(bytes(size))
+
+
+@pytest.mark.parametrize("payload_hex", ["02" + "00" * 19, "01" + "00" * 20])
+def test_import_keeps_short_payload_blocks_for_the_chain_check(payload_hex):
+    ops, ledger = make_ops(10), Ledger()
+    for _ in range(3):
+        ledger.append(sample_token(ops))
+    lines = ledger.export_lines()
+    height, prev_hex, kind, _payload, digest_hex = lines[1].split()
+    lines[1] = f"{height} {prev_hex} {kind} {payload_hex} {digest_hex}"
+    imported = Ledger.from_lines(lines)
+    assert imported.blocks[1].record is None
+    assert not imported.verify_chain()
