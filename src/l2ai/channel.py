@@ -18,7 +18,9 @@ Replayed copies carry negative sequence numbers so honest numbering never
 shifts underneath a script. Modification happens on the wire: the eavesdrop
 record and the adversary's replay material keep the bytes as the honest
 party sent them. An armed action whose sequence number never occurs is a
-scripting mistake and fails the run loudly.
+scripting mistake and fails the run loudly. A dropped send's seq goes into
+`dropped` when it is sent; every other send is delivered by the next run, so
+after a drain "not delivered" means exactly "dropped".
 
 Delivery handlers return an outcome string and must not raise; the caller
 wraps protocol rejections into outcomes. Everything is logged to a stable
@@ -86,10 +88,9 @@ class Channel:
         self.clock = clock
         self.base_delay = base_delay
         self.knowledge: dict[int, bytes] = {}     # eavesdropped payloads, as sent
-        self.wire_history: list[bytes] = []       # every payload that hit the wire
         self.log: list[str] = []
         self.delivered: list[tuple[Envelope, str]] = []
-        self.drops = 0                            # sends swallowed by a drop action
+        self.dropped: set[int] = set()            # seqs swallowed by a drop action
         self._next_seq = 1
         self._next_replay = -1
         self._pushes = 0
@@ -135,7 +136,6 @@ class Channel:
         now = self.clock.now()
         seq = self._next_seq
         self._next_seq += 1
-        self.wire_history.append(payload)
         self._log(now, f"SEND seq={seq} {src}->{dst} len={len(payload)}")
 
         if seq in self._eavesdrops or seq in self._replays:
@@ -150,7 +150,6 @@ class Channel:
             copy = Envelope(seq=rseq, src=src, dst=dst, payload=payload,
                             send_time=now, deliver_time=at, replay_of=seq)
             self._push(copy)
-            self.wire_history.append(payload)
             self._log(now, f"REPLAY seq={rseq} of={seq} at={at}")
 
         out = payload
@@ -163,20 +162,17 @@ class Channel:
                 buf[offset + i] ^= m
             out = bytes(buf)
             self._log(now, f"MODIFY seq={seq} off={offset} mask={mask.hex()}")
-        tampered = out != payload
-        if tampered:
-            self.wire_history.append(out)
 
         env = Envelope(seq=seq, src=src, dst=dst, payload=out,
                        send_time=now, deliver_time=now + self.base_delay,
-                       tampered=tampered)
+                       tampered=out != payload)
         if seq in self._drops:
             want = self._drops.pop(seq)
             if want != (src, dst):
                 raise ChannelError(f"drop for seq={seq} names {want[0]}->{want[1]} "
                                    f"but the send is {src}->{dst}")
             self._log(now, f"DROP seq={seq} {src}->{dst}")
-            self.drops += 1
+            self.dropped.add(seq)
             return env
         self._push(env)
         return env

@@ -8,8 +8,11 @@ to its (side, phase), also when it is rejected part way, and turns a Reject or
 ValueError into "rejected <Class>"; so an attack scenario runs to completion.
 Each send is tied to its owner when it is made (a Session for msg1 and server
 replies, a user for enrollment traffic), and a delivery handler records its
-result on the owner of the envelope's origin. Only what never happened is left
-to finalize: it taints users whose enrollment traffic never arrived.
+result on the owner of the envelope's origin. The channel records each drop
+when it happens, so finalize only taints users whose enrollment traffic was
+dropped. Call finalize and check_invariants after the final drain;
+check_invariants is the one place the ledger chain is verified, and the report
+renders the verdict it is given.
 
 The invariant checker encodes what a run must satisfy regardless of the
 adversary script:
@@ -48,6 +51,8 @@ from .protocol import (
 
 SERVER = "hms"
 
+CHAIN_VIOLATION = "ledger chain verification failed"
+
 WIRE_KINDS = {
     MSG1_WIDTH: "auth-request",
     MSG2_WIDTH: "server-reply",
@@ -75,13 +80,13 @@ OP_KEYS = ("hash", "xor", "enc", "dec", "fe")
 @dataclass
 class Session:
     """One authentication attempt, from the user's login call to the final
-    verdict. Wire-less local failures have no msg1 envelope."""
+    verdict. Wire-less local failures have no msg1 envelope; reply_env is the
+    server's reply as the channel sent it."""
 
     user: str
     scope: str
     msg1_env: Envelope | None = None
     local_reject: str | None = None
-    reply_seq: int | None = None
     reply_env: Envelope | None = None
     sk_user: Digest160 | None = None
     sk_server: Digest160 | None = None
@@ -127,6 +132,8 @@ class World:
 
     def get_user(self, name: str) -> UserGateway:
         if name not in self.users:
+            if name == SERVER:      # its handler would replace the server's
+                raise ValueError(f"{SERVER!r} names the server, not a user")
             draw = PrimitiveOps(self._user_seed(name) ^ 0x5EED)
             creds = Credentials(user_id=draw.rand_digest(),
                                 password=f"pw-{name}".encode(),
@@ -251,7 +258,7 @@ class World:
             reply = self._send(SERVER, env.src, msg2.to_bytes())
             if session is not None:
                 session.sk_server = transcript.sk
-                session.reply_seq = reply.seq
+                session.reply_env = reply
                 self._session_by_seq[reply.seq] = session
             return f"accepted sk={transcript.sk.hex()[:8]}"
 
@@ -270,15 +277,12 @@ class World:
 
         if width == MSG2_WIDTH:
             session = self._session_by_seq.get(env.origin)
-            original = session if env.seq > 0 else None      # not a replayed copy
-            if original is not None:
-                original.reply_env = env
             sk, rejected = self._metered(
                 "user", "verify", gateway.ops,
                 lambda: gateway.accept_server_reply(Msg2.from_bytes(env.payload)))
             if rejected:
-                if original is not None:
-                    original.user_reject = rejected
+                if session is not None and env.seq > 0:      # not a replayed copy
+                    session.user_reject = rejected
                 return rejected
             if session is not None:
                 session.sk_user = sk
@@ -289,16 +293,16 @@ class World:
     # --- post-run resolution ------------------------------------------------------
 
     def finalize(self) -> None:
-        """Taint users whose enrollment traffic never arrived; call after the
+        """Taint users whose enrollment traffic was dropped; call after the
         final drain. Every other verdict is recorded at delivery."""
-        delivered = {env.seq for env, _ in self.channel.delivered}
-        for seq, user in self._user_by_seq.items():
-            if seq not in delivered:
-                self.tainted.add(user)
+        self.tainted.update(self._user_by_seq[seq] for seq in self.channel.dropped
+                            if seq in self._user_by_seq)
 
     # --- report ---------------------------------------------------------------------
 
-    def report_lines(self, violations: list[str] | None = None) -> list[str]:
+    def report_lines(self, violations: list[str]) -> list[str]:
+        """The report of a finished run, rendering the given verdict of
+        check_invariants."""
         ch = self.channel
         sends = ch._next_seq - 1
         replays = sum(1 for env, _ in ch.delivered if env.replay_of is not None)
@@ -327,7 +331,7 @@ class World:
             kind = WIRE_KINDS.get(width, "other")
             lines.append(f"wire kind={kind} width={width} "
                          f"count={self.width_counts[width]}")
-        for text in violations or []:
+        for text in violations:
             lines.append(f"violation {text}")
 
         outcomes = Counter(s.outcome for s in self.sessions)
@@ -339,13 +343,14 @@ class World:
         lines.extend([
             f"summary sessions={len(self.sessions)} verified={verified} "
             f"rejected={rejected} pending={pending} local={local}",
-            f"summary sends={sends} deliveries={len(ch.delivered)} drops={ch.drops} "
-            f"replay-deliveries={replays} tampered-deliveries={tampered}",
+            f"summary sends={sends} deliveries={len(ch.delivered)} "
+            f"drops={len(ch.dropped)} replay-deliveries={replays} "
+            f"tampered-deliveries={tampered}",
             f"summary users={len(self.users)} tainted={len(self.tainted)}",
             f"summary ledger-blocks={len(self.ledger.blocks)} "
-            f"chain-ok={'yes' if self.ledger.verify_chain() else 'NO'}",
+            f"chain-ok={'NO' if CHAIN_VIOLATION in violations else 'yes'}",
             f"summary event-digest={digest}",
-            f"summary violations={len(violations or [])}",
+            f"summary violations={len(violations)}",
         ])
         return lines
 
@@ -367,9 +372,10 @@ class RunResult:
 
 
 def check_invariants(world: World) -> list[str]:
+    """The violations of a finished run; call after the final drain."""
     violations: list[str] = []
     if not world.ledger.verify_chain():
-        violations.append("ledger chain verification failed")
+        violations.append(CHAIN_VIOLATION)
 
     accepted_per_origin: Counter = Counter()
     for env, outcome in world.channel.delivered:
@@ -384,17 +390,14 @@ def check_invariants(world: World) -> list[str]:
             violations.append(f"message seq={origin} accepted {count} times "
                               "(replay got through)")
 
-    delivered = {env.seq for env, _ in world.channel.delivered}
+    def touched(env: Envelope | None) -> bool:
+        return env is not None and (env.tampered or env.seq in world.channel.dropped)
+
     for session in world.sessions:
         if session.local_reject or session.user in world.tainted:
             continue
         env = session.msg1_env
-        touched = env.tampered or env.seq not in delivered
-        if session.reply_env is not None:
-            touched = touched or session.reply_env.tampered
-        if session.reply_seq is not None and session.reply_seq not in delivered:
-            touched = True                         # reply dropped in flight
-        if touched:
+        if touched(env) or touched(session.reply_env):
             continue
         if session.sk_user is None or session.sk_user != session.sk_server:
             violations.append(f"untouched session (user={session.user} "
@@ -631,8 +634,13 @@ def suite_fuzz(seed: int = 42, sessions: int = 1000, users: int = 50,
     world.finalize()
     problems.extend(check_invariants(world))
 
+    # with nothing dropped or tampered, the delivered payloads are every
+    # payload that was put on the wire
+    delivered = world.channel.delivered
+    if world.channel.dropped or any(env.tampered for env, _ in delivered):
+        problems.append("fuzz traffic was dropped or tampered")
     secret = world.server.s_hms.value
-    wire = b"".join(world.channel.wire_history)
+    wire = b"".join(env.payload for env, _ in delivered)
     chain = b"".join(block.payload for block in world.ledger.blocks)
     if secret in wire:
         problems.append("master secret bytes appeared on the wire")

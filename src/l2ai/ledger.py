@@ -96,14 +96,11 @@ class IdentityIndex:
                 bytes([self.superseded_by is not None]) + marker)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CardRecord:
-    """A published smart card version. superseded_by_height is in-memory
-    bookkeeping set when a newer version lands; it is not part of the
-    hashed payload (payload bytes are immutable once appended)."""
+    """A published smart card version."""
 
     card: SmartCard
-    superseded_by_height: int | None = None
 
     def serialize(self) -> bytes:
         return bytes([CARD_TAG]) + self.card.to_bytes()
@@ -170,7 +167,7 @@ class Ledger:
         self.blocks: list[LedgerBlock] = []
         self._tokens: dict[bytes, TokenRecord] = {}
         self._idents: dict[bytes, IdentityIndex] = {}    # live records only
-        self._cards: dict[bytes, tuple[int, CardRecord]] = {}
+        self._cards: dict[bytes, SmartCard] = {}         # latest version per card
         self._live_by_user: dict[bytes, Digest160] = {}
 
     # --- writes ---------------------------------------------------------------
@@ -202,10 +199,7 @@ class Ledger:
                     del self._live_by_user[record.user_id.value]
                 self._idents.pop(record.h_dtid.value, None)
         elif isinstance(record, CardRecord):
-            previous = self._cards.get(record.card.card_uid.value)
-            if previous is not None:
-                previous[1].superseded_by_height = block.height
-            self._cards[record.card.card_uid.value] = (block.height, record)
+            self._cards[record.card.card_uid.value] = record.card
 
     def put_card(self, card: SmartCard) -> BlockAddress:
         block = self.append(CardRecord(card=card))
@@ -252,10 +246,10 @@ class Ledger:
         return token
 
     def get_card(self, card_uid: Digest160) -> SmartCard:
-        entry = self._cards.get(card_uid.value)
-        if entry is None:
+        card = self._cards.get(card_uid.value)
+        if card is None:
             raise NotFound("no card record for the given identifier")
-        return entry[1].card
+        return card
 
     # --- integrity and transport -------------------------------------------------
 

@@ -134,11 +134,6 @@ class PermissionTable:
         return cls(grants)
 
     @classmethod
-    def load(cls, path) -> "PermissionTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.parse(fh.read())
-
-    @classmethod
     def default(cls) -> "PermissionTable":
         return cls.parse(DEFAULT_TABLE_TEXT)
 

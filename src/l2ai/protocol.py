@@ -505,7 +505,6 @@ class UserGateway:
         self._sealed_address: bytes | None = None
         self._scratch: UserScratch | None = None
         self._session: UserSession | None = None
-        self.session_key: Digest160 | None = None
 
     # registration
 
@@ -543,7 +542,6 @@ class UserGateway:
             raise UnexpectedMessage("no login in progress")
         sk = verify_server(self.ops, self.clock, self.delta_t, self._session, msg2)
         self._session = None
-        self.session_key = sk
         return sk
 
     # credential update

@@ -386,8 +386,12 @@ def test_criterion_09_master_secret_never_leaves_server():
     assert verified == 1000
     assert world.ledger.verify_chain()
 
+    # nothing dropped or tampered: the delivered payloads are every payload
+    # that was put on the wire
+    assert not world.channel.dropped
+    assert not any(env.tampered for env, _ in world.channel.delivered)
     secret = world.server.s_hms.value
-    wire = b"".join(world.channel.wire_history)
+    wire = b"".join(env.payload for env, _ in world.channel.delivered)
     assert secret not in wire
     for block in world.ledger.blocks:
         assert secret not in block.payload

@@ -80,8 +80,10 @@ def test_drop_swallows_and_checks_parties():
     ch = Channel(clock)
     ch.script_drop("a", "b", 1)
     ch.send("a", "b", b"gone")
+    ch.send("a", "b", b"kept")
     ch.run({"b": sink([])})
-    assert ch.delivered == []
+    assert [env.seq for env, _ in ch.delivered] == [2]
+    assert ch.dropped == {1}
     assert any("DROP seq=1 a->b" in line for line in ch.log)
 
     ch2 = Channel(SimClock())

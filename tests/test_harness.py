@@ -1,17 +1,21 @@
 """Harness tests: scenario execution, invariant checking, suites, CLI exit
 codes, and the frozen seed-42 report/trace goldens."""
 
+import contextlib
+import io
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from l2ai.channel import parse_scenario
+from l2ai.channel import HONEST_PHASES, parse_scenario
 from l2ai.cli import main as cli_main
 from l2ai.harness import (
-    EXPECTED_OPS, HONEST_SCENARIO, SERVER, SUITES, World,
+    CHAIN_VIOLATION, EXPECTED_OPS, HONEST_SCENARIO, SERVER, SUITES, World,
     check_invariants, run_scenario,
 )
-from l2ai.permissions import Role
+from l2ai.permissions import SCOPE_CATALOG, Role
 from l2ai.primitives import Digest160
 from l2ai.protocol import RegRequest
 
@@ -100,6 +104,21 @@ def test_checker_catches_rigged_acceptances():
     text = "\n".join(result.violations)
     assert "tampered delivery" in text
     assert "accepted 2 times" in text
+
+
+def test_tampered_chain_is_reported():
+    # the verdict verifies the chain once; the report renders that verdict
+    world, result = run_text(HONEST_SCENARIO)
+    assert result.ok
+    block = world.ledger.blocks[3]
+    world.ledger.blocks[3] = replace(block, payload=bytes([block.payload[0] ^ 1])
+                                     + block.payload[1:])
+    violations = check_invariants(world)
+    assert violations == [CHAIN_VIOLATION]
+    lines = world.report_lines(violations)
+    assert f"violation {CHAIN_VIOLATION}" in lines
+    assert f"summary ledger-blocks={len(world.ledger.blocks)} chain-ok=NO" in lines
+    assert "summary violations=1" in lines
 
 
 def test_registration_with_identity_index_digest_is_unknown_token():
@@ -237,6 +256,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_rejects_a_user_named_like_the_server(tmp_path, capsys):
+    # a gateway named after the server would take over the server's handler
+    scn = tmp_path / "s.scn"
+    scn.write_text(f"honest register {SERVER}\nhonest auth {SERVER}\n")
+    assert cli_main(["run", str(scn)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert repr(SERVER) in captured.err
+
+
 def test_cli_export_and_suite(tmp_path, capsys):
     scn = tmp_path / "s.scn"
     scn.write_text("honest register a\nhonest auth a\n")
@@ -256,3 +285,58 @@ def test_cli_custom_delta_t(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1                                # untouched session rejected
     assert "outcome=rejected Stale" in out
+
+
+# --- generated scenarios ------------------------------------------------------------
+
+USERS = ("alice", "bob", SERVER)
+USER = st.sampled_from(USERS[:2] * 4 + USERS[2:])   # the server's name is an input error
+SEQS = st.integers(1, 12)              # high seqs never occur: an input error
+
+
+@st.composite
+def honest_lines(draw):
+    phase = draw(st.sampled_from(HONEST_PHASES))
+    words = ["honest", phase, draw(USER)]
+    if phase == "auth":
+        extra = SCOPE_CATALOG + ("no-such-scope",)
+    elif phase == "update-creds":
+        extra = ()
+    else:
+        extra = tuple(role.value for role in Role)
+    if extra and draw(st.booleans()):
+        words.append(draw(st.sampled_from(extra)))
+    return " ".join(words)
+
+
+ADVERSARY_LINES = st.one_of(
+    st.builds("delay {}".format, st.integers(0, 400)),
+    st.builds("eavesdrop {}".format, SEQS),
+    st.builds("drop {} {} {}".format, st.sampled_from(USERS), st.sampled_from(USERS),
+              SEQS),
+    st.builds("modify {} {} {}".format, SEQS, st.integers(0, 110),
+              st.binary(min_size=1, max_size=8).map(bytes.hex)),
+    st.builds("replay {} {}".format, SEQS, st.integers(0, 4000)),
+)
+
+
+def run_cli(path: Path, seed: int) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(["run", str(path), "--seed", str(seed)])
+    return code, out.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(honest_lines(), min_size=1, max_size=6),
+       attacks=st.lists(ADVERSARY_LINES, max_size=4),
+       seed=st.integers(0, 2**32))
+def test_generated_scenarios_end_in_a_defined_result(tmp_path_factory, steps,
+                                                     attacks, seed):
+    # any script in the grammar ends in a report (0), a violation (1) or an
+    # input error (2), never an exception, and a seed fixes the report
+    path = tmp_path_factory.mktemp("scenario") / "s.scn"
+    path.write_text("\n".join(steps + attacks) + "\n")
+    code, out = run_cli(path, seed)
+    assert code in (0, 1, 2)
+    assert run_cli(path, seed) == (code, out)
