@@ -8,6 +8,11 @@
 Exit status: 0 when the run or suite holds up, 1 when an invariant or suite
 check fails, 2 for unusable input (bad scenario text, bad permission table,
 unreadable files, adversary script errors).
+
+The argument parser is built once, when the module is imported, and `main`
+only parses with it, so `main` may be called any number of times in one
+process (the tests and the benchmark do) and each call pays only for its
+own command.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="l2ai",
         description="Simulator for a ledger-backed three-factor "
@@ -91,8 +96,14 @@ def main(argv: list[str] | None = None) -> int:
     _add_world_args(export_p)
     export_p.add_argument("--out", type=Path, required=True, metavar="DIR",
                           help="output directory")
+    return parser
 
-    args = parser.parse_args(argv)
+
+_PARSER = _build_parser()
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)

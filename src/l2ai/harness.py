@@ -134,12 +134,12 @@ class World:
         if name not in self.users:
             if name == SERVER:      # its handler would replace the server's
                 raise ValueError(f"{SERVER!r} names the server, not a user")
-            draw = PrimitiveOps(self._user_seed(name) ^ 0x5EED)
+            seed = self._user_seed(name)
+            draw = PrimitiveOps(seed ^ 0x5EED)
             creds = Credentials(user_id=draw.rand_digest(),
                                 password=f"pw-{name}".encode(),
                                 bio=draw.rand_template())
-            self.users[name] = UserGateway(name, self._user_seed(name), self.clock,
-                                           self.ledger, creds,
+            self.users[name] = UserGateway(seed, self.clock, self.ledger, creds,
                                            delta_t=self.server.delta_t)
             self._cred_draw[name] = draw
             self.handlers[name] = lambda env, n=name: self._user_handler(n, env)

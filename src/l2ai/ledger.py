@@ -7,7 +7,9 @@ replacement are expressed purely by appending newer records; for every
 index key the latest record wins, so a token tombstone (revoked=True) or a
 superseded identity marker shadows the earlier record without touching it.
 The identity index holds live records only: a superseded one leaves the
-index, while its block stays on the chain.
+index, while its block stays on the chain. A digest is live for one user at
+a time and a user has one live digest; a write that would break either is
+refused before anything is appended.
 
 Block payloads are serialized as a kind-tag byte followed by fixed-width
 fields in declaration order; the one variable-width field (a token's sealed
@@ -188,16 +190,19 @@ class Ledger:
         if isinstance(record, TokenRecord):
             self._tokens[record.x.value] = record
         elif isinstance(record, IdentityIndex):
+            user, h = record.user_id.value, record.h_dtid.value
+            holder = self._idents.get(h)
+            if holder is not None and holder.user_id != record.user_id:
+                raise ValueError("identity index digest is live for another user")
             if record.superseded_by is None:
-                current = self._live_by_user.get(record.user_id.value)
+                current = self._live_by_user.get(user)
                 if current is not None and current != record.h_dtid:
                     raise ValueError("user already has a live identity index")
-                self._live_by_user[record.user_id.value] = record.h_dtid
-                self._idents[record.h_dtid.value] = record
-            else:
-                if self._live_by_user.get(record.user_id.value) == record.h_dtid:
-                    del self._live_by_user[record.user_id.value]
-                self._idents.pop(record.h_dtid.value, None)
+                self._live_by_user[user] = record.h_dtid
+                self._idents[h] = record
+            elif holder is not None:
+                del self._live_by_user[user]
+                del self._idents[h]
         elif isinstance(record, CardRecord):
             self._cards[record.card.card_uid.value] = record.card
 
@@ -210,6 +215,8 @@ class Ledger:
         current = self._idents.get(old_h.value)
         if current is None or current.user_id != user_id:
             raise NotFound("no live identity index for the given digest")
+        if new_h != old_h and new_h.value in self._idents:
+            raise ValueError("identity index digest is live for another user")
         self.append(IdentityIndex(h_dtid=old_h, user_id=user_id, superseded_by=new_h))
         self.append(IdentityIndex(h_dtid=new_h, user_id=user_id))
 

@@ -135,7 +135,9 @@ class PermissionTable:
 
     @classmethod
     def default(cls) -> "PermissionTable":
-        return cls.parse(DEFAULT_TABLE_TEXT)
+        """The built-in table, parsed once at import. Each call gets its own
+        grants dict; the RoleGrants in it are frozen and shared."""
+        return cls(dict(_DEFAULT_GRANTS))
 
     def to_text(self) -> str:
         lines = []
@@ -145,3 +147,6 @@ class PermissionTable:
             window = f"  {grant.window[0]} {grant.window[1]}" if grant.window else ""
             lines.append(f"{role.value}  {scopes}{window}")
         return "\n".join(lines) + "\n"
+
+
+_DEFAULT_GRANTS = PermissionTable.parse(DEFAULT_TABLE_TEXT).grants

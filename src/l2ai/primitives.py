@@ -243,11 +243,13 @@ class HelperData:
 
 
 def repetition_encode(message: int) -> int:
-    codeword = 0
-    for j in range(FE_BLOCKS):
-        if (message >> j) & 1:
-            codeword |= 0b11111 << (5 * j)
-    return codeword
+    """Repeat each of the FE_BLOCKS message bits five times: bit j fills
+    bits 5j..5j+4 of the codeword. Read as base-32 digits, the message's
+    binary digits put bit j at bit 5j (32**j == 2**(5j)). Multiplying by
+    0b11111 turns each of those bits into a full five-bit block, with no
+    carry between blocks, since a digit times 31 fits in five bits. The
+    mirror of repetition_decode; the message is below 2**FE_BLOCKS."""
+    return int(format(message, "b"), 32) * 0b11111
 
 
 _BLOCK_LSBS = sum(1 << (5 * j) for j in range(FE_BLOCKS))

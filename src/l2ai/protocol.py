@@ -493,9 +493,8 @@ class UserGateway:
     and keeps the card's ledger address sealed under a device-local key
     (storage plumbing, outside protocol op accounting)."""
 
-    def __init__(self, name: str, seed: int, clock: SimClock, ledger: Ledger,
+    def __init__(self, seed: int, clock: SimClock, ledger: Ledger,
                  creds: Credentials, delta_t: int = DEFAULT_DELTA_T):
-        self.name = name
         self.ops = PrimitiveOps(seed)
         self.clock = clock
         self.ledger = ledger

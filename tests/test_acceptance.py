@@ -41,24 +41,24 @@ EXPECTED_GRANTS = {
 }
 
 
-def fresh_pair(seed=42, delta_t=2000, role=Role.DOCTOR, name="u"):
+def fresh_pair(seed=42, delta_t=2000, role=Role.DOCTOR):
     """One server and one enrolled user, wired to the same clock and ledger."""
     clock, ledger = SimClock(), Ledger()
     server = HospitalServer.setup(seed, clock, ledger, delta_t=delta_t)
     ops = PrimitiveOps(seed * 3 + 1)
     creds = Credentials(user_id=ops.rand_digest(), password=b"pw-acceptance",
                         bio=ops.rand_template())
-    gateway = UserGateway(name, seed + 9, clock, ledger, creds, delta_t=delta_t)
+    gateway = UserGateway(seed + 9, clock, ledger, creds, delta_t=delta_t)
     token = server.issue_token(b"code-1", role)
     gateway.accept_provisional(server.register(gateway.build_registration(token)))
     return clock, server, gateway, token
 
 
-def enroll(server, ledger, clock, seed, role=Role.DOCTOR, name="u"):
+def enroll(server, ledger, clock, seed, role=Role.DOCTOR):
     ops = PrimitiveOps(seed)
     creds = Credentials(user_id=ops.rand_digest(),
                         password=b"pw-%d" % seed, bio=ops.rand_template())
-    gateway = UserGateway(name, seed + 7, clock, ledger, creds,
+    gateway = UserGateway(seed + 7, clock, ledger, creds,
                           delta_t=server.delta_t)
     token = server.issue_token(b"code-%d" % seed, role)
     gateway.accept_provisional(server.register(gateway.build_registration(token)))
@@ -292,7 +292,7 @@ def test_criterion_08_reference_agreement_100_seeds():
         ops = PrimitiveOps(seed ^ 0xACCE)
         creds = Credentials(user_id=ops.rand_digest(),
                             password=b"pw-%d" % seed, bio=ops.rand_template())
-        gateway = UserGateway("u", seed + 1, clock, ledger, creds,
+        gateway = UserGateway(seed + 1, clock, ledger, creds,
                               delta_t=server.delta_t)
         token = server.issue_token(b"code", Role.DOCTOR)
 
@@ -408,8 +408,7 @@ def test_criterion_10_authorization_matrix_and_revocation():
     server = HospitalServer.setup(7, clock, ledger)
     granted = denied = 0
     for i, role in enumerate(Role):
-        gateway, _ = enroll(server, ledger, clock, seed=300 + i, role=role,
-                            name=f"m-{role.value}")
+        gateway, _ = enroll(server, ledger, clock, seed=300 + i, role=role)
         for scope in SCOPE_CATALOG:
             clock.advance(10)
             msg1 = gateway.start_login()
@@ -427,7 +426,7 @@ def test_criterion_10_authorization_matrix_and_revocation():
     revoked = 0
     for i in range(20):
         gateway, _ = enroll(server, ledger, clock, seed=900 + i,
-                            role=Role.DOCTOR, name=f"r-{i}")
+                            role=Role.DOCTOR)
         old_card = gateway.current_card()
         new_token = server.update_authorization(gateway.creds.user_id,
                                                 Role.PATIENT)

@@ -3,6 +3,9 @@ codes, and the frozen seed-42 report/trace goldens."""
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,11 +18,14 @@ from l2ai.harness import (
     CHAIN_VIOLATION, EXPECTED_OPS, HONEST_SCENARIO, SERVER, SUITES, World,
     check_invariants, run_scenario,
 )
-from l2ai.permissions import SCOPE_CATALOG, Role
+from l2ai.permissions import (
+    DEFAULT_TABLE_TEXT, SCOPE_CATALOG, PermissionTable, Role, RoleGrant,
+)
 from l2ai.primitives import Digest160
 from l2ai.protocol import RegRequest
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 RACES = Path(__file__).parent / "races"
 
 
@@ -219,6 +225,17 @@ def test_expected_ops_table_is_exhaustive():
         assert set(counts) == {"hash", "xor", "enc", "dec", "fe"}
 
 
+def test_worlds_do_not_share_a_permission_table():
+    first, second = World(seed=1), World(seed=2)
+    first.server.perm_table.grants[Role.PATIENT] = RoleGrant(scopes=None, window=None)
+    del first.server.perm_table.grants[Role.LABORATORY]
+    builtin = PermissionTable.parse(DEFAULT_TABLE_TEXT).grants
+    assert second.server.perm_table.grants == builtin
+    assert PermissionTable.default().grants == builtin
+    assert not second.server.authorize(Role.PATIENT, "manage-users", at_ms=0)
+    assert first.server.authorize(Role.PATIENT, "manage-users", at_ms=0)
+
+
 # --- command line ----------------------------------------------------------------
 
 def test_cli_run_writes_report_and_trace(tmp_path, capsys):
@@ -285,6 +302,59 @@ def test_cli_custom_delta_t(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1                                # untouched session rejected
     assert "outcome=rejected Stale" in out
+
+
+def test_cli_main_called_repeatedly_in_one_process(tmp_path, capsys):
+    # the parser is built once per process; a call must not leak options,
+    # files or output into the next one
+    scn = tmp_path / "s.scn"
+    scn.write_text(HONEST_SCENARIO)
+    outputs = tmp_path / "outputs"
+    outputs.mkdir()
+    assert cli_main(["run", str(scn), "--report", str(outputs / "report.txt"),
+                     "--trace", str(outputs / "trace.txt")]) == 0
+    first = capsys.readouterr().out
+    assert first == (GOLDEN / "honest-seed42-report.txt").read_text()
+    assert (outputs / "report.txt").read_text() == first
+    assert (outputs / "trace.txt").read_text() == \
+        (GOLDEN / "honest-seed42-trace.txt").read_text()
+    for path in outputs.iterdir():
+        path.unlink()
+
+    assert cli_main(["run", str(scn)]) == 0
+    assert capsys.readouterr().out == first
+    assert list(outputs.iterdir()) == []          # --report/--trace not kept
+
+    with pytest.raises(SystemExit) as usage:
+        cli_main(["run", str(scn), "--seed", "forty-two"])
+    assert usage.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert cli_main(["run", str(scn)]) == 0
+    assert capsys.readouterr().out == first
+
+    assert cli_main(["suite", "metrics"]) == 0
+    assert "ok metrics headline" in capsys.readouterr().out
+    assert cli_main(["run", str(scn)]) == 0
+    assert capsys.readouterr().out == first
+
+
+def run_module(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+    """`python -m l2ai ...` in a fresh interpreter, as a user runs it."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
+    return subprocess.run([sys.executable, "-m", "l2ai", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_module_entry_point_runs_in_a_fresh_interpreter(tmp_path):
+    scn = tmp_path / "honest.scn"
+    scn.write_text(HONEST_SCENARIO)
+    run = run_module("run", str(scn), "--seed", "42", cwd=tmp_path)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == (GOLDEN / "honest-seed42-report.txt").read_text()
+
+    helped = run_module("--help", cwd=tmp_path)
+    assert helped.returncode == 0
+    assert helped.stdout.startswith("usage: l2ai [-h] {run,suite,export} ...\n")
 
 
 # --- generated scenarios ------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Ledger tests: append-only behavior, latest-wins supersession,
 tamper evidence, and export/import."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from l2ai.ledger import (
     BlockAddress, CardRecord, IdentityIndex, Ledger, NotFound,
@@ -97,7 +101,6 @@ def test_card_latest_version_wins():
     assert addr == BlockAddress(height=0, card_uid=card.card_uid)
     assert ledger.get_card(card.card_uid) == card
 
-    from dataclasses import replace
     newer = replace(card, ax_ui=ops.rand_digest())
     ledger.put_card(newer)
     assert ledger.get_card(card.card_uid) == newer
@@ -221,3 +224,162 @@ def test_import_keeps_short_payload_blocks_for_the_chain_check(payload_hex):
     imported = Ledger.from_lines(lines)
     assert imported.blocks[1].record is None
     assert not imported.verify_chain()
+
+
+# --- found by the state machine below ----------------------------------------
+
+def test_identity_digest_live_for_another_user_is_refused():
+    # it was indexed for the second user while the first still had it as
+    # their live index, so the two lookups disagreed
+    ops, ledger = make_ops(12), Ledger()
+    alice, bob, h = ops.rand_digest(), ops.rand_digest(), ops.rand_digest()
+    ledger.append(IdentityIndex(h_dtid=h, user_id=alice))
+    with pytest.raises(ValueError):
+        ledger.append(IdentityIndex(h_dtid=h, user_id=bob))
+    with pytest.raises(ValueError):
+        ledger.append(IdentityIndex(h_dtid=h, user_id=bob, superseded_by=h))
+    assert len(ledger.blocks) == 1
+    assert ledger.get_identity(h) == alice
+    assert ledger.live_index_for(alice) == h
+    assert ledger.live_index_for(bob) is None
+
+
+def test_replace_index_onto_another_users_digest_appends_nothing():
+    # it superseded the old index and then refused the new one, leaving
+    # the user with no live index at all
+    ops, ledger = make_ops(13), Ledger()
+    alice, bob = ops.rand_digest(), ops.rand_digest()
+    h_alice, h_bob = ops.rand_digest(), ops.rand_digest()
+    ledger.append(IdentityIndex(h_dtid=h_alice, user_id=alice))
+    ledger.append(IdentityIndex(h_dtid=h_bob, user_id=bob))
+    with pytest.raises(ValueError):
+        ledger.replace_index(h_bob, h_alice, bob)
+    assert len(ledger.blocks) == 2
+    assert ledger.live_index_for(bob) == h_bob
+    assert ledger.get_identity(h_alice) == alice
+    ledger.replace_index(h_bob, h_bob, bob)           # its own digest is fine
+    assert ledger.live_index_for(bob) == h_bob
+
+
+# --- the ledger against a dict model --------------------------------------------
+
+# Small pools, so that digests repeat: tokens and identity indexes share the
+# digest pool (any_digest looks up both namespaces) and users compete for it.
+DIGESTS = [Digest160(bytes([i]) * 20) for i in range(1, 6)]
+USERS = [Digest160(bytes([0x80 + i]) * 20) for i in range(3)]
+CARD_UIDS = [Digest160(bytes([0xC0 + i]) * 20) for i in range(2)]
+SEALED = [seal(Digest160(bytes(20)), bytes([i]), bytes(16)) for i in range(3)]
+BASE_CARD = sample_card(make_ops(11))
+
+
+class LedgerModel(RuleBasedStateMachine):
+    """Each rule applies one write to the Ledger and to plain dicts; after
+    every step the latest-wins lookups of the ledger, and of a ledger
+    rebuilt from its export, must agree with the dicts."""
+
+    def __init__(self):
+        super().__init__()
+        self.ledger = Ledger()
+        self.tokens: dict[Digest160, TokenRecord] = {}   # latest record per x
+        self.idents: dict[Digest160, Digest160] = {}     # live h -> user
+        self.live: dict[Digest160, Digest160] = {}       # user -> live h
+        self.cards: dict[Digest160, SmartCard] = {}      # latest card per uid
+
+    def appends(self, count: int, write, raises=None) -> None:
+        """Run write() and check that it appended `count` blocks; a write
+        expected to raise must append nothing."""
+        before = len(self.ledger.blocks)
+        if raises is None:
+            write()
+        else:
+            with pytest.raises(raises):
+                write()
+        assert len(self.ledger.blocks) == before + count
+
+    @rule(x=st.sampled_from(DIGESTS), y=st.sampled_from(SEALED))
+    def issue_token(self, x, y):
+        record = TokenRecord(x=x, y=y)
+        self.appends(1, lambda: self.ledger.append(record))
+        self.tokens[x] = record
+
+    @rule(x=st.sampled_from(DIGESTS))
+    def revoke_token(self, x):
+        current = self.tokens.get(x)
+        if current is None:
+            self.appends(0, lambda: self.ledger.revoke_token(x), raises=NotFound)
+            return
+        self.appends(0 if current.revoked else 1,
+                     lambda: self.ledger.revoke_token(x))
+        self.tokens[x] = replace(current, revoked=True)
+
+    @rule(uid=st.sampled_from(CARD_UIDS), ax=st.sampled_from(DIGESTS))
+    def put_card(self, uid, ax):
+        card = replace(BASE_CARD, card_uid=uid, ax_ui=ax)
+        height = len(self.ledger.blocks)
+        assert self.ledger.put_card(card) == BlockAddress(height=height, card_uid=uid)
+        self.cards[uid] = card
+
+    @rule(h=st.sampled_from(DIGESTS), user=st.sampled_from(USERS))
+    def add_identity(self, h, user):
+        record = IdentityIndex(h_dtid=h, user_id=user)
+        if self.live.get(user, h) != h or self.idents.get(h, user) != user:
+            # the user has another live index, or h is another user's
+            self.appends(0, lambda: self.ledger.append(record), raises=ValueError)
+            return
+        self.appends(1, lambda: self.ledger.append(record))
+        self.idents[h], self.live[user] = user, h
+
+    @rule(old=st.sampled_from(DIGESTS), new=st.sampled_from(DIGESTS),
+          user=st.sampled_from(USERS))
+    def replace_index(self, old, new, user):
+        write = lambda: self.ledger.replace_index(old, new, user)   # noqa: E731
+        if self.idents.get(old) != user:
+            self.appends(0, write, raises=NotFound)
+            return
+        if self.idents.get(new, user) != user:        # new is another user's
+            self.appends(0, write, raises=ValueError)
+            return
+        self.appends(2, write)
+        del self.idents[old]
+        self.idents[new], self.live[user] = user, new
+
+    def assert_lookups(self, ledger: Ledger) -> None:
+        for x in DIGESTS:
+            token = self.tokens.get(x)
+            if token is None:
+                with pytest.raises(NotFound):
+                    ledger.get_token(x)
+            else:
+                assert ledger.get_token(x) == token
+            if x in self.idents:
+                assert ledger.get_identity(x) == self.idents[x]
+            else:
+                with pytest.raises(NotFound):
+                    ledger.get_identity(x)
+            live_token = token is not None and not token.revoked
+            assert ledger.any_digest(x) == (live_token or x in self.idents)
+        for user in USERS:
+            assert ledger.live_index_for(user) == self.live.get(user)
+        for uid in CARD_UIDS:
+            if uid in self.cards:
+                assert ledger.get_card(uid) == self.cards[uid]
+            else:
+                with pytest.raises(NotFound):
+                    ledger.get_card(uid)
+        assert ledger.verify_chain()
+
+    @invariant()
+    def lookups_match_the_model(self):
+        self.assert_lookups(self.ledger)
+
+    @invariant()
+    def export_rebuilds_the_same_lookups(self):
+        lines = self.ledger.export_lines()
+        rebuilt = Ledger.from_lines(lines)
+        assert rebuilt.export_lines() == lines
+        self.assert_lookups(rebuilt)
+
+
+LedgerModel.TestCase.settings = settings(max_examples=40, stateful_step_count=25,
+                                         deadline=None)
+test_ledger_matches_dict_model = LedgerModel.TestCase

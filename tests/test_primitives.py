@@ -5,7 +5,7 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from l2ai.primitives import (
@@ -334,6 +334,24 @@ def majority_decode_reference(word: int) -> int:
 def test_repetition_decode_matches_popcount_majority(word):
     # arbitrary words, not only codewords with a few flips; bit 255 is padding
     assert repetition_decode(word) == majority_decode_reference(word)
+
+
+def repetition_encode_reference(message: int) -> int:
+    codeword = 0
+    for j in range(FE_BLOCKS):
+        if (message >> j) & 1:
+            codeword |= 0b11111 << (5 * j)
+    return codeword
+
+
+@given(st.integers(min_value=0, max_value=2 ** FE_BLOCKS - 1))
+@example(0)
+@example(2 ** FE_BLOCKS - 1)
+def test_repetition_encode_matches_per_block_loop(message):
+    codeword = repetition_encode(message)
+    assert codeword == repetition_encode_reference(message)
+    assert codeword < 1 << FE_PAD_BIT        # the pad bit stays clear
+    assert repetition_decode(codeword) == message
 
 
 def test_helper_data_serialization_roundtrip():

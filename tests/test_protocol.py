@@ -8,7 +8,9 @@ import pytest
 
 import oracle
 from l2ai.ledger import Ledger, NotFound
-from l2ai.permissions import PermissionTable, Role, SCOPE_CATALOG
+from l2ai.permissions import (
+    DEFAULT_TABLE_TEXT, PermissionTable, Role, SCOPE_CATALOG,
+)
 from l2ai.primitives import Digest160, PrimitiveOps, SimClock
 from l2ai.protocol import (
     BadMac, Credentials, HospitalServer, InvalidRole, LocalVerifyFailed,
@@ -32,10 +34,10 @@ def make_creds(seed=7):
                        bio=ops.rand_template())
 
 
-def registered_user(clock, ledger, server, name="alice", seed=101,
-                    creds=None, role=Role.DOCTOR):
+def registered_user(clock, ledger, server, seed=101, creds=None,
+                    role=Role.DOCTOR):
     creds = creds or make_creds(seed * 13 + 5)
-    gateway = UserGateway(name, seed, clock, ledger, creds,
+    gateway = UserGateway(seed, clock, ledger, creds,
                           delta_t=server.delta_t)
     token = server.issue_token(b"national-code-9001", role)
     provisional = server.register(gateway.build_registration(token))
@@ -79,7 +81,7 @@ def test_issue_token_unknown_role_rejected():
 def test_registration_fields_match_reference():
     clock, ledger, server = make_world()
     creds = make_creds()
-    gateway = UserGateway("alice", 101, clock, ledger, creds)
+    gateway = UserGateway(101, clock, ledger, creds)
     token = server.issue_token(b"code", Role.DOCTOR)
 
     req = gateway.build_registration(token)
@@ -115,7 +117,7 @@ def test_registration_fields_match_reference():
 def test_register_unknown_or_revoked_token():
     clock, ledger, server = make_world()
     creds = make_creds()
-    gateway = UserGateway("alice", 101, clock, ledger, creds)
+    gateway = UserGateway(101, clock, ledger, creds)
     ghost = PrimitiveOps(1).rand_digest()
     with pytest.raises(UnknownToken):
         server.register(RegRequest(x=ghost, did=ghost, pwd=ghost))
@@ -131,7 +133,7 @@ def test_duplicate_registration_rejected():
     clock, ledger, server = make_world()
     creds = make_creds()
     gateway, _ = registered_user(clock, ledger, server, creds=creds)
-    other = UserGateway("alice2", 202, clock, ledger, creds)
+    other = UserGateway(202, clock, ledger, creds)
     token = server.issue_token(b"code", Role.DOCTOR)
     with pytest.raises(Reject):
         server.register(other.build_registration(token))
@@ -460,6 +462,13 @@ def test_permission_table_parse_errors():
     # round trip
     table = PermissionTable.default()
     assert PermissionTable.parse(table.to_text()).grants == table.grants
+
+
+def test_default_table_is_the_parsed_builtin_text():
+    # parsed once at import; each call still returns its own grants dict
+    assert PermissionTable.default().to_text() == \
+        PermissionTable.parse(DEFAULT_TABLE_TEXT).to_text()
+    assert PermissionTable.default().grants is not PermissionTable.default().grants
 
 
 # --- wire codecs -------------------------------------------------------------------
