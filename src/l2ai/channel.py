@@ -56,7 +56,7 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Envelope:
     """One message in flight. `tampered` marks an adversary modification;
     `replay_of` names the original send for re-injected copies."""
@@ -210,7 +210,7 @@ class Channel:
 HONEST_PHASES = ("register", "auth", "update-creds", "update-auth")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HonestStep:
     """One scripted honest action. `register` issues a token and enrolls the
     user (optional role, default D); `auth` runs a login/key-exchange round
@@ -224,7 +224,7 @@ class HonestStep:
     scope: str = DEFAULT_SCOPE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     base_delay: int
     steps: tuple[HonestStep, ...]

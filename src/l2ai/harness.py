@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 
-from .channel import Channel, DEFAULT_DELAY, Envelope, Scenario, parse_scenario
+from .channel import Channel, Envelope, Scenario, parse_scenario
 from .ledger import Ledger
 from .permissions import DEFAULT_SCOPE, PermissionTable, Role, SCOPE_CATALOG
 from .primitives import Digest160, PrimitiveOps, SimClock, sha256_160
@@ -104,14 +104,13 @@ class Session:
 
 class World:
     def __init__(self, seed: int = 42, delta_t: int = DEFAULT_DELTA_T,
-                 perm_table: PermissionTable | None = None,
-                 base_delay: int = DEFAULT_DELAY):
+                 perm_table: PermissionTable | None = None):
         self.seed = seed
         self.clock = SimClock()
         self.ledger = Ledger()
         self.server = HospitalServer.setup(seed, self.clock, self.ledger,
                                            perm_table, delta_t)
-        self.channel = Channel(self.clock, base_delay)
+        self.channel = Channel(self.clock)
         self.users: dict[str, UserGateway] = {}
         self.handlers = {SERVER: self._server_handler}
         self.sessions: list[Session] = []

@@ -6,10 +6,12 @@ the user gateways. Nothing ever rewrites an existing block. Revocation and
 replacement are expressed purely by appending newer records; for every
 index key the latest record wins, so a token tombstone (revoked=True) or a
 superseded identity marker shadows the earlier record without touching it.
-The identity index holds live records only: a superseded one leaves the
-index, while its block stays on the chain. A digest is live for one user at
-a time and a user has one live digest; a write that would break either is
-refused before anything is appended.
+Blocks hold bytes, not parsed records; the lookups hold the live answers
+(latest token per digest, user id per live identity digest, latest card).
+A digest is live for one user at a time and a user has one live digest; a
+write that would break either is refused before anything is appended.
+Import replays the writes and refuses, naming the line, a record that does
+not parse, is not in canonical form, or that the ledger refuses.
 
 Block payloads are serialized as a kind-tag byte followed by fixed-width
 fields in declaration order; the one variable-width field (a token's sealed
@@ -21,7 +23,7 @@ height, previous digest, and payload bytes, through the uncounted hash core
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .primitives import (
     WIDTH, Ciphertext, Digest160, HelperData, _unchecked_digest, sha256_160,
@@ -39,7 +41,7 @@ CARD_TAG = 0x03
 _KIND_NAMES = {TOKEN_TAG: "token", IDENT_TAG: "ident", CARD_TAG: "card"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmartCard:
     """Ledger-resident smart card contents.
 
@@ -72,7 +74,7 @@ class SmartCard:
         return cls(*fields, tau=tau, card_uid=Digest160(raw[6 * WIDTH + 52:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenRecord:
     """Token index digest plus the server-sealed token bytes."""
 
@@ -84,7 +86,7 @@ class TokenRecord:
         return bytes([TOKEN_TAG]) + self.x.value + bytes([self.revoked]) + self.y.to_bytes()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentityIndex:
     """Maps the hashed pseudo-identity to the registered identity."""
 
@@ -98,7 +100,7 @@ class IdentityIndex:
                 bytes([self.superseded_by is not None]) + marker)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CardRecord:
     """A published smart card version."""
 
@@ -131,16 +133,15 @@ def parse_record(payload: bytes):
     raise ValueError(f"unknown record tag {tag:#x}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerBlock:
     height: int
     prev_digest: Digest160
     payload: bytes
     block_digest: Digest160
-    record: object = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockAddress:
     """Where a card landed: block height plus the card identifier."""
 
@@ -168,7 +169,7 @@ class Ledger:
     def __init__(self):
         self.blocks: list[LedgerBlock] = []
         self._tokens: dict[bytes, TokenRecord] = {}
-        self._idents: dict[bytes, IdentityIndex] = {}    # live records only
+        self._idents: dict[bytes, Digest160] = {}        # live digest -> user id
         self._cards: dict[bytes, SmartCard] = {}         # latest version per card
         self._live_by_user: dict[bytes, Digest160] = {}
 
@@ -176,30 +177,28 @@ class Ledger:
 
     def append(self, record) -> LedgerBlock:
         payload = record.serialize()
+        self._index(record)         # may refuse; nothing appended in that case
         prev = self.blocks[-1].block_digest if self.blocks else Digest160.zero()
         height = len(self.blocks)
         block = LedgerBlock(height=height, prev_digest=prev, payload=payload,
-                            block_digest=_block_digest(height, prev, payload),
-                            record=record)
-        self._index(block)          # may refuse; nothing appended in that case
+                            block_digest=_block_digest(height, prev, payload))
         self.blocks.append(block)
         return block
 
-    def _index(self, block: LedgerBlock) -> None:
-        record = block.record
+    def _index(self, record) -> None:
         if isinstance(record, TokenRecord):
             self._tokens[record.x.value] = record
         elif isinstance(record, IdentityIndex):
             user, h = record.user_id.value, record.h_dtid.value
             holder = self._idents.get(h)
-            if holder is not None and holder.user_id != record.user_id:
+            if holder is not None and holder != record.user_id:
                 raise ValueError("identity index digest is live for another user")
             if record.superseded_by is None:
                 current = self._live_by_user.get(user)
                 if current is not None and current != record.h_dtid:
                     raise ValueError("user already has a live identity index")
                 self._live_by_user[user] = record.h_dtid
-                self._idents[h] = record
+                self._idents[h] = record.user_id
             elif holder is not None:
                 del self._live_by_user[user]
                 del self._idents[h]
@@ -212,8 +211,7 @@ class Ledger:
 
     def replace_index(self, old_h: Digest160, new_h: Digest160,
                       user_id: Digest160) -> None:
-        current = self._idents.get(old_h.value)
-        if current is None or current.user_id != user_id:
+        if self._idents.get(old_h.value) != user_id:
             raise NotFound("no live identity index for the given digest")
         if new_h != old_h and new_h.value in self._idents:
             raise ValueError("identity index digest is live for another user")
@@ -237,10 +235,10 @@ class Ledger:
         return x.value in self._idents
 
     def get_identity(self, h_dtid: Digest160) -> Digest160:
-        ident = self._idents.get(h_dtid.value)
-        if ident is None:
+        user_id = self._idents.get(h_dtid.value)
+        if user_id is None:
             raise NotFound("no live identity index for the given digest")
-        return ident.user_id
+        return user_id
 
     def live_index_for(self, user_id: Digest160) -> Digest160 | None:
         """The h(pseudo-identity) currently live for a user, if any."""
@@ -280,28 +278,27 @@ class Ledger:
 
     @classmethod
     def from_lines(cls, lines) -> "Ledger":
-        """Rebuild a ledger from exported lines. Digests are taken as
-        written, not recomputed, so verify_chain can pass judgment on a
-        tampered export instead of the parser masking it."""
+        """Rebuild a ledger by replaying the writes of exported lines. Each
+        payload is parsed and indexed as `append` would; one that does not
+        parse, does not re-serialize to itself, or is refused raises
+        ValueError naming its (1-based) line. Digests are taken as written,
+        not recomputed, so verify_chain can pass judgment on a tampered
+        export instead of the parser masking it."""
         ledger = cls()
-        for line in lines:
+        for number, line in enumerate(lines, 1):
             if not line.strip():
                 continue
-            height_s, prev_hex, _kind, payload_hex, digest_hex = line.split()
-            payload = bytes.fromhex(payload_hex)
             try:
-                record = parse_record(payload)
-            except ValueError:
-                record = None
-            block = LedgerBlock(height=int(height_s),
-                                prev_digest=Digest160.from_hex(prev_hex),
-                                payload=payload,
-                                block_digest=Digest160.from_hex(digest_hex),
-                                record=record)
+                height_s, prev_hex, _kind, payload_hex, digest_hex = line.split()
+                block = LedgerBlock(height=int(height_s),
+                                    prev_digest=Digest160.from_hex(prev_hex),
+                                    payload=bytes.fromhex(payload_hex),
+                                    block_digest=Digest160.from_hex(digest_hex))
+                record = parse_record(block.payload)
+                if record.serialize() != block.payload:
+                    raise ValueError("record is not in canonical form")
+                ledger._index(record)
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
             ledger.blocks.append(block)
-            if record is not None:
-                try:
-                    ledger._index(block)
-                except ValueError:
-                    pass        # tampered content; verify_chain renders the verdict
         return ledger

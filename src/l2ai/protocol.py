@@ -83,7 +83,7 @@ class UnexpectedMessage(Reject):
 
 # --- domain records -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Credentials:
     """The user's three factors."""
 
@@ -92,7 +92,7 @@ class Credentials:
     bio: BioTemplate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """Access token as handed to the user out of band."""
 
@@ -100,7 +100,7 @@ class Token:
     role: Role
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserScratch:
     """Gateway-held values alive only between the registration request and
     card finalization; dropped (token included) once the card is built."""
@@ -112,7 +112,7 @@ class UserScratch:
     t_g: Digest160
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserSession:
     """User-side login context awaiting the server's confirmation."""
 
@@ -121,7 +121,7 @@ class UserSession:
     t1: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthTranscript:
     """Server-side record of one accepted key exchange."""
 
@@ -138,7 +138,7 @@ class AuthTranscript:
 
 # --- wire messages ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegRequest:
     """Registration request: token digest, masked identity, password digest."""
 
@@ -157,7 +157,7 @@ class RegRequest:
                    pwd=Digest160(raw[2 * WIDTH:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProvisionalCard:
     """Server's registration reply; the gateway folds it into the card."""
 
@@ -179,7 +179,7 @@ class ProvisionalCard:
         return cls(*parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Msg1:
     """Authentication request: timestamp, proof digest, masked pseudonym,
     authorization index."""
@@ -201,7 +201,7 @@ class Msg1:
                    ax=Digest160(raw[8 + 2 * WIDTH:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Msg2:
     """Server reply: key confirmation digest, masked session key, timestamp."""
 
@@ -405,7 +405,12 @@ class HospitalServer:
         t_g = ops.xor(msg1.ax, ops.concat_mask(d_tid, self.id_hms))
         h_dtid = ops.hash(d_tid.value)
         h_tg = ops.hash(t_g.value)
-        if not (self.ledger.any_digest(h_dtid) and self.ledger.any_digest(h_tg)):
+        try:
+            user_id = self.ledger.get_identity(h_dtid)
+            live = not self.ledger.get_token(h_tg).revoked
+        except NotFound:
+            live = False
+        if not live:
             raise UnknownPrincipal("pseudo-identity or token not live on the ledger")
 
         role = self.token_roles.get(h_tg.value)
@@ -414,10 +419,6 @@ class HospitalServer:
         if not self.perm_table.allows(role, scope, now):
             raise Unauthorized(f"role {role.value} may not {scope} now")
 
-        try:
-            user_id = self.ledger.get_identity(h_dtid)
-        except NotFound:
-            raise UnknownPrincipal("identity index vanished") from None
         c_i = ops.hash(self.s_hms.value + user_id.value)
         w1 = ops.hash(d_tid.value + self._h_pair.value)
         m1_check = ops.hash(c_i.value + pack_ts(msg1.t1) + w1.value)
@@ -450,9 +451,6 @@ class HospitalServer:
         return Msg2(m3=m3, m2=m2, t2=t2), transcript
 
     # --- authorization ----------------------------------------------------------------
-
-    def authorize(self, role: Role, scope: str, at_ms: int) -> bool:
-        return self.perm_table.allows(role, scope, at_ms)
 
     def update_authorization(self, user_id: Digest160, role: Role) -> Token:
         """Swap the user's token for one carrying the given role: revoke the

@@ -232,8 +232,8 @@ def test_worlds_do_not_share_a_permission_table():
     builtin = PermissionTable.parse(DEFAULT_TABLE_TEXT).grants
     assert second.server.perm_table.grants == builtin
     assert PermissionTable.default().grants == builtin
-    assert not second.server.authorize(Role.PATIENT, "manage-users", at_ms=0)
-    assert first.server.authorize(Role.PATIENT, "manage-users", at_ms=0)
+    assert not second.server.perm_table.allows(Role.PATIENT, "manage-users", at_ms=0)
+    assert first.server.perm_table.allows(Role.PATIENT, "manage-users", at_ms=0)
 
 
 # --- command line ----------------------------------------------------------------

@@ -4,13 +4,15 @@ tamper evidence, and export/import."""
 from dataclasses import replace
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from l2ai.harness import World
 from l2ai.ledger import (
     BlockAddress, CardRecord, IdentityIndex, Ledger, NotFound,
-    SmartCard, TokenRecord, parse_record,
+    SmartCard, TokenRecord, _block_digest, parse_record,
 )
+from l2ai.permissions import Role
 from l2ai.primitives import Digest160, PrimitiveOps, seal
 
 
@@ -68,7 +70,7 @@ def test_token_revocation_is_append_only():
     ledger.revoke_token(token.x)
     assert not ledger.any_digest(token.x)
     assert len(ledger.blocks) == before + 1      # tombstone appended, nothing rewritten
-    assert ledger.blocks[before - 1].record == token
+    assert parse_record(ledger.blocks[before - 1].payload) == token
     assert ledger.verify_chain()
     # revoking again is a no-op, not a second tombstone
     ledger.revoke_token(token.x)
@@ -177,7 +179,7 @@ def test_any_digest_agrees_with_linear_scan():
     def scan(x: Digest160) -> bool:
         latest = {}
         for block in ledger.blocks:
-            record = block.record
+            record = parse_record(block.payload)
             if isinstance(record, TokenRecord):
                 latest[("t", record.x.value)] = not record.revoked
             elif isinstance(record, IdentityIndex):
@@ -190,8 +192,9 @@ def test_any_digest_agrees_with_linear_scan():
     # the identity index holds live records only, not one per supersede
     live = {}
     for block in ledger.blocks:
-        if isinstance(block.record, IdentityIndex):
-            live[block.record.h_dtid.value] = block.record.superseded_by is None
+        record = parse_record(block.payload)
+        if isinstance(record, IdentityIndex):
+            live[record.h_dtid.value] = record.superseded_by is None
     assert len(ledger._idents) == sum(live.values())
 
 
@@ -214,16 +217,137 @@ def test_block_address_short_input_is_value_error(size):
 
 
 @pytest.mark.parametrize("payload_hex", ["02" + "00" * 19, "01" + "00" * 20])
-def test_import_keeps_short_payload_blocks_for_the_chain_check(payload_hex):
+def test_import_refuses_short_payload_blocks(payload_hex):
     ops, ledger = make_ops(10), Ledger()
     for _ in range(3):
         ledger.append(sample_token(ops))
     lines = ledger.export_lines()
     height, prev_hex, kind, _payload, digest_hex = lines[1].split()
     lines[1] = f"{height} {prev_hex} {kind} {payload_hex} {digest_hex}"
-    imported = Ledger.from_lines(lines)
-    assert imported.blocks[1].record is None
-    assert not imported.verify_chain()
+    with pytest.raises(ValueError, match="line 2"):
+        Ledger.from_lines(lines)
+
+
+def rechained(payloads: list[bytes]) -> list[str]:
+    """Export lines for these payloads with every prev and digest recomputed,
+    as a forger who rewrites the chain would write them."""
+    lines, prev = [], Digest160.zero()
+    for height, payload in enumerate(payloads):
+        digest = _block_digest(height, prev, payload)
+        lines.append(f"{height} {prev.hex()} - {payload.hex()} {digest.hex()}")
+        prev = digest
+    return lines
+
+
+def test_import_refuses_a_digest_live_for_another_user():
+    # a forged second index for the same digest and another user: the chain
+    # verifies, so only the replayed write can tell
+    ops = make_ops(14)
+    alice, bob, h = ops.rand_digest(), ops.rand_digest(), ops.rand_digest()
+    lines = rechained([IdentityIndex(h_dtid=h, user_id=alice).serialize(),
+                       IdentityIndex(h_dtid=h, user_id=bob).serialize()])
+    with pytest.raises(ValueError,
+                       match="line 2: identity index digest is live for another user"):
+        Ledger.from_lines(lines)
+
+
+def with_byte(payload: bytes, at: int, value: int) -> bytes:
+    return payload[:at] + bytes([value]) + payload[at + 1:]
+
+
+_ops = make_ops(15)
+_IDENT = IdentityIndex(h_dtid=_ops.rand_digest(), user_id=_ops.rand_digest())
+_MARKER = replace(_IDENT, superseded_by=_ops.rand_digest())
+_TOKEN = sample_token(_ops)
+
+
+@pytest.mark.parametrize("payload", [
+    _IDENT.serialize() + bytes(4),
+    with_byte(_MARKER.serialize(), 1 + 2 * 20, 0x07),       # the marker flag
+    with_byte(_TOKEN.serialize(), 1 + 20, 0x05),            # the revoked byte
+], ids=["ident-trailing-bytes", "marker-flag-07", "token-revoked-05"])
+def test_import_refuses_non_canonical_records(payload):
+    # each parses to a record that serializes to other bytes
+    assert parse_record(payload).serialize() != payload
+    lines = rechained([sample_token(make_ops(16)).serialize(), payload])
+    with pytest.raises(ValueError, match="line 2: record is not in canonical form"):
+        Ledger.from_lines(lines)
+
+
+# --- mutated exports of a finished honest World -----------------------------------
+
+def honest_export() -> list[str]:
+    world = World(seed=3)
+    for name in ("ana", "ben"):
+        world.register_user(name)
+    world.drain()
+    world.auth_attempt("ana")
+    world.drain()
+    world.update_user_credentials("ben")
+    world.update_authorization("ana", Role.NURSE)
+    world.drain()
+    world.auth_attempt("ben")
+    world.drain()
+    return world.ledger.export_lines()
+
+
+HONEST_EXPORT = honest_export()
+MUTATIONS = ("delete", "duplicate", "swap", "truncate", "corrupt-hex", "flip-byte")
+
+
+@st.composite
+def mutated_exports(draw) -> list[str]:
+    """The honest export with one line deleted, duplicated, swapped,
+    truncated, given a bad hex character, or given a flipped payload byte;
+    the line moves and the flip are drawn with the chain left as written or
+    recomputed, as a forger would write it."""
+    lines = list(HONEST_EXPORT)
+    i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+    mutation = draw(st.sampled_from(MUTATIONS))
+    fields = lines[i].split()
+    if mutation == "delete":
+        del lines[i]
+    elif mutation == "duplicate":
+        lines.insert(i, lines[i])
+    elif mutation == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif mutation == "truncate":
+        lines[i] = " ".join(fields[:draw(st.integers(0, 4))])
+    elif mutation == "corrupt-hex":
+        f = draw(st.sampled_from((1, 3, 4)))          # prev, payload, digest
+        k = draw(st.integers(0, len(fields[f]) - 1))
+        char = draw(st.sampled_from("0123456789abcdefg"))
+        fields[f] = fields[f][:k] + char + fields[f][k + 1:]
+        lines[i] = " ".join(fields)
+    else:
+        payload = bytearray.fromhex(fields[3])
+        payload[draw(st.integers(0, len(payload) - 1))] ^= draw(st.integers(1, 255))
+        fields[3] = payload.hex()
+        lines[i] = " ".join(fields)
+    if mutation not in ("truncate", "corrupt-hex") and draw(st.booleans()):
+        lines = rechained([bytes.fromhex(line.split()[3]) for line in lines])
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_exports())
+def test_mutated_exports_import_faithfully_or_raise_value_error(lines):
+    try:
+        ledger = Ledger.from_lines(lines)
+    except ValueError:
+        return
+    # height, prev, payload, digest of every line read, as written
+    as_read = [(f[0], f[1], f[3], f[4]) for f in (line.split() for line in lines)
+               if f]
+    exported = [(f[0], f[1], f[3], f[4])
+                for f in (line.split() for line in ledger.export_lines())]
+    assert exported == as_read
+    if ledger.verify_chain():
+        # the lookups of a verifying import are those of its writes replayed
+        replayed = Ledger()
+        for block in ledger.blocks:
+            replayed.append(parse_record(block.payload))
+        assert replayed.export_lines() == ledger.export_lines()
 
 
 # --- found by the state machine below ----------------------------------------

@@ -276,6 +276,19 @@ def test_each_rejection_class_reachable_by_minimal_mutation():
     assert gateway.accept_server_reply(msg2)
 
 
+@pytest.mark.parametrize("scope", ["write-prescription", "read-own-records"])
+def test_token_digest_is_not_a_principal(scope):
+    # the pseudo-identity unmasks to one live token and the index to a
+    # second: both digests are live, but neither names an identity
+    clock, ledger, server = make_world()
+    t_g1 = server.issue_token(b"code-1", Role.PATIENT).t_g
+    t_g2 = server.issue_token(b"code-2", Role.PATIENT).t_g
+    msg1 = Msg1(t1=clock.now(), m1=Digest160.zero(), eid=t_g1 ^ server._h_s,
+                ax=t_g2 ^ server.ops.concat_mask(t_g1, server.id_hms))
+    with pytest.raises(UnknownPrincipal, match="not live on the ledger"):
+        server.authenticate(msg1, scope)
+
+
 def test_replayed_msg1_rejected_after_rekey():
     clock, ledger, server = make_world()
     gateway, _ = registered_user(clock, ledger, server)
@@ -426,7 +439,7 @@ def test_authorize_matches_table_exactly():
     }
     for role in Role:
         for scope in SCOPE_CATALOG:
-            assert server.authorize(role, scope, at_ms=0) == \
+            assert server.perm_table.allows(role, scope, at_ms=0) == \
                 (scope in expected[role]), (role, scope)
 
 
