@@ -147,8 +147,7 @@ class Channel:
                 raise ChannelError(f"replay of seq={seq} at t={at} predates its send at t={now}")
             rseq = self._next_replay
             self._next_replay -= 1
-            copy = Envelope(seq=rseq, src=src, dst=dst, payload=payload,
-                            send_time=now, deliver_time=at, replay_of=seq)
+            copy = Envelope(rseq, src, dst, payload, now, at, False, seq)
             self._push(copy)
             self._log(now, f"REPLAY seq={rseq} of={seq} at={at}")
 
@@ -163,9 +162,7 @@ class Channel:
             out = bytes(buf)
             self._log(now, f"MODIFY seq={seq} off={offset} mask={mask.hex()}")
 
-        env = Envelope(seq=seq, src=src, dst=dst, payload=out,
-                       send_time=now, deliver_time=now + self.base_delay,
-                       tampered=out != payload)
+        env = Envelope(seq, src, dst, out, now, now + self.base_delay, out != payload)
         if seq in self._drops:
             want = self._drops.pop(seq)
             if want != (src, dst):

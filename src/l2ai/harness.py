@@ -77,7 +77,7 @@ EXPECTED_OPS = {
 OP_KEYS = ("hash", "xor", "enc", "dec", "fe")
 
 
-@dataclass
+@dataclass(slots=True)
 class Session:
     """One authentication attempt, from the user's login call to the final
     verdict. Wire-less local failures have no msg1 envelope; reply_env is the

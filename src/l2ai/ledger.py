@@ -8,10 +8,15 @@ index key the latest record wins, so a token tombstone (revoked=True) or a
 superseded identity marker shadows the earlier record without touching it.
 Blocks hold bytes, not parsed records; the lookups hold the live answers
 (latest token per digest, user id per live identity digest, latest card).
+The chain links (each block's previous and own digest) are the raw 20-byte
+``bytes`` of the hash core, so appending wraps nothing and the chain check
+compares bytes; the genesis link is ``bytes(WIDTH)``. The records are
+immutable ``typing.NamedTuple``s; a new version is made with ``_replace``.
 A digest is live for one user at a time and a user has one live digest; a
 write that would break either is refused before anything is appended.
-Import replays the writes and refuses, naming the line, a record that does
-not parse, is not in canonical form, or that the ledger refuses.
+Import replays the writes and refuses, naming the line, a line that is not
+exactly what export writes for its block, a record that does not parse or
+is not in canonical form, or one that the ledger refuses.
 
 Block payloads are serialized as a kind-tag byte followed by fixed-width
 fields in declaration order; the one variable-width field (a token's sealed
@@ -23,10 +28,11 @@ height, previous digest, and payload bytes, through the uncounted hash core
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .primitives import (
-    WIDTH, Ciphertext, Digest160, HelperData, _unchecked_digest, sha256_160,
+    WIDTH, Ciphertext, Digest160, HelperData, sha256_160,
 )
 
 
@@ -41,8 +47,7 @@ CARD_TAG = 0x03
 _KIND_NAMES = {TOKEN_TAG: "token", IDENT_TAG: "ident", CARD_TAG: "card"}
 
 
-@dataclass(frozen=True, slots=True)
-class SmartCard:
+class SmartCard(NamedTuple):
     """Ledger-resident smart card contents.
 
     Fields: masked long-term key (e_i), card verifier (f_i), masked
@@ -71,11 +76,10 @@ class SmartCard:
             raise ValueError("smart card record must be 192 bytes")
         fields = [Digest160(raw[i * WIDTH:(i + 1) * WIDTH]) for i in range(6)]
         tau = HelperData.from_bytes(raw[6 * WIDTH:6 * WIDTH + 52])
-        return cls(*fields, tau=tau, card_uid=Digest160(raw[6 * WIDTH + 52:]))
+        return cls(*fields, tau, Digest160(raw[6 * WIDTH + 52:]))
 
 
-@dataclass(frozen=True, slots=True)
-class TokenRecord:
+class TokenRecord(NamedTuple):
     """Token index digest plus the server-sealed token bytes."""
 
     x: Digest160
@@ -86,8 +90,7 @@ class TokenRecord:
         return bytes([TOKEN_TAG]) + self.x.value + bytes([self.revoked]) + self.y.to_bytes()
 
 
-@dataclass(frozen=True, slots=True)
-class IdentityIndex:
+class IdentityIndex(NamedTuple):
     """Maps the hashed pseudo-identity to the registered identity."""
 
     h_dtid: Digest160
@@ -100,8 +103,7 @@ class IdentityIndex:
                 bytes([self.superseded_by is not None]) + marker)
 
 
-@dataclass(frozen=True, slots=True)
-class CardRecord:
+class CardRecord(NamedTuple):
     """A published smart card version."""
 
     card: SmartCard
@@ -136,13 +138,12 @@ def parse_record(payload: bytes):
 @dataclass(frozen=True, slots=True)
 class LedgerBlock:
     height: int
-    prev_digest: Digest160
+    prev_digest: bytes
     payload: bytes
-    block_digest: Digest160
+    block_digest: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class BlockAddress:
+class BlockAddress(NamedTuple):
     """Where a card landed: block height plus the card identifier."""
 
     height: int
@@ -155,12 +156,20 @@ class BlockAddress:
     def from_bytes(cls, raw: bytes) -> "BlockAddress":
         if len(raw) < 8:
             raise ValueError("block address too short")
-        return cls(height=struct.unpack(">Q", raw[:8])[0],
-                   card_uid=Digest160(raw[8:]))
+        return cls(struct.unpack(">Q", raw[:8])[0], Digest160(raw[8:]))
 
 
-def _block_digest(height: int, prev: Digest160, payload: bytes) -> Digest160:
-    return _unchecked_digest(sha256_160(struct.pack(">Q", height) + prev.value + payload))
+_GENESIS = bytes(WIDTH)      # the previous-digest link of block 0
+
+
+def _block_digest(height: int, prev: bytes, payload: bytes) -> bytes:
+    return sha256_160(struct.pack(">Q", height) + prev + payload)
+
+
+def _export_line(block: LedgerBlock) -> str:
+    return (f"{block.height} {block.prev_digest.hex()} "
+            f"{_KIND_NAMES.get(block.payload[0], 'unknown')} "
+            f"{block.payload.hex()} {block.block_digest.hex()}")
 
 
 class Ledger:
@@ -178,10 +187,9 @@ class Ledger:
     def append(self, record) -> LedgerBlock:
         payload = record.serialize()
         self._index(record)         # may refuse; nothing appended in that case
-        prev = self.blocks[-1].block_digest if self.blocks else Digest160.zero()
+        prev = self.blocks[-1].block_digest if self.blocks else _GENESIS
         height = len(self.blocks)
-        block = LedgerBlock(height=height, prev_digest=prev, payload=payload,
-                            block_digest=_block_digest(height, prev, payload))
+        block = LedgerBlock(height, prev, payload, _block_digest(height, prev, payload))
         self.blocks.append(block)
         return block
 
@@ -206,8 +214,7 @@ class Ledger:
             self._cards[record.card.card_uid.value] = record.card
 
     def put_card(self, card: SmartCard) -> BlockAddress:
-        block = self.append(CardRecord(card=card))
-        return BlockAddress(height=block.height, card_uid=card.card_uid)
+        return BlockAddress(self.append(CardRecord(card)).height, card.card_uid)
 
     def replace_index(self, old_h: Digest160, new_h: Digest160,
                       user_id: Digest160) -> None:
@@ -223,7 +230,7 @@ class Ledger:
         if current is None:
             raise NotFound("no token record for the given digest")
         if not current.revoked:
-            self.append(replace(current, revoked=True))
+            self.append(current._replace(revoked=True))
 
     # --- queries ---------------------------------------------------------------
 
@@ -259,7 +266,7 @@ class Ledger:
     # --- integrity and transport -------------------------------------------------
 
     def verify_chain(self) -> bool:
-        prev = Digest160.zero()
+        prev = _GENESIS
         for height, block in enumerate(self.blocks):
             if block.height != height or block.prev_digest != prev:
                 return False
@@ -269,34 +276,34 @@ class Ledger:
         return True
 
     def export_lines(self) -> list[str]:
-        return [
-            f"{b.height} {b.prev_digest.hex()} "
-            f"{_KIND_NAMES.get(b.payload[0], 'unknown')} "
-            f"{b.payload.hex()} {b.block_digest.hex()}"
-            for b in self.blocks
-        ]
+        return [_export_line(block) for block in self.blocks]
 
     @classmethod
     def from_lines(cls, lines) -> "Ledger":
         """Rebuild a ledger by replaying the writes of exported lines. Each
-        payload is parsed and indexed as `append` would; one that does not
-        parse, does not re-serialize to itself, or is refused raises
-        ValueError naming its (1-based) line. Digests are taken as written,
-        not recomputed, so verify_chain can pass judgment on a tampered
-        export instead of the parser masking it."""
+        payload is parsed and indexed as `append` would. A line that is not
+        exactly what `export_lines` writes for its block (apart from the
+        line ending), a link that is not 20 bytes, a payload that does not
+        parse or does not re-serialize to itself, or a write the ledger
+        refuses raises ValueError naming its (1-based) line; empty lines
+        are skipped. Digests are taken as written, not recomputed, so
+        verify_chain can pass judgment on a tampered export instead of the
+        parser masking it."""
         ledger = cls()
         for number, line in enumerate(lines, 1):
-            if not line.strip():
+            line = line.rstrip("\r\n")
+            if not line:
                 continue
             try:
                 height_s, prev_hex, _kind, payload_hex, digest_hex = line.split()
-                block = LedgerBlock(height=int(height_s),
-                                    prev_digest=Digest160.from_hex(prev_hex),
-                                    payload=bytes.fromhex(payload_hex),
-                                    block_digest=Digest160.from_hex(digest_hex))
+                block = LedgerBlock(int(height_s), Digest160.from_hex(prev_hex).value,
+                                    bytes.fromhex(payload_hex),
+                                    Digest160.from_hex(digest_hex).value)
                 record = parse_record(block.payload)
                 if record.serialize() != block.payload:
                     raise ValueError("record is not in canonical form")
+                if _export_line(block) != line:
+                    raise ValueError("line is not in canonical form")
                 ledger._index(record)
             except ValueError as exc:
                 raise ValueError(f"line {number}: {exc}") from None

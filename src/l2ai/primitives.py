@@ -14,8 +14,10 @@ Widths are checked where values enter the system: the public constructors
 (``Digest160(raw)``, ``Digest160.from_hex``) and every wire or ledger
 ``from_bytes``/``parse_record`` reject a wrong width with ``ValueError``.
 Values derived inside the package (hash outputs, XORs, sketch keys, random
-draws, block digests) have their width by construction and are built
-unchecked.
+draws) have their width by construction and are built unchecked. Ledger
+block digests are not Digest160 at all: the chain links are the raw 20-byte
+``bytes`` that ``sha256_160`` returns, so the ledger neither wraps nor
+unwraps them.
 
 Operation counters track protocol-level invocations only. Internal hashing
 done by the sketch, the cipher keystream, or the ledger's chain maintenance
@@ -31,6 +33,7 @@ import hmac
 import random
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 WIDTH = 20          # bytes per protocol digest
 BIO_WIDTH = 32      # bytes per biometric template
@@ -152,8 +155,7 @@ class BioTemplate:
 # The envelope carries the nonce in the clear; decryption verifies the tag
 # before releasing any plaintext.
 
-@dataclass(frozen=True)
-class Ciphertext:
+class Ciphertext(NamedTuple):
     nonce: bytes
     body: bytes
     tag: bytes
@@ -170,7 +172,7 @@ class Ciphertext:
         body_end = NONCE_WIDTH + 4 + length
         if len(raw) != body_end + WIDTH:
             raise ValueError("ciphertext envelope length mismatch")
-        return cls(nonce=nonce, body=raw[NONCE_WIDTH + 4:body_end], tag=raw[body_end:])
+        return cls(nonce, raw[NONCE_WIDTH + 4:body_end], raw[body_end:])
 
 
 def _keystream(k_enc: bytes, nonce: bytes, length: int) -> bytes:
@@ -196,7 +198,7 @@ def seal(key: Digest160, plaintext: bytes, nonce: bytes) -> Ciphertext:
     k_enc = hashlib.sha256(b"enc" + key.value).digest()
     k_mac = hashlib.sha256(b"mac" + key.value).digest()
     body = _xor_bytes(plaintext, _keystream(k_enc, nonce, len(plaintext)))
-    return Ciphertext(nonce=nonce, body=body, tag=_tag(k_mac, nonce, body))
+    return Ciphertext(nonce, body, _tag(k_mac, nonce, body))
 
 
 def open_sealed(key: Digest160, ct: Ciphertext) -> bytes:

@@ -25,7 +25,8 @@ the metrics tests; change them only on purpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ledger import (
     BlockAddress, IdentityIndex, Ledger, NotFound, SmartCard, TokenRecord,
@@ -112,8 +113,7 @@ class UserScratch:
     t_g: Digest160
 
 
-@dataclass(frozen=True, slots=True)
-class UserSession:
+class UserSession(NamedTuple):
     """User-side login context awaiting the server's confirmation."""
 
     c_i: Digest160
@@ -121,8 +121,7 @@ class UserSession:
     t1: int
 
 
-@dataclass(frozen=True, slots=True)
-class AuthTranscript:
+class AuthTranscript(NamedTuple):
     """Server-side record of one accepted key exchange."""
 
     c_i: Digest160
@@ -138,8 +137,7 @@ class AuthTranscript:
 
 # --- wire messages ---------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class RegRequest:
+class RegRequest(NamedTuple):
     """Registration request: token digest, masked identity, password digest."""
 
     x: Digest160
@@ -157,8 +155,7 @@ class RegRequest:
                    pwd=Digest160(raw[2 * WIDTH:]))
 
 
-@dataclass(frozen=True, slots=True)
-class ProvisionalCard:
+class ProvisionalCard(NamedTuple):
     """Server's registration reply; the gateway folds it into the card."""
 
     k_i: Digest160
@@ -179,8 +176,7 @@ class ProvisionalCard:
         return cls(*parts)
 
 
-@dataclass(frozen=True, slots=True)
-class Msg1:
+class Msg1(NamedTuple):
     """Authentication request: timestamp, proof digest, masked pseudonym,
     authorization index."""
 
@@ -201,8 +197,7 @@ class Msg1:
                    ax=Digest160(raw[8 + 2 * WIDTH:]))
 
 
-@dataclass(frozen=True, slots=True)
-class Msg2:
+class Msg2(NamedTuple):
     """Server reply: key confirmation digest, masked session key, timestamp."""
 
     m3: Digest160
@@ -311,7 +306,7 @@ def update_credentials(ops: PrimitiveOps, creds: Credentials, new_password: byte
     k_new = ops.xor(ops.xor(k_old, pwd_old), pwd_new)
     e_new = ops.xor(k_new, ops.hash(pwd_new.value + b_new.value))
     f_new = ops.hash(ops.xor(ops.xor(pwd_new, k_new), b_new).value)
-    return replace(card, e_i=e_new, f_i=f_new, tau=tau_new)
+    return card._replace(e_i=e_new, f_i=f_new, tau=tau_new)
 
 
 # --- hospital server ---------------------------------------------------------------
@@ -442,8 +437,8 @@ class HospitalServer:
             card = self.ledger.get_card(user_id)
         except NotFound:
             raise UnknownPrincipal("no card published for the identity") from None
-        self.ledger.put_card(replace(card, eid_i=eid_new, ax_ui=ax_new,
-                                     hid_hms=hid_new, r_hms=r2))
+        self.ledger.put_card(card._replace(eid_i=eid_new, ax_ui=ax_new,
+                                           hid_hms=hid_new, r_hms=r2))
         self.ledger.replace_index(h_dtid, ops.hash(d_new.value), user_id)
 
         transcript = AuthTranscript(c_i=c_i, w1=w1, m1=msg1.m1, m2=m2, m3=m3,
@@ -480,7 +475,7 @@ class HospitalServer:
         self.ledger.append(TokenRecord(x=x_new, y=ops.enc(self.s_hms, t_g_new.value)))
         self.token_roles[x_new.value] = role
 
-        self.ledger.put_card(replace(card, ax_ui=ops.xor(t_g_new, mask)))
+        self.ledger.put_card(card._replace(ax_ui=ops.xor(t_g_new, mask)))
         return Token(t_g=t_g_new, role=role)
 
 

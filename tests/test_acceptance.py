@@ -13,9 +13,7 @@ from l2ai.channel import parse_scenario
 from l2ai.harness import HONEST_SCENARIO, SUITES, World, run_scenario
 from l2ai.ledger import Ledger, LedgerBlock
 from l2ai.permissions import Role, SCOPE_CATALOG
-from l2ai.primitives import (
-    Digest160, PrimitiveOps, RecoveryFailure, SimClock,
-)
+from l2ai.primitives import PrimitiveOps, RecoveryFailure, SimClock
 from l2ai.protocol import (
     Credentials, HospitalServer, Msg1, Msg2, Reject, Stale, Unauthorized,
     UnknownPrincipal, UserGateway, login,
@@ -228,8 +226,8 @@ def test_criterion_06_chain_tamper_exhaustive_detection():
     for i, block in enumerate(base):
         surfaces = [
             ("payload", block.payload, lambda b: b),
-            ("prev_digest", block.prev_digest.value, Digest160),
-            ("block_digest", block.block_digest.value, Digest160),
+            ("prev_digest", block.prev_digest, bytes),
+            ("block_digest", block.block_digest, bytes),
         ]
         for field_name, raw, wrap in surfaces:
             for bit in range(len(raw) * 8):

@@ -1,19 +1,18 @@
 """Ledger tests: append-only behavior, latest-wins supersession,
 tamper evidence, and export/import."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from l2ai.harness import World
+from l2ai.channel import parse_scenario
+from l2ai.harness import HONEST_SCENARIO, World, run_scenario
 from l2ai.ledger import (
     BlockAddress, CardRecord, IdentityIndex, Ledger, NotFound,
-    SmartCard, TokenRecord, _block_digest, parse_record,
+    SmartCard, TokenRecord, _KIND_NAMES, _block_digest, parse_record,
 )
 from l2ai.permissions import Role
-from l2ai.primitives import Digest160, PrimitiveOps, seal
+from l2ai.primitives import WIDTH, Digest160, PrimitiveOps, seal
 
 
 def make_ops(seed=0):
@@ -38,7 +37,7 @@ def test_chain_links_and_verifies():
     for _ in range(5):
         ledger.append(sample_token(ops))
     assert [b.height for b in ledger.blocks] == list(range(5))
-    assert ledger.blocks[0].prev_digest == Digest160.zero()
+    assert ledger.blocks[0].prev_digest == bytes(WIDTH)
     for prev, block in zip(ledger.blocks, ledger.blocks[1:]):
         assert block.prev_digest == prev.block_digest
     assert ledger.verify_chain()
@@ -103,7 +102,7 @@ def test_card_latest_version_wins():
     assert addr == BlockAddress(height=0, card_uid=card.card_uid)
     assert ledger.get_card(card.card_uid) == card
 
-    newer = replace(card, ax_ui=ops.rand_digest())
+    newer = card._replace(ax_ui=ops.rand_digest())
     ledger.put_card(newer)
     assert ledger.get_card(card.card_uid) == newer
     assert ledger.verify_chain()
@@ -231,10 +230,11 @@ def test_import_refuses_short_payload_blocks(payload_hex):
 def rechained(payloads: list[bytes]) -> list[str]:
     """Export lines for these payloads with every prev and digest recomputed,
     as a forger who rewrites the chain would write them."""
-    lines, prev = [], Digest160.zero()
+    lines, prev = [], bytes(WIDTH)
     for height, payload in enumerate(payloads):
         digest = _block_digest(height, prev, payload)
-        lines.append(f"{height} {prev.hex()} - {payload.hex()} {digest.hex()}")
+        kind = _KIND_NAMES.get(payload[0], "unknown")
+        lines.append(f"{height} {prev.hex()} {kind} {payload.hex()} {digest.hex()}")
         prev = digest
     return lines
 
@@ -257,7 +257,7 @@ def with_byte(payload: bytes, at: int, value: int) -> bytes:
 
 _ops = make_ops(15)
 _IDENT = IdentityIndex(h_dtid=_ops.rand_digest(), user_id=_ops.rand_digest())
-_MARKER = replace(_IDENT, superseded_by=_ops.rand_digest())
+_MARKER = _IDENT._replace(superseded_by=_ops.rand_digest())
 _TOKEN = sample_token(_ops)
 
 
@@ -272,6 +272,46 @@ def test_import_refuses_non_canonical_records(payload):
     lines = rechained([sample_token(make_ops(16)).serialize(), payload])
     with pytest.raises(ValueError, match="line 2: record is not in canonical form"):
         Ledger.from_lines(lines)
+
+
+def seed42_export() -> list[str]:
+    world = World(seed=42)
+    run_scenario(world, parse_scenario(HONEST_SCENARIO))
+    return world.ledger.export_lines()
+
+
+SEED42_EXPORT = seed42_export()
+
+
+def with_field(line: str, index: int, edit) -> str:
+    fields = line.split(" ")
+    fields[index] = edit(fields[index])
+    return " ".join(fields)
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda line: with_field(line, 0, lambda height: "+0_" + height),
+    lambda line: with_field(line, 4, str.upper),           # block digest hex
+    lambda line: with_field(line, 3, str.upper),           # payload hex
+    lambda line: with_field(line, 2, lambda _: "token"),   # an ident block
+    lambda line: line.replace(" ", "\t"),
+], ids=["height-plus-underscore", "upper-digest-hex", "upper-payload-hex",
+        "wrong-kind", "tab-separators"])
+def test_import_refuses_lines_export_does_not_write(rewrite):
+    # each rewrite names the same block, so its chain would verify and its
+    # re-export would hide the difference
+    lines = list(SEED42_EXPORT)
+    lines[1] = rewrite(lines[1])
+    assert lines[1] != SEED42_EXPORT[1]
+    with pytest.raises(ValueError, match="line 2: line is not in canonical form"):
+        Ledger.from_lines(lines)
+
+
+def test_import_accepts_line_endings():
+    for ending in ("\n", "\r\n"):
+        rebuilt = Ledger.from_lines([line + ending for line in SEED42_EXPORT])
+        assert rebuilt.export_lines() == SEED42_EXPORT
+        assert rebuilt.verify_chain()
 
 
 # --- mutated exports of a finished honest World -----------------------------------
@@ -434,11 +474,11 @@ class LedgerModel(RuleBasedStateMachine):
             return
         self.appends(0 if current.revoked else 1,
                      lambda: self.ledger.revoke_token(x))
-        self.tokens[x] = replace(current, revoked=True)
+        self.tokens[x] = current._replace(revoked=True)
 
     @rule(uid=st.sampled_from(CARD_UIDS), ax=st.sampled_from(DIGESTS))
     def put_card(self, uid, ax):
-        card = replace(BASE_CARD, card_uid=uid, ax_ui=ax)
+        card = BASE_CARD._replace(card_uid=uid, ax_ui=ax)
         height = len(self.ledger.blocks)
         assert self.ledger.put_card(card) == BlockAddress(height=height, card_uid=uid)
         self.cards[uid] = card

@@ -262,15 +262,15 @@ def test_each_rejection_class_reachable_by_minimal_mutation():
     msg1 = gateway.start_login()
     flip = Digest160(b"\x80" + b"\x00" * 19)
     with pytest.raises(UnknownPrincipal):
-        server.authenticate(replace(msg1, eid=msg1.eid ^ flip), SCOPE)
+        server.authenticate(msg1._replace(eid=msg1.eid ^ flip), SCOPE)
     with pytest.raises(UnknownPrincipal):
-        server.authenticate(replace(msg1, ax=msg1.ax ^ flip), SCOPE)
+        server.authenticate(msg1._replace(ax=msg1.ax ^ flip), SCOPE)
     with pytest.raises(BadMac):
-        server.authenticate(replace(msg1, m1=msg1.m1 ^ flip), SCOPE)
+        server.authenticate(msg1._replace(m1=msg1.m1 ^ flip), SCOPE)
     with pytest.raises(Unauthorized):
         server.authenticate(msg1, "manage-users")   # doctor token, admin scope
     with pytest.raises(Stale):
-        server.authenticate(replace(msg1, t1=msg1.t1 + 99_999), SCOPE)
+        server.authenticate(msg1._replace(t1=msg1.t1 + 99_999), SCOPE)
     # the honest original still goes through: none of the above wrote state
     msg2, _ = server.authenticate(msg1, SCOPE)
     assert gateway.accept_server_reply(msg2)
@@ -310,10 +310,10 @@ def test_verify_server_rejections():
 
     with pytest.raises(BadMac):
         verify_server(gateway.ops, clock, server.delta_t, session,
-                      replace(msg2, m2=msg2.m2 ^ flip))
+                      msg2._replace(m2=msg2.m2 ^ flip))
     with pytest.raises(BadMac):
         verify_server(gateway.ops, clock, server.delta_t, session,
-                      replace(msg2, m3=msg2.m3 ^ flip))
+                      msg2._replace(m3=msg2.m3 ^ flip))
     clock.advance(5000)
     with pytest.raises(Stale):
         verify_server(gateway.ops, clock, server.delta_t, session, msg2)

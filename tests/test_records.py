@@ -1,0 +1,120 @@
+"""Record contract: the per-message records are immutable, hashable
+NamedTuples whose new versions come from `_replace`, and every wire or
+ledger record decodes back from its own bytes. The chain links are raw
+bytes, and a block that carries a Digest160 link fails the chain check."""
+
+from dataclasses import replace
+
+import pytest
+
+from l2ai.ledger import (
+    BlockAddress, CardRecord, IdentityIndex, Ledger, SmartCard, TokenRecord,
+    parse_record,
+)
+from l2ai.primitives import Ciphertext, Digest160, PrimitiveOps, seal
+from l2ai.protocol import (
+    AuthTranscript, Msg1, Msg2, ProvisionalCard, RegRequest, UserSession,
+)
+
+_ops = PrimitiveOps(seed=40)
+_d = _ops.rand_digest
+_CIPHERTEXT = seal(_d(), b"token bytes", _ops.rng.randbytes(16))
+_CARD = SmartCard(_d(), _d(), _d(), _d(), _d(), _d(),
+                  _ops.fe_gen(_ops.rand_template())[1], _d())
+
+# one sample of each record: (record, a field, another value for it)
+RECORDS = {
+    "Ciphertext": (_CIPHERTEXT, "tag", bytes(20)),
+    "SmartCard": (_CARD, "ax_ui", _d()),
+    "TokenRecord": (TokenRecord(_d(), _CIPHERTEXT), "revoked", True),
+    "IdentityIndex": (IdentityIndex(_d(), _d()), "superseded_by", _d()),
+    "CardRecord": (CardRecord(_CARD), "card", _CARD._replace(e_i=_d())),
+    "BlockAddress": (BlockAddress(7, _d()), "height", 8),
+    "UserSession": (UserSession(_d(), _d(), 100), "t1", 101),
+    "AuthTranscript": (AuthTranscript(_d(), _d(), _d(), _d(), _d(), _d(), _d(),
+                                      100, 150), "sk", _d()),
+    "RegRequest": (RegRequest(_d(), _d(), _d()), "pwd", _d()),
+    "ProvisionalCard": (ProvisionalCard(_d(), _d(), _d(), _d(), _d()), "k_i", _d()),
+    "Msg1": (Msg1(100, _d(), _d(), _d()), "m1", _d()),
+    "Msg2": (Msg2(_d(), _d(), 150), "t2", 151),
+}
+
+# how each wire or ledger record is decoded from its own bytes
+DECODERS = {
+    "Ciphertext": (Ciphertext.to_bytes, Ciphertext.from_bytes),
+    "SmartCard": (SmartCard.to_bytes, SmartCard.from_bytes),
+    "TokenRecord": (TokenRecord.serialize, parse_record),
+    "IdentityIndex": (IdentityIndex.serialize, parse_record),
+    "CardRecord": (CardRecord.serialize, parse_record),
+    "BlockAddress": (BlockAddress.to_bytes, BlockAddress.from_bytes),
+    "RegRequest": (RegRequest.to_bytes, RegRequest.from_bytes),
+    "ProvisionalCard": (ProvisionalCard.to_bytes, ProvisionalCard.from_bytes),
+    "Msg1": (Msg1.to_bytes, Msg1.from_bytes),
+    "Msg2": (Msg2.to_bytes, Msg2.from_bytes),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_fields_cannot_be_set(name):
+    record, field, value = RECORDS[name]
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    with pytest.raises(AttributeError):
+        record.extra = value
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_replace_returns_a_new_record_and_keeps_the_original(name):
+    record, field, value = RECORDS[name]
+    before = tuple(record)
+    newer = record._replace(**{field: value})
+    assert type(newer) is type(record)
+    assert getattr(newer, field) == value
+    assert newer != record
+    assert tuple(record) == before
+    assert getattr(record, field) != value
+    others = [f for f in record._fields if f != field]
+    assert all(getattr(newer, f) is getattr(record, f) for f in others)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_hashable(name):
+    record, _, _ = RECORDS[name]
+    twin = record._replace()
+    assert twin is not record
+    assert hash(twin) == hash(record)
+    assert {record: name}[twin] == name
+
+
+@pytest.mark.parametrize("name", DECODERS)
+def test_wire_records_round_trip(name):
+    record, _, _ = RECORDS[name]
+    encode, decode = DECODERS[name]
+    decoded = decode(encode(record))
+    assert type(decoded) is type(record)
+    assert decoded == record
+
+
+def _ledger(count: int = 4) -> Ledger:
+    ops, ledger = PrimitiveOps(seed=41), Ledger()
+    for _ in range(count):
+        ledger.append(TokenRecord(ops.rand_digest(), ops.enc(ops.rand_digest(), b"t")))
+    return ledger
+
+
+def test_chain_links_are_raw_bytes():
+    ledger = _ledger()
+    for block in ledger.blocks:
+        assert type(block.prev_digest) is bytes and len(block.prev_digest) == 20
+        assert type(block.block_digest) is bytes and len(block.block_digest) == 20
+    assert ledger.verify_chain()
+
+
+@pytest.mark.parametrize("link", ["prev_digest", "block_digest"])
+@pytest.mark.parametrize("height", [0, 1, 3])
+def test_a_digest160_link_fails_the_chain_check(link, height):
+    # the same 20 bytes in the wrong type: the check fails closed
+    ledger = _ledger()
+    block = ledger.blocks[height]
+    ledger.blocks[height] = replace(block, **{link: Digest160(getattr(block, link))})
+    assert not ledger.verify_chain()
