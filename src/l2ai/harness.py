@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 from .channel import Channel, Envelope, Scenario, parse_scenario
 from .ledger import Ledger
 from .permissions import DEFAULT_SCOPE, PermissionTable, Role, SCOPE_CATALOG
-from .primitives import Digest160, PrimitiveOps, SimClock, sha256_160
+from .primitives import PrimitiveOps, SimClock, sha256_160
 from .protocol import (
     DEFAULT_DELTA_T, MSG1_WIDTH, MSG2_WIDTH, PROVISIONAL_WIDTH,
     REG_REQUEST_WIDTH, Credentials, HospitalServer, Msg1, Msg2,
@@ -88,8 +88,8 @@ class Session:
     msg1_env: Envelope | None = None
     local_reject: str | None = None
     reply_env: Envelope | None = None
-    sk_user: Digest160 | None = None
-    sk_server: Digest160 | None = None
+    sk_user: bytes | None = None
+    sk_server: bytes | None = None
     server_reject: str | None = None
     user_reject: str | None = None
 
@@ -446,7 +446,7 @@ def suite_honest(seed: int = 42, rounds: int = 20, emit=print) -> bool:
         world = World(seed=seed + i)
         result = run_scenario(world, scenario)
         verified = sum(1 for s in world.sessions if s.outcome == "verified")
-        keys = {s.sk_user.value for s in world.sessions if s.sk_user}
+        keys = {s.sk_user for s in world.sessions if s.sk_user}
         good = result.ok and verified == len(world.sessions) == 4 \
             and len(keys) == verified
         ok &= good
@@ -638,7 +638,7 @@ def suite_fuzz(seed: int = 42, sessions: int = 1000, users: int = 50,
     delivered = world.channel.delivered
     if world.channel.dropped or any(env.tampered for env, _ in delivered):
         problems.append("fuzz traffic was dropped or tampered")
-    secret = world.server.s_hms.value
+    secret = world.server.s_hms
     wire = b"".join(env.payload for env, _ in delivered)
     chain = b"".join(block.payload for block in world.ledger.blocks)
     if secret in wire:

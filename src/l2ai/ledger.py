@@ -8,10 +8,12 @@ index key the latest record wins, so a token tombstone (revoked=True) or a
 superseded identity marker shadows the earlier record without touching it.
 Blocks hold bytes, not parsed records; the lookups hold the live answers
 (latest token per digest, user id per live identity digest, latest card).
-The chain links (each block's previous and own digest) are the raw 20-byte
-``bytes`` of the hash core, so appending wraps nothing and the chain check
-compares bytes; the genesis link is ``bytes(WIDTH)``. The records are
-immutable ``typing.NamedTuple``s; a new version is made with ``_replace``.
+Every digest, in the records, the lookups and the chain links (each
+block's previous and own digest), is the raw 20-byte ``bytes`` of the hash
+core; the decoders check each record's total width, so the fields they
+slice out need no check of their own, and the genesis link is
+``bytes(WIDTH)``. The records are immutable ``typing.NamedTuple``s; a new
+version is made with ``_replace``.
 A digest is live for one user at a time and a user has one live digest; a
 write that would break either is refused before anything is appended.
 Import replays the writes and refuses, naming the line, a line that is not
@@ -31,9 +33,7 @@ import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .primitives import (
-    WIDTH, Ciphertext, Digest160, HelperData, sha256_160,
-)
+from .primitives import WIDTH, Ciphertext, HelperData, sha256_160
 
 
 class NotFound(Exception):
@@ -56,50 +56,49 @@ class SmartCard(NamedTuple):
     helper data (tau), and the stable card identifier.
     """
 
-    e_i: Digest160
-    f_i: Digest160
-    eid_i: Digest160
-    r_hms: Digest160
-    hid_hms: Digest160
-    ax_ui: Digest160
+    e_i: bytes
+    f_i: bytes
+    eid_i: bytes
+    r_hms: bytes
+    hid_hms: bytes
+    ax_ui: bytes
     tau: HelperData
-    card_uid: Digest160
+    card_uid: bytes
 
     def to_bytes(self) -> bytes:
-        return (self.e_i.value + self.f_i.value + self.eid_i.value +
-                self.r_hms.value + self.hid_hms.value + self.ax_ui.value +
-                self.tau.to_bytes() + self.card_uid.value)
+        return (self.e_i + self.f_i + self.eid_i + self.r_hms + self.hid_hms +
+                self.ax_ui + self.tau.to_bytes() + self.card_uid)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "SmartCard":
         if len(raw) != 6 * WIDTH + 52 + WIDTH:
             raise ValueError("smart card record must be 192 bytes")
-        fields = [Digest160(raw[i * WIDTH:(i + 1) * WIDTH]) for i in range(6)]
+        fields = [raw[i * WIDTH:(i + 1) * WIDTH] for i in range(6)]
         tau = HelperData.from_bytes(raw[6 * WIDTH:6 * WIDTH + 52])
-        return cls(*fields, tau, Digest160(raw[6 * WIDTH + 52:]))
+        return cls(*fields, tau, raw[6 * WIDTH + 52:])
 
 
 class TokenRecord(NamedTuple):
     """Token index digest plus the server-sealed token bytes."""
 
-    x: Digest160
+    x: bytes
     y: Ciphertext
     revoked: bool = False
 
     def serialize(self) -> bytes:
-        return bytes([TOKEN_TAG]) + self.x.value + bytes([self.revoked]) + self.y.to_bytes()
+        return bytes([TOKEN_TAG]) + self.x + bytes([self.revoked]) + self.y.to_bytes()
 
 
 class IdentityIndex(NamedTuple):
     """Maps the hashed pseudo-identity to the registered identity."""
 
-    h_dtid: Digest160
-    user_id: Digest160
-    superseded_by: Digest160 | None = None
+    h_dtid: bytes
+    user_id: bytes
+    superseded_by: bytes | None = None
 
     def serialize(self) -> bytes:
-        marker = self.superseded_by.value if self.superseded_by else b"\x00" * WIDTH
-        return (bytes([IDENT_TAG]) + self.h_dtid.value + self.user_id.value +
+        marker = bytes(WIDTH) if self.superseded_by is None else self.superseded_by
+        return (bytes([IDENT_TAG]) + self.h_dtid + self.user_id +
                 bytes([self.superseded_by is not None]) + marker)
 
 
@@ -120,16 +119,15 @@ def parse_record(payload: bytes):
     if tag == TOKEN_TAG:
         if len(body) <= WIDTH:
             raise ValueError("token record too short")
-        return TokenRecord(x=Digest160(body[:WIDTH]), revoked=bool(body[WIDTH]),
+        return TokenRecord(x=body[:WIDTH], revoked=bool(body[WIDTH]),
                            y=Ciphertext.from_bytes(body[WIDTH + 1:]))
     if tag == IDENT_TAG:
-        if len(body) <= 2 * WIDTH:
+        if len(body) < 3 * WIDTH + 1:
             raise ValueError("identity record too short")
         has_marker = bool(body[2 * WIDTH])
-        marker = Digest160(body[2 * WIDTH + 1:3 * WIDTH + 1])
-        return IdentityIndex(h_dtid=Digest160(body[:WIDTH]),
-                             user_id=Digest160(body[WIDTH:2 * WIDTH]),
-                             superseded_by=marker if has_marker else None)
+        return IdentityIndex(h_dtid=body[:WIDTH], user_id=body[WIDTH:2 * WIDTH],
+                             superseded_by=body[2 * WIDTH + 1:3 * WIDTH + 1]
+                             if has_marker else None)
     if tag == CARD_TAG:
         return CardRecord(card=SmartCard.from_bytes(body))
     raise ValueError(f"unknown record tag {tag:#x}")
@@ -147,16 +145,16 @@ class BlockAddress(NamedTuple):
     """Where a card landed: block height plus the card identifier."""
 
     height: int
-    card_uid: Digest160
+    card_uid: bytes
 
     def to_bytes(self) -> bytes:
-        return struct.pack(">Q", self.height) + self.card_uid.value
+        return struct.pack(">Q", self.height) + self.card_uid
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "BlockAddress":
-        if len(raw) < 8:
-            raise ValueError("block address too short")
-        return cls(struct.unpack(">Q", raw[:8])[0], Digest160(raw[8:]))
+        if len(raw) != 8 + WIDTH:
+            raise ValueError(f"block address must be {8 + WIDTH} bytes")
+        return cls(struct.unpack(">Q", raw[:8])[0], raw[8:])
 
 
 _GENESIS = bytes(WIDTH)      # the previous-digest link of block 0
@@ -164,6 +162,13 @@ _GENESIS = bytes(WIDTH)      # the previous-digest link of block 0
 
 def _block_digest(height: int, prev: bytes, payload: bytes) -> bytes:
     return sha256_160(struct.pack(">Q", height) + prev + payload)
+
+
+def _link_from_hex(text: str) -> bytes:
+    link = bytes.fromhex(text)
+    if len(link) != WIDTH:
+        raise ValueError(f"chain link must be {WIDTH} bytes, got {len(link)}")
+    return link
 
 
 def _export_line(block: LedgerBlock) -> str:
@@ -178,9 +183,9 @@ class Ledger:
     def __init__(self):
         self.blocks: list[LedgerBlock] = []
         self._tokens: dict[bytes, TokenRecord] = {}
-        self._idents: dict[bytes, Digest160] = {}        # live digest -> user id
+        self._idents: dict[bytes, bytes] = {}            # live digest -> user id
         self._cards: dict[bytes, SmartCard] = {}         # latest version per card
-        self._live_by_user: dict[bytes, Digest160] = {}
+        self._live_by_user: dict[bytes, bytes] = {}
 
     # --- writes ---------------------------------------------------------------
 
@@ -195,9 +200,9 @@ class Ledger:
 
     def _index(self, record) -> None:
         if isinstance(record, TokenRecord):
-            self._tokens[record.x.value] = record
+            self._tokens[record.x] = record
         elif isinstance(record, IdentityIndex):
-            user, h = record.user_id.value, record.h_dtid.value
+            user, h = record.user_id, record.h_dtid
             holder = self._idents.get(h)
             if holder is not None and holder != record.user_id:
                 raise ValueError("identity index digest is live for another user")
@@ -211,22 +216,21 @@ class Ledger:
                 del self._live_by_user[user]
                 del self._idents[h]
         elif isinstance(record, CardRecord):
-            self._cards[record.card.card_uid.value] = record.card
+            self._cards[record.card.card_uid] = record.card
 
     def put_card(self, card: SmartCard) -> BlockAddress:
         return BlockAddress(self.append(CardRecord(card)).height, card.card_uid)
 
-    def replace_index(self, old_h: Digest160, new_h: Digest160,
-                      user_id: Digest160) -> None:
-        if self._idents.get(old_h.value) != user_id:
+    def replace_index(self, old_h: bytes, new_h: bytes, user_id: bytes) -> None:
+        if self._idents.get(old_h) != user_id:
             raise NotFound("no live identity index for the given digest")
-        if new_h != old_h and new_h.value in self._idents:
+        if new_h != old_h and new_h in self._idents:
             raise ValueError("identity index digest is live for another user")
         self.append(IdentityIndex(h_dtid=old_h, user_id=user_id, superseded_by=new_h))
         self.append(IdentityIndex(h_dtid=new_h, user_id=user_id))
 
-    def revoke_token(self, x: Digest160) -> None:
-        current = self._tokens.get(x.value)
+    def revoke_token(self, x: bytes) -> None:
+        current = self._tokens.get(x)
         if current is None:
             raise NotFound("no token record for the given digest")
         if not current.revoked:
@@ -234,31 +238,31 @@ class Ledger:
 
     # --- queries ---------------------------------------------------------------
 
-    def any_digest(self, x: Digest160) -> bool:
+    def any_digest(self, x: bytes) -> bool:
         """True iff some live (non-revoked, non-superseded) record indexes x."""
-        token = self._tokens.get(x.value)
+        token = self._tokens.get(x)
         if token is not None and not token.revoked:
             return True
-        return x.value in self._idents
+        return x in self._idents
 
-    def get_identity(self, h_dtid: Digest160) -> Digest160:
-        user_id = self._idents.get(h_dtid.value)
+    def get_identity(self, h_dtid: bytes) -> bytes:
+        user_id = self._idents.get(h_dtid)
         if user_id is None:
             raise NotFound("no live identity index for the given digest")
         return user_id
 
-    def live_index_for(self, user_id: Digest160) -> Digest160 | None:
+    def live_index_for(self, user_id: bytes) -> bytes | None:
         """The h(pseudo-identity) currently live for a user, if any."""
-        return self._live_by_user.get(user_id.value)
+        return self._live_by_user.get(user_id)
 
-    def get_token(self, x: Digest160) -> TokenRecord:
-        token = self._tokens.get(x.value)
+    def get_token(self, x: bytes) -> TokenRecord:
+        token = self._tokens.get(x)
         if token is None:
             raise NotFound("no token record for the given digest")
         return token
 
-    def get_card(self, card_uid: Digest160) -> SmartCard:
-        card = self._cards.get(card_uid.value)
+    def get_card(self, card_uid: bytes) -> SmartCard:
+        card = self._cards.get(card_uid)
         if card is None:
             raise NotFound("no card record for the given identifier")
         return card
@@ -296,9 +300,8 @@ class Ledger:
                 continue
             try:
                 height_s, prev_hex, _kind, payload_hex, digest_hex = line.split()
-                block = LedgerBlock(int(height_s), Digest160.from_hex(prev_hex).value,
-                                    bytes.fromhex(payload_hex),
-                                    Digest160.from_hex(digest_hex).value)
+                block = LedgerBlock(int(height_s), _link_from_hex(prev_hex),
+                                    bytes.fromhex(payload_hex), _link_from_hex(digest_hex))
                 record = parse_record(block.payload)
                 if record.serialize() != block.payload:
                     raise ValueError("record is not in canonical form")

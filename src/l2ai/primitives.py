@@ -1,23 +1,24 @@
-"""Core primitives: fixed-width digests, instrumented crypto operations,
-the biometric sketch, and the simulated clock.
+"""Core primitives: instrumented crypto operations, the biometric sketch,
+and the simulated clock.
 
 Width conventions used across the package:
 
-* protocol values are 160-bit (20-byte) digests; XOR is defined only
+* protocol values are 160-bit (20-byte) digests, held as plain ``bytes``:
+  hash outputs, XORs, sketch keys and random draws are the 20 bytes that
+  ``sha256_160`` or ``rng.randbytes`` return, and XOR is defined only
   between equal widths
 * timestamps are integer milliseconds of simulated time, packed as 8-byte
   big-endian when they enter a hash or a wire message
 * biometric templates are 256-bit (32-byte) strings
 * hash core is SHA-256 truncated to its first 160 bits
 
-Widths are checked where values enter the system: the public constructors
-(``Digest160(raw)``, ``Digest160.from_hex``) and every wire or ledger
-``from_bytes``/``parse_record`` reject a wrong width with ``ValueError``.
-Values derived inside the package (hash outputs, XORs, sketch keys, random
-draws) have their width by construction and are built unchecked. Ledger
-block digests are not Digest160 at all: the chain links are the raw 20-byte
-``bytes`` that ``sha256_160`` returns, so the ledger neither wraps nor
-unwraps them.
+Widths are checked once, where values enter the system, always with
+``ValueError``: every wire or ledger ``from_bytes``/``parse_record`` checks
+its exact total width (so fields sliced at fixed offsets need no check of
+their own), ledger import checks each 20-byte chain link, and the server
+checks the width of a token it unseals. Values derived inside the package
+have their width by construction and are never checked again; the ledger's
+chain links are the same raw ``bytes``.
 
 Operation counters track protocol-level invocations only. Internal hashing
 done by the sketch, the cipher keystream, or the ledger's chain maintenance
@@ -59,66 +60,6 @@ def pack_ts(t: int) -> bytes:
 
 def unpack_ts(raw: bytes) -> int:
     return struct.unpack(">Q", raw)[0]
-
-
-class Digest160:
-    """A 160-bit protocol value. Equality and XOR are bitwise; immutable."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: bytes):
-        if len(value) != WIDTH:
-            raise ValueError(f"digest must be {WIDTH} bytes, got {len(value)}")
-        _set_value(self, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Digest160 is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Digest160 is immutable")
-
-    def __reduce__(self):
-        return Digest160, (self.value,)
-
-    def __eq__(self, other):
-        if other.__class__ is not Digest160:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __xor__(self, other: "Digest160") -> "Digest160":
-        return _unchecked_digest((int.from_bytes(self.value, "big") ^
-                                  int.from_bytes(other.value, "big")).to_bytes(WIDTH, "big"))
-
-    def __bytes__(self) -> bytes:
-        return self.value
-
-    def hex(self) -> str:
-        return self.value.hex()
-
-    @classmethod
-    def from_hex(cls, text: str) -> "Digest160":
-        return cls(bytes.fromhex(text))
-
-    @classmethod
-    def zero(cls) -> "Digest160":
-        return cls(b"\x00" * WIDTH)
-
-    def __repr__(self) -> str:
-        return f"Digest160({self.value.hex()})"
-
-
-_set_value = Digest160.value.__set__
-
-
-def _unchecked_digest(raw: bytes) -> Digest160:
-    """Digest160 without the width check, for values that are 20 bytes by
-    construction. Anything read from outside goes through Digest160(raw)."""
-    digest = object.__new__(Digest160)
-    _set_value(digest, raw)
-    return digest
 
 
 @dataclass(frozen=True)
@@ -192,18 +133,18 @@ def _xor_bytes(data: bytes, stream: bytes) -> bytes:
     return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(len(data), "big")
 
 
-def seal(key: Digest160, plaintext: bytes, nonce: bytes) -> Ciphertext:
+def seal(key: bytes, plaintext: bytes, nonce: bytes) -> Ciphertext:
     if len(nonce) != NONCE_WIDTH:
         raise ValueError(f"nonce must be {NONCE_WIDTH} bytes")
-    k_enc = hashlib.sha256(b"enc" + key.value).digest()
-    k_mac = hashlib.sha256(b"mac" + key.value).digest()
+    k_enc = hashlib.sha256(b"enc" + key).digest()
+    k_mac = hashlib.sha256(b"mac" + key).digest()
     body = _xor_bytes(plaintext, _keystream(k_enc, nonce, len(plaintext)))
     return Ciphertext(nonce, body, _tag(k_mac, nonce, body))
 
 
-def open_sealed(key: Digest160, ct: Ciphertext) -> bytes:
-    k_enc = hashlib.sha256(b"enc" + key.value).digest()
-    k_mac = hashlib.sha256(b"mac" + key.value).digest()
+def open_sealed(key: bytes, ct: Ciphertext) -> bytes:
+    k_enc = hashlib.sha256(b"enc" + key).digest()
+    k_mac = hashlib.sha256(b"mac" + key).digest()
     if not hmac.compare_digest(_tag(k_mac, ct.nonce, ct.body), ct.tag):
         raise AuthFailure("ciphertext tag mismatch")
     return _xor_bytes(ct.body, _keystream(k_enc, ct.nonce, len(ct.body)))
@@ -228,20 +169,20 @@ class HelperData:
     """Public sketch: the masked codeword plus the key-check digest."""
 
     offset: bytes
-    check: Digest160
+    check: bytes
 
     def __post_init__(self):
         if len(self.offset) != BIO_WIDTH:
             raise ValueError(f"offset must be {BIO_WIDTH} bytes")
 
     def to_bytes(self) -> bytes:
-        return self.offset + self.check.value
+        return self.offset + self.check
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "HelperData":
         if len(raw) != BIO_WIDTH + WIDTH:
             raise ValueError("helper data must be 52 bytes")
-        return cls(offset=raw[:BIO_WIDTH], check=Digest160(raw[BIO_WIDTH:]))
+        return cls(offset=raw[:BIO_WIDTH], check=raw[BIO_WIDTH:])
 
 
 def repetition_encode(message: int) -> int:
@@ -270,23 +211,23 @@ def repetition_decode(word: int) -> int:
     return int(format(maj, "0255b")[4::5], 2)
 
 
-def derive_fe_key(message: int) -> Digest160:
-    return _unchecked_digest(sha256_160(b"fe-key" + message.to_bytes(7, "big")))
+def derive_fe_key(message: int) -> bytes:
+    return sha256_160(b"fe-key" + message.to_bytes(7, "big"))
 
 
-def gen_sketch(bio: BioTemplate, message: int) -> tuple[Digest160, HelperData]:
+def gen_sketch(bio: BioTemplate, message: int) -> tuple[bytes, HelperData]:
     """Deterministic sketch for a given message; key derivation included."""
     sigma = derive_fe_key(message)
     offset = int.from_bytes(bio.value, "big") ^ repetition_encode(message)
     helper = HelperData(offset=offset.to_bytes(BIO_WIDTH, "big"),
-                        check=Digest160(sha256_160(sigma.value)))
+                        check=sha256_160(sigma))
     return sigma, helper
 
 
-def recover_key(bio: BioTemplate, helper: HelperData) -> Digest160:
+def recover_key(bio: BioTemplate, helper: HelperData) -> bytes:
     word = int.from_bytes(bio.value, "big") ^ int.from_bytes(helper.offset, "big")
     sigma = derive_fe_key(repetition_decode(word))
-    if sha256_160(sigma.value) != helper.check.value:
+    if sha256_160(sigma) != helper.check:
         raise RecoveryFailure("template noise exceeds the correctable budget")
     return sigma
 
@@ -336,39 +277,39 @@ class PrimitiveOps:
 
     # counted operations
 
-    def hash(self, data: bytes) -> Digest160:
+    def hash(self, data: bytes) -> bytes:
         self.counters.hash_ops += 1
-        return _unchecked_digest(sha256_160(data))
+        return sha256_160(data)
 
-    def xor(self, a: Digest160, b: Digest160) -> Digest160:
+    def xor(self, a: bytes, b: bytes) -> bytes:
         self.counters.xor_ops += 1
-        return a ^ b
+        return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(WIDTH, "big")
 
-    def concat_mask(self, a: Digest160, b: Digest160) -> Digest160:
+    def concat_mask(self, a: bytes, b: bytes) -> bytes:
         """Digest of the concatenated pair; used where a 160-bit value must be
         XOR-combined with two fields at once."""
-        return self.hash(a.value + b.value)
+        return self.hash(a + b)
 
-    def enc(self, key: Digest160, plaintext: bytes) -> Ciphertext:
+    def enc(self, key: bytes, plaintext: bytes) -> Ciphertext:
         self.counters.enc_ops += 1
         return seal(key, plaintext, nonce=self.rng.randbytes(NONCE_WIDTH))
 
-    def dec(self, key: Digest160, ct: Ciphertext) -> bytes:
+    def dec(self, key: bytes, ct: Ciphertext) -> bytes:
         self.counters.dec_ops += 1
         return open_sealed(key, ct)
 
-    def fe_gen(self, bio: BioTemplate) -> tuple[Digest160, HelperData]:
+    def fe_gen(self, bio: BioTemplate) -> tuple[bytes, HelperData]:
         self.counters.fe_ops += 1
         return gen_sketch(bio, self.rng.getrandbits(FE_BLOCKS))
 
-    def fe_rep(self, bio: BioTemplate, helper: HelperData) -> Digest160:
+    def fe_rep(self, bio: BioTemplate, helper: HelperData) -> bytes:
         self.counters.fe_ops += 1
         return recover_key(bio, helper)
 
     # uncounted seeded draws
 
-    def rand_digest(self) -> Digest160:
-        return _unchecked_digest(self.rng.randbytes(WIDTH))
+    def rand_digest(self) -> bytes:
+        return self.rng.randbytes(WIDTH)
 
     def rand_template(self) -> BioTemplate:
         return BioTemplate(self.rng.randbytes(BIO_WIDTH))

@@ -33,7 +33,7 @@ from .ledger import (
 )
 from .permissions import PermissionTable, Role
 from .primitives import (
-    WIDTH, BioTemplate, Ciphertext, Digest160, HelperData, PrimitiveOps,
+    WIDTH, BioTemplate, Ciphertext, HelperData, PrimitiveOps,
     RecoveryFailure, SimClock, is_fresh, open_sealed, pack_ts, seal,
     sha256_160, unpack_ts,
 )
@@ -88,7 +88,7 @@ class UnexpectedMessage(Reject):
 class Credentials:
     """The user's three factors."""
 
-    user_id: Digest160
+    user_id: bytes
     password: bytes
     bio: BioTemplate
 
@@ -97,7 +97,7 @@ class Credentials:
 class Token:
     """Access token as handed to the user out of band."""
 
-    t_g: Digest160
+    t_g: bytes
     role: Role
 
 
@@ -106,31 +106,31 @@ class UserScratch:
     """Gateway-held values alive only between the registration request and
     card finalization; dropped (token included) once the card is built."""
 
-    user_id: Digest160
-    b_i: Digest160
-    pwd_i: Digest160
+    user_id: bytes
+    b_i: bytes
+    pwd_i: bytes
     tau: HelperData
-    t_g: Digest160
+    t_g: bytes
 
 
 class UserSession(NamedTuple):
     """User-side login context awaiting the server's confirmation."""
 
-    c_i: Digest160
-    w1: Digest160
+    c_i: bytes
+    w1: bytes
     t1: int
 
 
 class AuthTranscript(NamedTuple):
     """Server-side record of one accepted key exchange."""
 
-    c_i: Digest160
-    w1: Digest160
-    m1: Digest160
-    m2: Digest160
-    m3: Digest160
-    sk: Digest160
-    n_s: Digest160
+    c_i: bytes
+    w1: bytes
+    m1: bytes
+    m2: bytes
+    m3: bytes
+    sk: bytes
+    n_s: bytes
     t1: int
     t2: int
 
@@ -140,40 +140,38 @@ class AuthTranscript(NamedTuple):
 class RegRequest(NamedTuple):
     """Registration request: token digest, masked identity, password digest."""
 
-    x: Digest160
-    did: Digest160
-    pwd: Digest160
+    x: bytes
+    did: bytes
+    pwd: bytes
 
     def to_bytes(self) -> bytes:
-        return self.x.value + self.did.value + self.pwd.value
+        return self.x + self.did + self.pwd
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "RegRequest":
         if len(raw) != REG_REQUEST_WIDTH:
             raise ValueError(f"registration request must be {REG_REQUEST_WIDTH} bytes")
-        return cls(x=Digest160(raw[:WIDTH]), did=Digest160(raw[WIDTH:2 * WIDTH]),
-                   pwd=Digest160(raw[2 * WIDTH:]))
+        return cls(raw[:WIDTH], raw[WIDTH:2 * WIDTH], raw[2 * WIDTH:])
 
 
 class ProvisionalCard(NamedTuple):
     """Server's registration reply; the gateway folds it into the card."""
 
-    k_i: Digest160
-    eid_i: Digest160
-    hid_hms: Digest160
-    r_hms: Digest160
-    ax_ui: Digest160
+    k_i: bytes
+    eid_i: bytes
+    hid_hms: bytes
+    r_hms: bytes
+    ax_ui: bytes
 
     def to_bytes(self) -> bytes:
-        return (self.k_i.value + self.eid_i.value + self.hid_hms.value +
-                self.r_hms.value + self.ax_ui.value)
+        return self.k_i + self.eid_i + self.hid_hms + self.r_hms + self.ax_ui
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "ProvisionalCard":
         if len(raw) != PROVISIONAL_WIDTH:
             raise ValueError(f"provisional card must be {PROVISIONAL_WIDTH} bytes")
-        parts = [Digest160(raw[i * WIDTH:(i + 1) * WIDTH]) for i in range(5)]
-        return cls(*parts)
+        return cls(raw[:WIDTH], raw[WIDTH:2 * WIDTH], raw[2 * WIDTH:3 * WIDTH],
+                   raw[3 * WIDTH:4 * WIDTH], raw[4 * WIDTH:])
 
 
 class Msg1(NamedTuple):
@@ -181,38 +179,36 @@ class Msg1(NamedTuple):
     authorization index."""
 
     t1: int
-    m1: Digest160
-    eid: Digest160
-    ax: Digest160
+    m1: bytes
+    eid: bytes
+    ax: bytes
 
     def to_bytes(self) -> bytes:
-        return pack_ts(self.t1) + self.m1.value + self.eid.value + self.ax.value
+        return pack_ts(self.t1) + self.m1 + self.eid + self.ax
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Msg1":
         if len(raw) != MSG1_WIDTH:
             raise ValueError(f"authentication request must be {MSG1_WIDTH} bytes")
-        return cls(t1=unpack_ts(raw[:8]), m1=Digest160(raw[8:8 + WIDTH]),
-                   eid=Digest160(raw[8 + WIDTH:8 + 2 * WIDTH]),
-                   ax=Digest160(raw[8 + 2 * WIDTH:]))
+        return cls(unpack_ts(raw[:8]), raw[8:8 + WIDTH],
+                   raw[8 + WIDTH:8 + 2 * WIDTH], raw[8 + 2 * WIDTH:])
 
 
 class Msg2(NamedTuple):
     """Server reply: key confirmation digest, masked session key, timestamp."""
 
-    m3: Digest160
-    m2: Digest160
+    m3: bytes
+    m2: bytes
     t2: int
 
     def to_bytes(self) -> bytes:
-        return self.m3.value + self.m2.value + pack_ts(self.t2)
+        return self.m3 + self.m2 + pack_ts(self.t2)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Msg2":
         if len(raw) != MSG2_WIDTH:
             raise ValueError(f"server reply must be {MSG2_WIDTH} bytes")
-        return cls(m3=Digest160(raw[:WIDTH]), m2=Digest160(raw[WIDTH:2 * WIDTH]),
-                   t2=unpack_ts(raw[2 * WIDTH:]))
+        return cls(raw[:WIDTH], raw[WIDTH:2 * WIDTH], unpack_ts(raw[2 * WIDTH:]))
 
 
 # --- user-side flows --------------------------------------------------------------
@@ -221,10 +217,10 @@ def register_request(ops: PrimitiveOps, creds: Credentials,
                      token: Token) -> tuple[RegRequest, UserScratch]:
     """Bind the three factors to the token and build the registration request."""
     sigma, tau = ops.fe_gen(creds.bio)
-    b_i = ops.hash(sigma.value)                          # biometric key digest
-    x = ops.hash(token.t_g.value)                        # token index digest
-    pwd = ops.hash(creds.password + b_i.value)           # salted password digest
-    did = ops.xor(creds.user_id, ops.hash(x.value + token.t_g.value))
+    b_i = ops.hash(sigma)                          # biometric key digest
+    x = ops.hash(token.t_g)                        # token index digest
+    pwd = ops.hash(creds.password + b_i)           # salted password digest
+    did = ops.xor(creds.user_id, ops.hash(x + token.t_g))
     scratch = UserScratch(user_id=creds.user_id, b_i=b_i, pwd_i=pwd,
                           tau=tau, t_g=token.t_g)
     return RegRequest(x=x, did=did, pwd=pwd), scratch
@@ -237,8 +233,8 @@ def finalize_card(ops: PrimitiveOps, provisional: ProvisionalCard,
     # recover the pseudo-identity for the session; the card itself keeps
     # only the masked form
     _d_tid = ops.xor(scratch.user_id, provisional.r_hms)
-    e_i = ops.xor(provisional.k_i, ops.hash(scratch.pwd_i.value + scratch.b_i.value))
-    f_i = ops.hash(ops.xor(ops.xor(scratch.pwd_i, provisional.k_i), scratch.b_i).value)
+    e_i = ops.xor(provisional.k_i, ops.hash(scratch.pwd_i + scratch.b_i))
+    f_i = ops.hash(ops.xor(ops.xor(scratch.pwd_i, provisional.k_i), scratch.b_i))
     return SmartCard(e_i=e_i, f_i=f_i, eid_i=provisional.eid_i,
                      r_hms=provisional.r_hms, hid_hms=provisional.hid_hms,
                      ax_ui=provisional.ax_ui, tau=scratch.tau,
@@ -253,31 +249,31 @@ def login(ops: PrimitiveOps, clock: SimClock, creds: Credentials,
         sigma = ops.fe_rep(creds.bio, card.tau)
     except RecoveryFailure:
         raise LocalVerifyFailed("biometric beyond tolerance") from None
-    b_i = ops.hash(sigma.value)
-    pwd = ops.hash(creds.password + b_i.value)
+    b_i = ops.hash(sigma)
+    pwd = ops.hash(creds.password + b_i)
     d_tid = ops.xor(creds.user_id, card.r_hms)
-    k_i = ops.xor(card.e_i, ops.hash(pwd.value + b_i.value))
-    f_check = ops.hash(ops.xor(ops.xor(pwd, k_i), b_i).value)
+    k_i = ops.xor(card.e_i, ops.hash(pwd + b_i))
+    f_check = ops.hash(ops.xor(ops.xor(pwd, k_i), b_i))
     if f_check != card.f_i:
         raise LocalVerifyFailed("card verifier mismatch")
 
     c_i = ops.xor(k_i, pwd)
     server_pair = ops.xor(card.hid_hms, d_tid)       # unmasks the server binding
-    w1 = ops.hash(d_tid.value + server_pair.value)
+    w1 = ops.hash(d_tid + server_pair)
     t1 = clock.now()
-    m1 = ops.hash(c_i.value + pack_ts(t1) + w1.value)
+    m1 = ops.hash(c_i + pack_ts(t1) + w1)
     return (Msg1(t1=t1, m1=m1, eid=card.eid_i, ax=card.ax_ui),
             UserSession(c_i=c_i, w1=w1, t1=t1))
 
 
 def verify_server(ops: PrimitiveOps, clock: SimClock, delta_t: int,
-                  session: UserSession, msg2: Msg2) -> Digest160:
+                  session: UserSession, msg2: Msg2) -> bytes:
     """Check the server's reply and release the session key."""
     if not is_fresh(clock.now(), msg2.t2, delta_t):
         raise Stale("server reply timestamp outside the freshness window")
     sk = ops.xor(msg2.m2, session.w1)
-    m3_check = ops.hash(session.c_i.value + pack_ts(msg2.t2) +
-                        session.w1.value + sk.value)
+    m3_check = ops.hash(session.c_i + pack_ts(msg2.t2) +
+                        session.w1 + sk)
     if m3_check != msg2.m3:
         raise BadMac("server key confirmation mismatch")
     return sk
@@ -293,19 +289,19 @@ def update_credentials(ops: PrimitiveOps, creds: Credentials, new_password: byte
         sigma_old = ops.fe_rep(creds.bio, card.tau)
     except RecoveryFailure:
         raise LocalVerifyFailed("biometric beyond tolerance") from None
-    b_old = ops.hash(sigma_old.value)
-    pwd_old = ops.hash(creds.password + b_old.value)
-    k_old = ops.xor(card.e_i, ops.hash(pwd_old.value + b_old.value))
-    f_check = ops.hash(ops.xor(ops.xor(pwd_old, k_old), b_old).value)
+    b_old = ops.hash(sigma_old)
+    pwd_old = ops.hash(creds.password + b_old)
+    k_old = ops.xor(card.e_i, ops.hash(pwd_old + b_old))
+    f_check = ops.hash(ops.xor(ops.xor(pwd_old, k_old), b_old))
     if f_check != card.f_i:
         raise LocalVerifyFailed("card verifier mismatch")
 
     sigma_new, tau_new = ops.fe_gen(new_bio)
-    b_new = ops.hash(sigma_new.value)
-    pwd_new = ops.hash(new_password + b_new.value)
+    b_new = ops.hash(sigma_new)
+    pwd_new = ops.hash(new_password + b_new)
     k_new = ops.xor(ops.xor(k_old, pwd_old), pwd_new)
-    e_new = ops.xor(k_new, ops.hash(pwd_new.value + b_new.value))
-    f_new = ops.hash(ops.xor(ops.xor(pwd_new, k_new), b_new).value)
+    e_new = ops.xor(k_new, ops.hash(pwd_new + b_new))
+    f_new = ops.hash(ops.xor(ops.xor(pwd_new, k_new), b_new))
     return card._replace(e_i=e_new, f_i=f_new, tau=tau_new)
 
 
@@ -321,6 +317,8 @@ class HospitalServer:
 
     def __init__(self, ops: PrimitiveOps, clock: SimClock, ledger: Ledger,
                  perm_table: PermissionTable, delta_t: int = DEFAULT_DELTA_T):
+        if delta_t < 0:
+            raise ValueError(f"freshness window must be >= 0 ms, got {delta_t}")
         self.ops = ops
         self.clock = clock
         self.ledger = ledger
@@ -328,8 +326,8 @@ class HospitalServer:
         self.delta_t = delta_t
         self.id_hms = ops.rand_digest()
         self.s_hms = ops.rand_digest()
-        self._h_s = ops.hash(self.s_hms.value)
-        self._h_pair = ops.hash(self.id_hms.value + self.s_hms.value)
+        self._h_s = ops.hash(self.s_hms)
+        self._h_pair = ops.hash(self.id_hms + self.s_hms)
         self.token_roles: dict[bytes, Role] = {}
 
     @classmethod
@@ -350,10 +348,10 @@ class HospitalServer:
             raise InvalidRole(f"no permission row for role {role!r}")
         ops = self.ops
         t_g = ops.rand_digest()
-        x = ops.hash(t_g.value)
-        y = ops.enc(self.s_hms, t_g.value)
+        x = ops.hash(t_g)
+        y = ops.enc(self.s_hms, t_g)
         self.ledger.append(TokenRecord(x=x, y=y))
-        self.token_roles[x.value] = role
+        self.token_roles[x] = role
         return Token(t_g=t_g, role=role)
 
     # --- registration ----------------------------------------------------------------
@@ -368,19 +366,21 @@ class HospitalServer:
             record = None
         if record is None or record.revoked:
             raise UnknownToken("token digest not live on the ledger")
-        t_g = Digest160(ops.dec(self.s_hms, record.y))
+        t_g = ops.dec(self.s_hms, record.y)
+        if len(t_g) != WIDTH:
+            raise ValueError(f"sealed token must be {WIDTH} bytes, got {len(t_g)}")
 
-        user_id = ops.xor(req.did, ops.hash(req.x.value + t_g.value))
+        user_id = ops.xor(req.did, ops.hash(req.x + t_g))
         if self.ledger.live_index_for(user_id) is not None:
             raise Reject("identity already registered")
         r1 = ops.rand_digest()
         d_tid = ops.xor(user_id, r1)
         ax = ops.xor(t_g, ops.concat_mask(d_tid, self.id_hms))
-        k_i = ops.xor(ops.hash(self.s_hms.value + user_id.value), req.pwd)
+        k_i = ops.xor(ops.hash(self.s_hms + user_id), req.pwd)
         eid = ops.xor(d_tid, self._h_s)
         hid = ops.xor(self._h_pair, d_tid)
 
-        self.ledger.append(IdentityIndex(h_dtid=ops.hash(d_tid.value),
+        self.ledger.append(IdentityIndex(h_dtid=ops.hash(d_tid),
                                          user_id=user_id))
         return ProvisionalCard(k_i=k_i, eid_i=eid, hid_hms=hid, r_hms=r1, ax_ui=ax)
 
@@ -398,8 +398,8 @@ class HospitalServer:
         # unmask the pseudo-identity and the token
         d_tid = ops.xor(msg1.eid, self._h_s)
         t_g = ops.xor(msg1.ax, ops.concat_mask(d_tid, self.id_hms))
-        h_dtid = ops.hash(d_tid.value)
-        h_tg = ops.hash(t_g.value)
+        h_dtid = ops.hash(d_tid)
+        h_tg = ops.hash(t_g)
         try:
             user_id = self.ledger.get_identity(h_dtid)
             live = not self.ledger.get_token(h_tg).revoked
@@ -408,24 +408,24 @@ class HospitalServer:
         if not live:
             raise UnknownPrincipal("pseudo-identity or token not live on the ledger")
 
-        role = self.token_roles.get(h_tg.value)
+        role = self.token_roles.get(h_tg)
         if role is None:
             raise UnknownPrincipal("token has no registered role")
         if not self.perm_table.allows(role, scope, now):
             raise Unauthorized(f"role {role.value} may not {scope} now")
 
-        c_i = ops.hash(self.s_hms.value + user_id.value)
-        w1 = ops.hash(d_tid.value + self._h_pair.value)
-        m1_check = ops.hash(c_i.value + pack_ts(msg1.t1) + w1.value)
+        c_i = ops.hash(self.s_hms + user_id)
+        w1 = ops.hash(d_tid + self._h_pair)
+        m1_check = ops.hash(c_i + pack_ts(msg1.t1) + w1)
         if m1_check != msg1.m1:
             raise BadMac("authentication proof mismatch")
 
         # accepted: derive the session key and the confirmation message
         n_s = ops.rand_digest()
         t2 = self.clock.now()
-        sk = ops.hash(w1.value + n_s.value)
+        sk = ops.hash(w1 + n_s)
         m2 = ops.xor(sk, w1)
-        m3 = ops.hash(c_i.value + pack_ts(t2) + w1.value + sk.value)
+        m3 = ops.hash(c_i + pack_ts(t2) + w1 + sk)
 
         # re-key the pseudonymous card fields so nothing repeats next session
         r2 = ops.rand_digest()
@@ -439,7 +439,7 @@ class HospitalServer:
             raise UnknownPrincipal("no card published for the identity") from None
         self.ledger.put_card(card._replace(eid_i=eid_new, ax_ui=ax_new,
                                            hid_hms=hid_new, r_hms=r2))
-        self.ledger.replace_index(h_dtid, ops.hash(d_new.value), user_id)
+        self.ledger.replace_index(h_dtid, ops.hash(d_new), user_id)
 
         transcript = AuthTranscript(c_i=c_i, w1=w1, m1=msg1.m1, m2=m2, m3=m3,
                                     sk=sk, n_s=n_s, t1=msg1.t1, t2=t2)
@@ -447,7 +447,7 @@ class HospitalServer:
 
     # --- authorization ----------------------------------------------------------------
 
-    def update_authorization(self, user_id: Digest160, role: Role) -> Token:
+    def update_authorization(self, user_id: bytes, role: Role) -> Token:
         """Swap the user's token for one carrying the given role: revoke the
         old token, anchor the new one, and re-point the card's
         authorization index. The user's factors and card key stay put."""
@@ -463,17 +463,17 @@ class HospitalServer:
         d_tid = ops.xor(card.eid_i, self._h_s)
         mask = ops.concat_mask(d_tid, self.id_hms)
         t_g_old = ops.xor(card.ax_ui, mask)
-        x_old = ops.hash(t_g_old.value)
+        x_old = ops.hash(t_g_old)
         try:
             self.ledger.revoke_token(x_old)
         except NotFound:
             raise UnknownPrincipal("card does not point at a known token") from None
-        self.token_roles.pop(x_old.value, None)
+        self.token_roles.pop(x_old, None)
 
         t_g_new = ops.rand_digest()
-        x_new = ops.hash(t_g_new.value)
-        self.ledger.append(TokenRecord(x=x_new, y=ops.enc(self.s_hms, t_g_new.value)))
-        self.token_roles[x_new.value] = role
+        x_new = ops.hash(t_g_new)
+        self.ledger.append(TokenRecord(x=x_new, y=ops.enc(self.s_hms, t_g_new)))
+        self.token_roles[x_new] = role
 
         self.ledger.put_card(card._replace(ax_ui=ops.xor(t_g_new, mask)))
         return Token(t_g=t_g_new, role=role)
@@ -493,7 +493,7 @@ class UserGateway:
         self.ledger = ledger
         self.creds = creds
         self.delta_t = delta_t
-        self._device_key = Digest160(sha256_160(b"device-key:" + str(seed).encode()))
+        self._device_key = sha256_160(b"device-key:" + str(seed).encode())
         self._sealed_address: bytes | None = None
         self._scratch: UserScratch | None = None
         self._session: UserSession | None = None
@@ -529,7 +529,7 @@ class UserGateway:
                                     self.current_card())
         return msg1
 
-    def accept_server_reply(self, msg2: Msg2) -> Digest160:
+    def accept_server_reply(self, msg2: Msg2) -> bytes:
         if self._session is None:
             raise UnexpectedMessage("no login in progress")
         sk = verify_server(self.ops, self.clock, self.delta_t, self._session, msg2)

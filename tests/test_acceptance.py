@@ -156,17 +156,17 @@ def test_criterion_04_pseudonyms_and_wire_fields_never_repeat():
         clock.advance(100)
         msg1 = gateway.start_login()
         msg2, transcript = server.authenticate(msg1, SCOPE)
-        keys.append(gateway.accept_server_reply(msg2).value)
+        keys.append(gateway.accept_server_reply(msg2))
         firsts.append(msg1)
         replies.append(msg2)
 
     for label, values in [
-        ("eid", {m.eid.value for m in firsts}),
-        ("ax", {m.ax.value for m in firsts}),
-        ("m1", {m.m1.value for m in firsts}),
+        ("eid", {m.eid for m in firsts}),
+        ("ax", {m.ax for m in firsts}),
+        ("m1", {m.m1 for m in firsts}),
         ("t1", {m.t1 for m in firsts}),
-        ("m2", {m.m2.value for m in replies}),
-        ("m3", {m.m3.value for m in replies}),
+        ("m2", {m.m2 for m in replies}),
+        ("m3", {m.m3 for m in replies}),
         ("t2", {m.t2 for m in replies}),
         ("sk", set(keys)),
     ]:
@@ -297,66 +297,66 @@ def test_criterion_08_reference_agreement_100_seeds():
         req = gateway.build_registration(token)
         scratch = gateway._scratch
         ref_u = oracle.user_registration_fields(
-            token.t_g.value, creds.user_id.value, creds.password,
-            scratch.b_i.value)
-        assert req.x.value == ref_u["x"]
-        assert req.did.value == ref_u["did"]
-        assert req.pwd.value == ref_u["pwd"]
+            token.t_g, creds.user_id, creds.password,
+            scratch.b_i)
+        assert req.x == ref_u["x"]
+        assert req.did == ref_u["did"]
+        assert req.pwd == ref_u["pwd"]
         assert req.to_bytes() == oracle.reg_request_bytes(
-            req.x.value, req.did.value, req.pwd.value)
+            req.x, req.did, req.pwd)
 
         provisional = server.register(req)
         ref_s = oracle.server_registration_fields(
-            server.s_hms.value, server.id_hms.value, token.t_g.value,
-            req.did.value, req.pwd.value, provisional.r_hms.value)
-        assert ref_s["user_id"] == creds.user_id.value
-        assert provisional.k_i.value == ref_s["k"]
-        assert provisional.eid_i.value == ref_s["eid"]
-        assert provisional.hid_hms.value == ref_s["hid"]
-        assert provisional.ax_ui.value == ref_s["ax"]
+            server.s_hms, server.id_hms, token.t_g,
+            req.did, req.pwd, provisional.r_hms)
+        assert ref_s["user_id"] == creds.user_id
+        assert provisional.k_i == ref_s["k"]
+        assert provisional.eid_i == ref_s["eid"]
+        assert provisional.hid_hms == ref_s["hid"]
+        assert provisional.ax_ui == ref_s["ax"]
 
         gateway.accept_provisional(provisional)
         card = gateway.current_card()
-        ref_c = oracle.finalize_fields(provisional.k_i.value,
-                                       scratch.pwd_i.value, scratch.b_i.value)
-        assert card.e_i.value == ref_c["e"] and card.f_i.value == ref_c["f"]
+        ref_c = oracle.finalize_fields(provisional.k_i,
+                                       scratch.pwd_i, scratch.b_i)
+        assert card.e_i == ref_c["e"] and card.f_i == ref_c["f"]
 
         clock.advance(100 + seed)
         msg1 = gateway.start_login()
         session = gateway._session
         sigma = gateway.ops.fe_rep(creds.bio, card.tau)
         ref_l = oracle.login_fields(
-            creds.user_id.value, creds.password, oracle.h(sigma.value),
-            card.e_i.value, card.f_i.value, card.r_hms.value,
-            card.hid_hms.value, msg1.t1)
+            creds.user_id, creds.password, oracle.h(sigma),
+            card.e_i, card.f_i, card.r_hms,
+            card.hid_hms, msg1.t1)
         assert ref_l["ok"]
-        assert session.c_i.value == ref_l["c"]
-        assert session.w1.value == ref_l["w1"]
-        assert msg1.m1.value == ref_l["m1"]
+        assert session.c_i == ref_l["c"]
+        assert session.w1 == ref_l["w1"]
+        assert msg1.m1 == ref_l["m1"]
         assert msg1.to_bytes() == oracle.msg1_bytes(
-            msg1.t1, msg1.m1.value, msg1.eid.value, msg1.ax.value)
+            msg1.t1, msg1.m1, msg1.eid, msg1.ax)
 
         msg2, transcript = server.authenticate(msg1, SCOPE)
         new_card = gateway.current_card()
         ref_a = oracle.server_auth_fields(
-            server.s_hms.value, server.id_hms.value, creds.user_id.value,
-            msg1.eid.value, msg1.ax.value, msg1.t1,
-            transcript.n_s.value, transcript.t2, new_card.r_hms.value)
-        assert ref_a["t_g"] == token.t_g.value
-        assert transcript.sk.value == ref_a["sk"]
-        assert msg2.m2.value == ref_a["m2"]
-        assert msg2.m3.value == ref_a["m3"]
-        assert new_card.eid_i.value == ref_a["eid_new"]
-        assert new_card.ax_ui.value == ref_a["ax_new"]
-        assert new_card.hid_hms.value == ref_a["hid_new"]
+            server.s_hms, server.id_hms, creds.user_id,
+            msg1.eid, msg1.ax, msg1.t1,
+            transcript.n_s, transcript.t2, new_card.r_hms)
+        assert ref_a["t_g"] == token.t_g
+        assert transcript.sk == ref_a["sk"]
+        assert msg2.m2 == ref_a["m2"]
+        assert msg2.m3 == ref_a["m3"]
+        assert new_card.eid_i == ref_a["eid_new"]
+        assert new_card.ax_ui == ref_a["ax_new"]
+        assert new_card.hid_hms == ref_a["hid_new"]
         assert msg2.to_bytes() == oracle.msg2_bytes(
-            msg2.m3.value, msg2.m2.value, msg2.t2)
+            msg2.m3, msg2.m2, msg2.t2)
 
         sk = gateway.accept_server_reply(msg2)
         ref_v = oracle.user_verify_fields(
-            session.c_i.value, session.w1.value, msg2.m2.value,
-            msg2.m3.value, msg2.t2)
-        assert ref_v["ok"] and sk.value == ref_v["sk"] == transcript.sk.value
+            session.c_i, session.w1, msg2.m2,
+            msg2.m3, msg2.t2)
+        assert ref_v["ok"] and sk == ref_v["sk"] == transcript.sk
         fields_checked += 24
     print(f"ACCEPTANCE 08 PASS seeds=100 fields-per-seed=24 "
           f"total-checks={fields_checked}")
@@ -388,7 +388,7 @@ def test_criterion_09_master_secret_never_leaves_server():
     # that was put on the wire
     assert not world.channel.dropped
     assert not any(env.tampered for env, _ in world.channel.delivered)
-    secret = world.server.s_hms.value
+    secret = world.server.s_hms
     wire = b"".join(env.payload for env, _ in world.channel.delivered)
     assert secret not in wire
     for block in world.ledger.blocks:

@@ -21,7 +21,8 @@ from l2ai.harness import (
 from l2ai.permissions import (
     DEFAULT_TABLE_TEXT, SCOPE_CATALOG, PermissionTable, Role, RoleGrant,
 )
-from l2ai.primitives import Digest160
+from l2ai.ledger import TokenRecord
+from l2ai.primitives import WIDTH, seal, sha256_160
 from l2ai.protocol import RegRequest
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,7 +40,7 @@ def test_honest_scenario_all_sessions_verified():
     assert result.ok, result.violations
     assert [s.outcome for s in world.sessions] == ["verified"] * 4
     assert all(s.sk_user == s.sk_server for s in world.sessions)
-    assert len({s.sk_user.value for s in world.sessions}) == 4
+    assert len({s.sk_user for s in world.sessions}) == 4
     assert world.ledger.verify_chain()
 
 
@@ -135,7 +136,7 @@ def test_registration_with_identity_index_digest_is_unknown_token():
     world.drain()
     h_dtid = world.ledger.live_index_for(world.users["alice"].creds.user_id)
     assert h_dtid is not None
-    filler = Digest160.zero()
+    filler = bytes(WIDTH)
     env = world.channel.send("alice", SERVER,
                              RegRequest(x=h_dtid, did=filler, pwd=filler).to_bytes())
     world.drain()
@@ -143,6 +144,21 @@ def test_registration_with_identity_index_digest_is_unknown_token():
     world.finalize()
     assert check_invariants(world) == []
     assert world.ledger.verify_chain()
+
+
+@pytest.mark.parametrize("size", [WIDTH - 1, WIDTH + 1])
+def test_registration_with_a_wrong_width_sealed_token_is_rejected(size):
+    # a live token record whose plaintext under the server secret is not a
+    # 20-byte token: the delivery ends in a rejection, not an exception
+    world = World(seed=1)
+    t_g = bytes(range(1, size + 1))
+    x = sha256_160(t_g)
+    world.ledger.append(TokenRecord(x=x, y=seal(world.server.s_hms, t_g, bytes(16))))
+    filler = bytes(WIDTH)
+    env = world.channel.send("alice", SERVER,
+                             RegRequest(x=x, did=filler, pwd=filler).to_bytes())
+    world.drain()
+    assert world.channel.delivered[-1] == (env, "rejected ValueError")
 
 
 def test_update_auth_on_tainted_card_is_a_rejection(tmp_path, capsys):
@@ -302,6 +318,20 @@ def test_cli_custom_delta_t(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1                                # untouched session rejected
     assert "outcome=rejected Stale" in out
+
+
+def test_cli_negative_delta_t_is_an_input_error(tmp_path, capsys):
+    # no timestamp is ever within a negative window, so every session would
+    # fail; that is a bad option, not a run that broke an invariant
+    scn = tmp_path / "s.scn"
+    scn.write_text("honest register a\nhonest auth a\n")
+    rc = cli_main(["run", str(scn), "--delta-t", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "freshness window" in captured.err
+    with pytest.raises(ValueError):
+        World(delta_t=-1)
 
 
 def test_cli_main_called_repeatedly_in_one_process(tmp_path, capsys):

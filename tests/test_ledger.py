@@ -12,7 +12,7 @@ from l2ai.ledger import (
     SmartCard, TokenRecord, _KIND_NAMES, _block_digest, parse_record,
 )
 from l2ai.permissions import Role
-from l2ai.primitives import WIDTH, Digest160, PrimitiveOps, seal
+from l2ai.primitives import WIDTH, PrimitiveOps, seal
 
 
 def make_ops(seed=0):
@@ -22,7 +22,7 @@ def make_ops(seed=0):
 def sample_token(ops) -> TokenRecord:
     t_g = ops.rand_digest()
     key = ops.rand_digest()
-    return TokenRecord(x=ops.hash(t_g.value), y=seal(key, t_g.value, ops.rng.randbytes(16)))
+    return TokenRecord(x=ops.hash(t_g), y=seal(key, t_g, ops.rng.randbytes(16)))
 
 
 def sample_card(ops) -> SmartCard:
@@ -175,15 +175,15 @@ def test_any_digest_agrees_with_linear_scan():
                 ledger.replace_index(h, new_h, uid)
                 tracked.append(new_h)
 
-    def scan(x: Digest160) -> bool:
+    def scan(x: bytes) -> bool:
         latest = {}
         for block in ledger.blocks:
             record = parse_record(block.payload)
             if isinstance(record, TokenRecord):
-                latest[("t", record.x.value)] = not record.revoked
+                latest[("t", record.x)] = not record.revoked
             elif isinstance(record, IdentityIndex):
-                latest[("i", record.h_dtid.value)] = record.superseded_by is None
-        return latest.get(("t", x.value), False) or latest.get(("i", x.value), False)
+                latest[("i", record.h_dtid)] = record.superseded_by is None
+        return latest.get(("t", x), False) or latest.get(("i", x), False)
 
     for x in tracked + [ops.rand_digest() for _ in range(5)]:
         assert ledger.any_digest(x) == scan(x)
@@ -193,7 +193,7 @@ def test_any_digest_agrees_with_linear_scan():
     for block in ledger.blocks:
         record = parse_record(block.payload)
         if isinstance(record, IdentityIndex):
-            live[record.h_dtid.value] = record.superseded_by is None
+            live[record.h_dtid] = record.superseded_by is None
     assert len(ledger._idents) == sum(live.values())
 
 
@@ -213,6 +213,12 @@ def test_parse_record_short_payload_is_value_error(payload):
 def test_block_address_short_input_is_value_error(size):
     with pytest.raises(ValueError):
         BlockAddress.from_bytes(bytes(size))
+
+
+@pytest.mark.parametrize("uid_size", [WIDTH - 1, WIDTH + 1])
+def test_block_address_refuses_a_wrong_width_card_id(uid_size):
+    with pytest.raises(ValueError):
+        BlockAddress.from_bytes(bytes(8 + uid_size))
 
 
 @pytest.mark.parametrize("payload_hex", ["02" + "00" * 19, "01" + "00" * 20])
@@ -429,10 +435,10 @@ def test_replace_index_onto_another_users_digest_appends_nothing():
 
 # Small pools, so that digests repeat: tokens and identity indexes share the
 # digest pool (any_digest looks up both namespaces) and users compete for it.
-DIGESTS = [Digest160(bytes([i]) * 20) for i in range(1, 6)]
-USERS = [Digest160(bytes([0x80 + i]) * 20) for i in range(3)]
-CARD_UIDS = [Digest160(bytes([0xC0 + i]) * 20) for i in range(2)]
-SEALED = [seal(Digest160(bytes(20)), bytes([i]), bytes(16)) for i in range(3)]
+DIGESTS = [bytes([i]) * 20 for i in range(1, 6)]
+USERS = [bytes([0x80 + i]) * 20 for i in range(3)]
+CARD_UIDS = [bytes([0xC0 + i]) * 20 for i in range(2)]
+SEALED = [seal(bytes(20), bytes([i]), bytes(16)) for i in range(3)]
 BASE_CARD = sample_card(make_ops(11))
 
 
@@ -444,10 +450,10 @@ class LedgerModel(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.ledger = Ledger()
-        self.tokens: dict[Digest160, TokenRecord] = {}   # latest record per x
-        self.idents: dict[Digest160, Digest160] = {}     # live h -> user
-        self.live: dict[Digest160, Digest160] = {}       # user -> live h
-        self.cards: dict[Digest160, SmartCard] = {}      # latest card per uid
+        self.tokens: dict[bytes, TokenRecord] = {}   # latest record per x
+        self.idents: dict[bytes, bytes] = {}         # live h -> user
+        self.live: dict[bytes, bytes] = {}           # user -> live h
+        self.cards: dict[bytes, SmartCard] = {}      # latest card per uid
 
     def appends(self, count: int, write, raises=None) -> None:
         """Run write() and check that it appended `count` blocks; a write

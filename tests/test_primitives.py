@@ -1,9 +1,6 @@
 """Primitive-layer tests: frozen hash vectors, cipher authentication,
 sketch tolerance, clock and counter behavior."""
 
-import copy
-import pickle
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -11,7 +8,7 @@ import oracle
 from l2ai.primitives import (
     WIDTH, BIO_WIDTH, FE_BLOCKS, FE_PAD_BIT,
     AuthFailure, RecoveryFailure,
-    BioTemplate, Ciphertext, Digest160, HelperData,
+    BioTemplate, Ciphertext, HelperData,
     OpCounters, PrimitiveOps, SimClock,
     gen_sketch, is_fresh, open_sealed, recover_key,
     repetition_decode, repetition_encode, seal, sha256_160,
@@ -69,44 +66,35 @@ def test_hash_output_bit_balance():
 
 
 def test_digest_width_enforced():
-    with pytest.raises(ValueError):
-        Digest160(b"\x00" * 19)
-    with pytest.raises(ValueError):
-        Digest160(b"\x00" * 21)
+    # a 19- or 21-byte digest is refused where it enters: as the key check
+    # of a helper record, and as a chain link of an imported ledger
+    ops, ledger = PrimitiveOps(seed=32), Ledger()
+    ledger.append(TokenRecord(x=ops.rand_digest(), y=ops.enc(ops.rand_digest(), b"t")))
+    height, prev_hex, rest = ledger.export_lines()[0].split(" ", 2)
+    for size in (WIDTH - 1, WIDTH + 1):
+        with pytest.raises(ValueError):
+            HelperData.from_bytes(bytes(BIO_WIDTH + size))
+        with pytest.raises(ValueError, match="chain link must be 20 bytes"):
+            Ledger.from_lines([f"{height} {bytes(size).hex()} {rest}"])
 
 
-digests = st.binary(min_size=WIDTH, max_size=WIDTH).map(Digest160)
+digests = st.binary(min_size=WIDTH, max_size=WIDTH)
+xor = PrimitiveOps(seed=0).xor
 
 
 @given(digests, digests)
 def test_xor_matches_bytewise_reference(a, b):
-    assert (a ^ b).value == bytes(x ^ y for x, y in zip(a.value, b.value))
-
-
-def test_digest_value_semantics():
-    raw = sha256_160(b"value")
-    derived = PrimitiveOps(seed=0).hash(b"value")
-    checked = Digest160(raw)
-    assert derived == checked and hash(derived) == hash(checked)
-    assert len({derived, checked, Digest160.from_hex(raw.hex())}) == 1
-    assert derived != raw and derived != None  # noqa: E711
-    assert bytes(derived) == raw and repr(derived) == f"Digest160({raw.hex()})"
-    with pytest.raises(AttributeError):
-        derived.value = b"\x00" * WIDTH
-    with pytest.raises(AttributeError):
-        del derived.value
-    assert copy.copy(derived) == derived
-    assert pickle.loads(pickle.dumps(derived)) == derived
+    assert xor(a, b) == bytes(x ^ y for x, y in zip(a, b))
 
 
 @given(digests, digests, digests)
 def test_xor_algebra(a, b, c):
-    zero = Digest160.zero()
-    assert a ^ a == zero
-    assert a ^ zero == a
-    assert (a ^ b) ^ b == a
-    assert a ^ b == b ^ a
-    assert (a ^ b) ^ c == a ^ (b ^ c)
+    zero = bytes(WIDTH)
+    assert xor(a, a) == zero
+    assert xor(a, zero) == a
+    assert xor(xor(a, b), b) == a
+    assert xor(a, b) == xor(b, a)
+    assert xor(xor(a, b), c) == xor(a, xor(b, c))
 
 
 # --- widths are checked where values enter -------------------------------------
@@ -142,10 +130,19 @@ def test_parse_record_rejects_short_digests():
             parse_record(payload)
 
 
-@given(st.binary(max_size=2 * WIDTH).filter(lambda raw: len(raw) != WIDTH))
-def test_from_hex_rejects_wrong_width(raw):
-    with pytest.raises(ValueError):
-        Digest160.from_hex(raw.hex())
+@given(st.binary(max_size=2 * WIDTH).filter(lambda raw: len(raw) != WIDTH),
+       st.sampled_from(["prev", "block"]))
+def test_from_hex_rejects_wrong_width(raw, link):
+    # a chain link enters as hex, in an exported line
+    ops, ledger = PrimitiveOps(seed=33), Ledger()
+    ledger.append(TokenRecord(x=ops.rand_digest(), y=ops.enc(ops.rand_digest(), b"t")))
+    height, prev_hex, kind, payload_hex, digest_hex = ledger.export_lines()[0].split()
+    if link == "prev":
+        prev_hex = raw.hex()
+    else:
+        digest_hex = raw.hex()
+    with pytest.raises(ValueError, match="line 1"):
+        Ledger.from_lines([f"{height} {prev_hex} {kind} {payload_hex} {digest_hex}"])
 
 
 def test_ledger_import_never_accepts_short_prev_digest():
@@ -164,7 +161,7 @@ def test_ledger_import_never_accepts_short_prev_digest():
 
 # --- cipher ---------------------------------------------------------------------
 
-@given(st.binary(min_size=WIDTH, max_size=WIDTH).map(Digest160),
+@given(st.binary(min_size=WIDTH, max_size=WIDTH),
        st.binary(max_size=120))
 @settings(max_examples=60)
 def test_cipher_roundtrip(key, plaintext):
@@ -213,7 +210,7 @@ def test_cipher_matches_reference_bytes():
     key = ops.rand_digest()
     nonce = ops.rng.randbytes(16)
     plaintext = ops.rng.randbytes(20)
-    assert seal(key, plaintext, nonce).to_bytes() == oracle.seal(key.value, nonce, plaintext)
+    assert seal(key, plaintext, nonce).to_bytes() == oracle.seal(key, nonce, plaintext)
 
 
 # Known-answer envelopes (key bytes 0..19, nonce bytes 100..115), recorded
@@ -230,7 +227,7 @@ SEAL_VECTORS = [
 
 @pytest.mark.parametrize("plaintext,expected", SEAL_VECTORS)
 def test_cipher_known_answer(plaintext, expected):
-    key, nonce = Digest160(bytes(range(20))), bytes(range(100, 116))
+    key, nonce = bytes(range(20)), bytes(range(100, 116))
     ct = seal(key, plaintext, nonce)
     assert ct.to_bytes().hex() == expected
     assert open_sealed(key, Ciphertext.from_bytes(bytes.fromhex(expected))) == plaintext
@@ -256,7 +253,7 @@ def test_sketch_distinct_keys_across_seeds():
     keys = set()
     for seed in range(100):
         sigma, _ = PrimitiveOps(seed=1000 + seed).fe_gen(bio)
-        keys.add(sigma.value)
+        keys.add(sigma)
     assert len(keys) == 100
 
 
@@ -269,7 +266,7 @@ def test_sketch_offset_is_masked_codeword():
     word = int.from_bytes(helper.offset, "big") ^ int.from_bytes(bio.value, "big")
     assert word == repetition_encode(message)
     assert repetition_decode(word) == message
-    assert sigma.value == oracle.fe_key(message)
+    assert sigma == oracle.fe_key(message)
     assert helper.offset == oracle.fe_offset(bio.value, message)
 
 
@@ -406,5 +403,5 @@ def test_counters_track_calls_exactly():
 def test_seeded_ops_are_reproducible():
     a, b = PrimitiveOps(seed=99), PrimitiveOps(seed=99)
     assert [a.rand_digest() for _ in range(5)] == [b.rand_digest() for _ in range(5)]
-    key = Digest160.zero()
+    key = bytes(WIDTH)
     assert a.enc(key, b"m") == b.enc(key, b"m")

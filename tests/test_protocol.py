@@ -11,7 +11,7 @@ from l2ai.ledger import Ledger, NotFound
 from l2ai.permissions import (
     DEFAULT_TABLE_TEXT, PermissionTable, Role, SCOPE_CATALOG,
 )
-from l2ai.primitives import Digest160, PrimitiveOps, SimClock
+from l2ai.primitives import WIDTH, PrimitiveOps, SimClock
 from l2ai.protocol import (
     BadMac, Credentials, HospitalServer, InvalidRole, LocalVerifyFailed,
     Msg1, Msg2, ProvisionalCard, Reject, RegRequest, Stale, UnknownPrincipal,
@@ -58,13 +58,13 @@ def test_setup_is_seed_deterministic():
 def test_issue_token_anchors_ledger_record():
     _, ledger, server = make_world()
     token = server.issue_token(b"code", Role.NURSE)
-    x = Digest160(oracle.h(token.t_g.value))
+    x = oracle.h(token.t_g)
     assert ledger.any_digest(x)
     record = ledger.get_token(x)
     # sealed token bytes must match the reference cipher byte-for-byte
-    assert record.y.to_bytes() == oracle.seal(server.s_hms.value,
-                                              record.y.nonce, token.t_g.value)
-    assert server.token_roles[x.value] == Role.NURSE
+    assert record.y.to_bytes() == oracle.seal(server.s_hms,
+                                              record.y.nonce, token.t_g)
+    assert server.token_roles[x] == Role.NURSE
 
 
 def test_issue_token_unknown_role_rejected():
@@ -86,30 +86,30 @@ def test_registration_fields_match_reference():
 
     req = gateway.build_registration(token)
     scratch = gateway._scratch
-    ref_user = oracle.user_registration_fields(token.t_g.value, creds.user_id.value,
-                                               creds.password, scratch.b_i.value)
-    assert req.x.value == ref_user["x"]
-    assert req.pwd.value == ref_user["pwd"]
-    assert req.did.value == ref_user["did"]
+    ref_user = oracle.user_registration_fields(token.t_g, creds.user_id,
+                                               creds.password, scratch.b_i)
+    assert req.x == ref_user["x"]
+    assert req.pwd == ref_user["pwd"]
+    assert req.did == ref_user["did"]
 
     provisional = server.register(req)
     ref_server = oracle.server_registration_fields(
-        server.s_hms.value, server.id_hms.value, token.t_g.value,
-        req.did.value, req.pwd.value, provisional.r_hms.value)
-    assert ref_server["user_id"] == creds.user_id.value
-    assert provisional.ax_ui.value == ref_server["ax"]
-    assert provisional.k_i.value == ref_server["k"]
-    assert provisional.eid_i.value == ref_server["eid"]
-    assert provisional.hid_hms.value == ref_server["hid"]
+        server.s_hms, server.id_hms, token.t_g,
+        req.did, req.pwd, provisional.r_hms)
+    assert ref_server["user_id"] == creds.user_id
+    assert provisional.ax_ui == ref_server["ax"]
+    assert provisional.k_i == ref_server["k"]
+    assert provisional.eid_i == ref_server["eid"]
+    assert provisional.hid_hms == ref_server["hid"]
     # identity index anchored under the hashed pseudo-identity
-    assert ledger.get_identity(Digest160(ref_server["h_d_tid"])) == creds.user_id
+    assert ledger.get_identity(ref_server["h_d_tid"]) == creds.user_id
 
     gateway.accept_provisional(provisional)
     card = gateway.current_card()
-    ref_card = oracle.finalize_fields(provisional.k_i.value, scratch.pwd_i.value,
-                                      scratch.b_i.value)
-    assert card.e_i.value == ref_card["e"]
-    assert card.f_i.value == ref_card["f"]
+    ref_card = oracle.finalize_fields(provisional.k_i, scratch.pwd_i,
+                                      scratch.b_i)
+    assert card.e_i == ref_card["e"]
+    assert card.f_i == ref_card["f"]
     assert card.card_uid == creds.user_id
     assert gateway._scratch is None             # token material dropped post-card
 
@@ -150,14 +150,14 @@ def test_login_fields_match_reference():
     session = gateway._session
 
     sigma = gateway.ops.fe_rep(creds.bio, card.tau)
-    b_i = oracle.h(sigma.value)
-    ref = oracle.login_fields(creds.user_id.value, creds.password, b_i,
-                              card.e_i.value, card.f_i.value, card.r_hms.value,
-                              card.hid_hms.value, msg1.t1)
+    b_i = oracle.h(sigma)
+    ref = oracle.login_fields(creds.user_id, creds.password, b_i,
+                              card.e_i, card.f_i, card.r_hms,
+                              card.hid_hms, msg1.t1)
     assert ref["ok"]
-    assert session.c_i.value == ref["c"]
-    assert session.w1.value == ref["w1"]
-    assert msg1.m1.value == ref["m1"]
+    assert session.c_i == ref["c"]
+    assert session.w1 == ref["w1"]
+    assert msg1.m1 == ref["m1"]
     assert msg1.eid == card.eid_i and msg1.ax == card.ax_ui
     assert msg1.t1 == clock.now()
 
@@ -212,33 +212,33 @@ def test_key_exchange_fields_match_reference():
     new_card = gateway.current_card()
 
     ref = oracle.server_auth_fields(
-        server.s_hms.value, server.id_hms.value, creds.user_id.value,
-        msg1.eid.value, msg1.ax.value, msg1.t1,
-        transcript.n_s.value, transcript.t2, new_card.r_hms.value)
-    assert ref["t_g"] == token.t_g.value        # token recovered from the index
-    assert transcript.c_i.value == ref["c"]
-    assert transcript.w1.value == ref["w1"]
-    assert ref["m1"] == msg1.m1.value
-    assert transcript.sk.value == ref["sk"]
-    assert msg2.m2.value == ref["m2"]
-    assert msg2.m3.value == ref["m3"]
+        server.s_hms, server.id_hms, creds.user_id,
+        msg1.eid, msg1.ax, msg1.t1,
+        transcript.n_s, transcript.t2, new_card.r_hms)
+    assert ref["t_g"] == token.t_g        # token recovered from the index
+    assert transcript.c_i == ref["c"]
+    assert transcript.w1 == ref["w1"]
+    assert ref["m1"] == msg1.m1
+    assert transcript.sk == ref["sk"]
+    assert msg2.m2 == ref["m2"]
+    assert msg2.m3 == ref["m3"]
 
     # card re-keyed exactly as the reference predicts; verifier fields kept
-    assert new_card.eid_i.value == ref["eid_new"]
-    assert new_card.ax_ui.value == ref["ax_new"]
-    assert new_card.hid_hms.value == ref["hid_new"]
+    assert new_card.eid_i == ref["eid_new"]
+    assert new_card.ax_ui == ref["ax_new"]
+    assert new_card.hid_hms == ref["hid_new"]
     assert (new_card.e_i, new_card.f_i, new_card.tau) == \
         (old_card.e_i, old_card.f_i, old_card.tau)
 
     # index replaced append-only
-    assert not ledger.any_digest(Digest160(ref["h_d_tid"]))
-    assert ledger.get_identity(Digest160(ref["h_d_new"])) == creds.user_id
+    assert not ledger.any_digest(ref["h_d_tid"])
+    assert ledger.get_identity(ref["h_d_new"]) == creds.user_id
 
     sk = gateway.accept_server_reply(msg2)
-    ref_user = oracle.user_verify_fields(transcript.c_i.value, transcript.w1.value,
-                                         msg2.m2.value, msg2.m3.value, msg2.t2)
+    ref_user = oracle.user_verify_fields(transcript.c_i, transcript.w1,
+                                         msg2.m2, msg2.m3, msg2.t2)
     assert ref_user["ok"]
-    assert sk.value == ref_user["sk"] == transcript.sk.value
+    assert sk == ref_user["sk"] == transcript.sk
 
 
 def test_freshness_boundary_inclusive():
@@ -260,13 +260,13 @@ def test_each_rejection_class_reachable_by_minimal_mutation():
     gateway, _ = registered_user(clock, ledger, server)
 
     msg1 = gateway.start_login()
-    flip = Digest160(b"\x80" + b"\x00" * 19)
+    flip = b"\x80" + b"\x00" * 19
     with pytest.raises(UnknownPrincipal):
-        server.authenticate(msg1._replace(eid=msg1.eid ^ flip), SCOPE)
+        server.authenticate(msg1._replace(eid=oracle.x20(msg1.eid, flip)), SCOPE)
     with pytest.raises(UnknownPrincipal):
-        server.authenticate(msg1._replace(ax=msg1.ax ^ flip), SCOPE)
+        server.authenticate(msg1._replace(ax=oracle.x20(msg1.ax, flip)), SCOPE)
     with pytest.raises(BadMac):
-        server.authenticate(msg1._replace(m1=msg1.m1 ^ flip), SCOPE)
+        server.authenticate(msg1._replace(m1=oracle.x20(msg1.m1, flip)), SCOPE)
     with pytest.raises(Unauthorized):
         server.authenticate(msg1, "manage-users")   # doctor token, admin scope
     with pytest.raises(Stale):
@@ -283,8 +283,8 @@ def test_token_digest_is_not_a_principal(scope):
     clock, ledger, server = make_world()
     t_g1 = server.issue_token(b"code-1", Role.PATIENT).t_g
     t_g2 = server.issue_token(b"code-2", Role.PATIENT).t_g
-    msg1 = Msg1(t1=clock.now(), m1=Digest160.zero(), eid=t_g1 ^ server._h_s,
-                ax=t_g2 ^ server.ops.concat_mask(t_g1, server.id_hms))
+    msg1 = Msg1(t1=clock.now(), m1=bytes(WIDTH), eid=oracle.x20(t_g1, server._h_s),
+                ax=oracle.x20(t_g2, server.ops.concat_mask(t_g1, server.id_hms)))
     with pytest.raises(UnknownPrincipal, match="not live on the ledger"):
         server.authenticate(msg1, scope)
 
@@ -306,14 +306,14 @@ def test_verify_server_rejections():
     msg1 = gateway.start_login()
     msg2, _ = server.authenticate(msg1, SCOPE)
     session = gateway._session
-    flip = Digest160(b"\x01" + b"\x00" * 19)
+    flip = b"\x01" + b"\x00" * 19
 
     with pytest.raises(BadMac):
         verify_server(gateway.ops, clock, server.delta_t, session,
-                      msg2._replace(m2=msg2.m2 ^ flip))
+                      msg2._replace(m2=oracle.x20(msg2.m2, flip)))
     with pytest.raises(BadMac):
         verify_server(gateway.ops, clock, server.delta_t, session,
-                      msg2._replace(m3=msg2.m3 ^ flip))
+                      msg2._replace(m3=oracle.x20(msg2.m3, flip)))
     clock.advance(5000)
     with pytest.raises(Stale):
         verify_server(gateway.ops, clock, server.delta_t, session, msg2)
@@ -328,9 +328,9 @@ def test_session_keys_fresh_across_sessions():
         msg1 = gateway.start_login()
         msg2, transcript = server.authenticate(msg1, SCOPE)
         assert gateway.accept_server_reply(msg2) == transcript.sk
-        keys.add(transcript.sk.value)
-        wires.update({msg1.eid.value, msg1.ax.value, msg1.m1.value,
-                      msg2.m2.value, msg2.m3.value})
+        keys.add(transcript.sk)
+        wires.update({msg1.eid, msg1.ax, msg1.m1,
+                      msg2.m2, msg2.m3})
     assert len(keys) == 5
     assert len(wires) == 25         # nothing repeats on the wire
 
@@ -355,13 +355,13 @@ def test_update_credentials_preserves_server_binding():
 
     # the card key is re-masked under the new password digest; the server
     # binding (card key XOR password digest) is the invariant
-    b_old = oracle.h(sigma_old.value)
+    b_old = oracle.h(sigma_old)
     pwd_old = oracle.h(creds.password + b_old)
-    k_old = oracle.x20(old_card.e_i.value, oracle.h(pwd_old + b_old))
+    k_old = oracle.x20(old_card.e_i, oracle.h(pwd_old + b_old))
     sigma_new = gateway.ops.fe_rep(new_bio, new_card.tau)
-    b_new = oracle.h(sigma_new.value)
+    b_new = oracle.h(sigma_new)
     pwd_new = oracle.h(new_password + b_new)
-    k_new = oracle.x20(new_card.e_i.value, oracle.h(pwd_new + b_new))
+    k_new = oracle.x20(new_card.e_i, oracle.h(pwd_new + b_new))
     assert k_old != k_new
     assert oracle.x20(k_old, pwd_old) == oracle.x20(k_new, pwd_new)
 
@@ -397,8 +397,8 @@ def test_update_authorization_swaps_token_and_index():
     assert (new_card.eid_i, new_card.e_i, new_card.f_i) == \
         (old_card.eid_i, old_card.e_i, old_card.f_i)
 
-    old_x = Digest160(oracle.h(old_token.t_g.value))
-    new_x = Digest160(oracle.h(new_token.t_g.value))
+    old_x = oracle.h(old_token.t_g)
+    new_x = oracle.h(new_token.t_g)
     assert not ledger.any_digest(old_x)
     assert ledger.any_digest(new_x)
 
@@ -492,16 +492,16 @@ def test_wire_layouts_match_reference():
     msg1 = gateway.start_login()
     msg2, _ = server.authenticate(msg1, SCOPE)
 
-    assert msg1.to_bytes() == oracle.msg1_bytes(msg1.t1, msg1.m1.value,
-                                                msg1.eid.value, msg1.ax.value)
-    assert msg2.to_bytes() == oracle.msg2_bytes(msg2.m3.value, msg2.m2.value, msg2.t2)
+    assert msg1.to_bytes() == oracle.msg1_bytes(msg1.t1, msg1.m1,
+                                                msg1.eid, msg1.ax)
+    assert msg2.to_bytes() == oracle.msg2_bytes(msg2.m3, msg2.m2, msg2.t2)
     assert len(msg1.to_bytes()) == 68 and len(msg2.to_bytes()) == 48
     assert Msg1.from_bytes(msg1.to_bytes()) == msg1
     assert Msg2.from_bytes(msg2.to_bytes()) == msg2
 
     req = RegRequest(x=msg1.m1, did=msg1.eid, pwd=msg1.ax)
-    assert req.to_bytes() == oracle.reg_request_bytes(msg1.m1.value, msg1.eid.value,
-                                                      msg1.ax.value)
+    assert req.to_bytes() == oracle.reg_request_bytes(msg1.m1, msg1.eid,
+                                                      msg1.ax)
     assert len(req.to_bytes()) == 60
     assert RegRequest.from_bytes(req.to_bytes()) == req
 

@@ -1,17 +1,17 @@
 """Record contract: the per-message records are immutable, hashable
 NamedTuples whose new versions come from `_replace`, and every wire or
-ledger record decodes back from its own bytes. The chain links are raw
-bytes, and a block that carries a Digest160 link fails the chain check."""
-
-from dataclasses import replace
+ledger record decodes back from its own bytes. The chain links and every
+protocol value a run keeps are raw 20-byte bytes."""
 
 import pytest
 
+from l2ai.channel import parse_scenario
+from l2ai.harness import HONEST_SCENARIO, World, run_scenario
 from l2ai.ledger import (
     BlockAddress, CardRecord, IdentityIndex, Ledger, SmartCard, TokenRecord,
     parse_record,
 )
-from l2ai.primitives import Ciphertext, Digest160, PrimitiveOps, seal
+from l2ai.primitives import WIDTH, Ciphertext, PrimitiveOps, seal
 from l2ai.protocol import (
     AuthTranscript, Msg1, Msg2, ProvisionalCard, RegRequest, UserSession,
 )
@@ -110,11 +110,20 @@ def test_chain_links_are_raw_bytes():
     assert ledger.verify_chain()
 
 
-@pytest.mark.parametrize("link", ["prev_digest", "block_digest"])
-@pytest.mark.parametrize("height", [0, 1, 3])
-def test_a_digest160_link_fails_the_chain_check(link, height):
-    # the same 20 bytes in the wrong type: the check fails closed
-    ledger = _ledger()
-    block = ledger.blocks[height]
-    ledger.blocks[height] = replace(block, **{link: Digest160(getattr(block, link))})
-    assert not ledger.verify_chain()
+def test_every_kept_protocol_value_is_raw_20_bytes():
+    world = World(seed=42)
+    assert run_scenario(world, parse_scenario(HONEST_SCENARIO)).ok
+    ledger = world.ledger
+    groups = {
+        "card fields": [value for card in ledger._cards.values()
+                        for value in (*card[:6], card.card_uid, card.tau.check)],
+        "card lookup keys": list(ledger._cards),
+        "identity lookup": [v for item in ledger._idents.items() for v in item],
+        "live-by-user lookup": [v for item in ledger._live_by_user.items() for v in item],
+        "token lookup keys": list(ledger._tokens),
+        "token x": [token.x for token in ledger._tokens.values()],
+        "session keys": [sk for s in world.sessions for sk in (s.sk_user, s.sk_server)],
+    }
+    for name, values in groups.items():
+        assert values, name
+        assert all(type(v) is bytes and len(v) == WIDTH for v in values), name
