@@ -6,31 +6,37 @@ the user gateways. Nothing ever rewrites an existing block. Revocation and
 replacement are expressed purely by appending newer records; for every
 index key the latest record wins, so a token tombstone (revoked=True) or a
 superseded identity marker shadows the earlier record without touching it.
-Blocks hold bytes, not parsed records; the lookups hold the live answers
+Each block is one immutable ``bytes`` record,
+
+    height (8, big-endian) ‖ prev_digest (20) ‖ payload ‖ block_digest (20)
+
+whose last 20 bytes are the hash of everything before them, and whose
+``prev_digest`` is the previous record's last 20 bytes (``bytes(WIDTH)``
+for block 0). ``LedgerBlock`` decodes a record into those four fields on
+demand, for export and inspection. The lookups hold the live answers
 (latest token per digest, user id per live identity digest, latest card).
-Every digest, in the records, the lookups and the chain links (each
-block's previous and own digest), is the raw 20-byte ``bytes`` of the hash
-core; the decoders check each record's total width, so the fields they
-slice out need no check of their own, and the genesis link is
-``bytes(WIDTH)``. The records are immutable ``typing.NamedTuple``s; a new
+Every digest, in the payloads, the lookups and the chain links, is the raw
+20-byte ``bytes`` of the hash core; the payload decoders check each
+payload's total width, so the fields they slice out need no check of their
+own. The payload records are immutable ``typing.NamedTuple``s; a new
 version is made with ``_replace``.
 A digest is live for one user at a time and a user has one live digest; a
 write that would break either is refused before anything is appended.
 Import replays the writes and refuses, naming the line, a line that is not
-exactly what export writes for its block, a record that does not parse or
-is not in canonical form, or one that the ledger refuses.
+exactly what export writes for its block, a height the 8-byte field cannot
+hold, a record that does not parse or is not in canonical form, or one
+that the ledger refuses. It keeps each height, link and digest as written,
+so ``verify_chain`` judges a tampered export.
 
 Block payloads are serialized as a kind-tag byte followed by fixed-width
 fields in declaration order; the one variable-width field (a token's sealed
-payload) is self-delimiting and placed last. The block digest covers
-height, previous digest, and payload bytes, through the uncounted hash core
-(chain maintenance is not a protocol operation).
+payload) is self-delimiting and placed last. Block digests go through the
+uncounted hash core (chain maintenance is not a protocol operation).
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .primitives import WIDTH, Ciphertext, HelperData, sha256_160
@@ -133,12 +139,36 @@ def parse_record(payload: bytes):
     raise ValueError(f"unknown record tag {tag:#x}")
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerBlock:
+_HEIGHT = struct.Struct(">Q")      # the height field of a block record
+_GENESIS = bytes(WIDTH)             # the previous-digest link of block 0
+# A record's fields after its height, and what its digest covers, as
+# prebuilt slices: a slice written inline is a new slice object on every
+# subscript, and verify_chain takes three per block.
+_PREV = slice(_HEIGHT.size, _HEIGHT.size + WIDTH)
+_PAYLOAD = slice(_PREV.stop, -WIDTH)
+_DIGEST = slice(-WIDTH, None)
+_COVERED = slice(None, -WIDTH)      # what the block digest covers
+
+
+class LedgerBlock(NamedTuple):
+    """A block record decoded into its four fields; `to_record` encodes
+    them back."""
+
     height: int
     prev_digest: bytes
     payload: bytes
     block_digest: bytes
+
+    def to_record(self) -> bytes:
+        if not 0 <= self.height < 1 << 64:
+            raise ValueError(f"height {self.height} does not fit the 8-byte field")
+        return (_HEIGHT.pack(self.height) + self.prev_digest + self.payload +
+                self.block_digest)
+
+    @classmethod
+    def from_record(cls, record: bytes) -> "LedgerBlock":
+        return cls(_HEIGHT.unpack_from(record)[0], record[_PREV], record[_PAYLOAD],
+                   record[_DIGEST])
 
 
 class BlockAddress(NamedTuple):
@@ -155,13 +185,6 @@ class BlockAddress(NamedTuple):
         if len(raw) != 8 + WIDTH:
             raise ValueError(f"block address must be {8 + WIDTH} bytes")
         return cls(struct.unpack(">Q", raw[:8])[0], raw[8:])
-
-
-_GENESIS = bytes(WIDTH)      # the previous-digest link of block 0
-
-
-def _block_digest(height: int, prev: bytes, payload: bytes) -> bytes:
-    return sha256_160(struct.pack(">Q", height) + prev + payload)
 
 
 def _link_from_hex(text: str) -> bytes:
@@ -181,7 +204,7 @@ class Ledger:
     """The chain plus latest-wins lookup indexes derived from it."""
 
     def __init__(self):
-        self.blocks: list[LedgerBlock] = []
+        self.blocks: list[bytes] = []                    # one record per block
         self._tokens: dict[bytes, TokenRecord] = {}
         self._idents: dict[bytes, bytes] = {}            # live digest -> user id
         self._cards: dict[bytes, SmartCard] = {}         # latest version per card
@@ -189,14 +212,16 @@ class Ledger:
 
     # --- writes ---------------------------------------------------------------
 
-    def append(self, record) -> LedgerBlock:
+    def append(self, record) -> int:
+        """Index and append one record; returns the height of its block."""
         payload = record.serialize()
         self._index(record)         # may refuse; nothing appended in that case
-        prev = self.blocks[-1].block_digest if self.blocks else _GENESIS
-        height = len(self.blocks)
-        block = LedgerBlock(height, prev, payload, _block_digest(height, prev, payload))
-        self.blocks.append(block)
-        return block
+        blocks = self.blocks
+        height = len(blocks)
+        preimage = (_HEIGHT.pack(height) + (blocks[-1][_DIGEST] if blocks else _GENESIS)
+                    + payload)
+        blocks.append(preimage + sha256_160(preimage))
+        return height
 
     def _index(self, record) -> None:
         if isinstance(record, TokenRecord):
@@ -219,7 +244,7 @@ class Ledger:
             self._cards[record.card.card_uid] = record.card
 
     def put_card(self, card: SmartCard) -> BlockAddress:
-        return BlockAddress(self.append(CardRecord(card)).height, card.card_uid)
+        return BlockAddress(self.append(CardRecord(card)), card.card_uid)
 
     def replace_index(self, old_h: bytes, new_h: bytes, user_id: bytes) -> None:
         if self._idents.get(old_h) != user_id:
@@ -270,29 +295,31 @@ class Ledger:
     # --- integrity and transport -------------------------------------------------
 
     def verify_chain(self) -> bool:
+        """True iff every record holds its own height, the previous record's
+        digest, and the digest of everything before its last 20 bytes."""
         prev = _GENESIS
-        for height, block in enumerate(self.blocks):
-            if block.height != height or block.prev_digest != prev:
+        for height, record in enumerate(self.blocks):
+            if _HEIGHT.unpack_from(record)[0] != height or record[_PREV] != prev:
                 return False
-            if _block_digest(height, prev, block.payload) != block.block_digest:
+            prev = sha256_160(record[_COVERED])
+            if record[_DIGEST] != prev:
                 return False
-            prev = block.block_digest
         return True
 
     def export_lines(self) -> list[str]:
-        return [_export_line(block) for block in self.blocks]
+        return [_export_line(LedgerBlock.from_record(record)) for record in self.blocks]
 
     @classmethod
     def from_lines(cls, lines) -> "Ledger":
         """Rebuild a ledger by replaying the writes of exported lines. Each
         payload is parsed and indexed as `append` would. A line that is not
         exactly what `export_lines` writes for its block (apart from the
-        line ending), a link that is not 20 bytes, a payload that does not
-        parse or does not re-serialize to itself, or a write the ledger
-        refuses raises ValueError naming its (1-based) line; empty lines
-        are skipped. Digests are taken as written, not recomputed, so
-        verify_chain can pass judgment on a tampered export instead of the
-        parser masking it."""
+        line ending), a height outside 0..2**64-1, a link that is not 20
+        bytes, a payload that does not parse or does not re-serialize to
+        itself, or a write the ledger refuses raises ValueError naming its
+        (1-based) line; empty lines are skipped. Heights, links and digests
+        are stored as written, not recomputed, so verify_chain can pass
+        judgment on a tampered export instead of the parser masking it."""
         ledger = cls()
         for number, line in enumerate(lines, 1):
             line = line.rstrip("\r\n")
@@ -307,8 +334,9 @@ class Ledger:
                     raise ValueError("record is not in canonical form")
                 if _export_line(block) != line:
                     raise ValueError("line is not in canonical form")
+                stored = block.to_record()
                 ledger._index(record)
             except ValueError as exc:
                 raise ValueError(f"line {number}: {exc}") from None
-            ledger.blocks.append(block)
+            ledger.blocks.append(stored)
         return ledger

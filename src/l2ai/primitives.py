@@ -54,6 +54,9 @@ def sha256_160(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()[:WIDTH]
 
 
+MAX_TIME = 2**64 - 1     # the latest time an 8-byte wire timestamp holds
+
+
 def pack_ts(t: int) -> bytes:
     return struct.pack(">Q", t)
 
@@ -319,7 +322,8 @@ class PrimitiveOps:
 
 class SimClock:
     """Simulated wall clock in integer milliseconds. Only the event loop
-    advances it; entities read it for timestamps."""
+    advances it; entities read it for timestamps, so it never passes
+    MAX_TIME, the latest time `pack_ts` can put on the wire."""
 
     def __init__(self, start: int = 0):
         self._now = start
@@ -330,6 +334,9 @@ class SimClock:
     def advance_to(self, t: int) -> None:
         if t < self._now:
             raise ValueError(f"clock cannot move backward ({t} < {self._now})")
+        if t > MAX_TIME:
+            raise ValueError(f"simulated time {t} is beyond the 8-byte timestamp "
+                             f"(at most {MAX_TIME} ms)")
         self._now = t
 
     def advance(self, dt: int) -> None:

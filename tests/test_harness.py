@@ -6,7 +6,6 @@ import io
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +20,7 @@ from l2ai.harness import (
 from l2ai.permissions import (
     DEFAULT_TABLE_TEXT, SCOPE_CATALOG, PermissionTable, Role, RoleGrant,
 )
-from l2ai.ledger import TokenRecord
+from l2ai.ledger import LedgerBlock, TokenRecord
 from l2ai.primitives import WIDTH, seal, sha256_160
 from l2ai.protocol import RegRequest
 
@@ -117,9 +116,9 @@ def test_tampered_chain_is_reported():
     # the verdict verifies the chain once; the report renders that verdict
     world, result = run_text(HONEST_SCENARIO)
     assert result.ok
-    block = world.ledger.blocks[3]
-    world.ledger.blocks[3] = replace(block, payload=bytes([block.payload[0] ^ 1])
-                                     + block.payload[1:])
+    block = LedgerBlock.from_record(world.ledger.blocks[3])
+    world.ledger.blocks[3] = block._replace(payload=bytes([block.payload[0] ^ 1])
+                                            + block.payload[1:]).to_record()
     violations = check_invariants(world)
     assert violations == [CHAIN_VIOLATION]
     lines = world.report_lines(violations)
@@ -334,6 +333,24 @@ def test_cli_negative_delta_t_is_an_input_error(tmp_path, capsys):
         World(delta_t=-1)
 
 
+@pytest.mark.parametrize("script", [
+    "honest register a\nhonest auth a\nreplay 3 18446744073709551616\nhonest auth a\n",
+    "delay 18446744073709551616\nhonest register a\nhonest auth a\nhonest auth a\n",
+    # the replay itself fits; the server's reply would land past it
+    "honest register a\nhonest auth a\nreplay 3 18446744073709551615\nhonest auth a\n",
+], ids=["replay-at-2**64", "delay-2**64", "reply-after-2**64-1"])
+def test_cli_time_past_the_wire_timestamp_is_an_input_error(tmp_path, capsys, script):
+    # a timestamp is 8 bytes on the wire; simulated time may not outgrow it
+    scn = tmp_path / "s.scn"
+    scn.write_text(script)
+    rc = cli_main(["run", str(scn)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("l2ai: ") and captured.err.count("\n") == 1
+    assert "8-byte timestamp" in captured.err
+
+
 def test_cli_main_called_repeatedly_in_one_process(tmp_path, capsys):
     # the parser is built once per process; a call must not leak options,
     # files or output into the next one
@@ -409,14 +426,17 @@ def honest_lines(draw):
     return " ".join(words)
 
 
+# times near and past 2**64 - 1, the latest an 8-byte wire timestamp holds
+FAR_TIMES = st.integers(2**64 - 5000, 2**64 + 5000)
+
 ADVERSARY_LINES = st.one_of(
-    st.builds("delay {}".format, st.integers(0, 400)),
+    st.builds("delay {}".format, st.integers(0, 400) | FAR_TIMES),
     st.builds("eavesdrop {}".format, SEQS),
     st.builds("drop {} {} {}".format, st.sampled_from(USERS), st.sampled_from(USERS),
               SEQS),
     st.builds("modify {} {} {}".format, SEQS, st.integers(0, 110),
               st.binary(min_size=1, max_size=8).map(bytes.hex)),
-    st.builds("replay {} {}".format, SEQS, st.integers(0, 4000)),
+    st.builds("replay {} {}".format, SEQS, st.integers(0, 4000) | FAR_TIMES),
 )
 
 

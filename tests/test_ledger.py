@@ -1,6 +1,9 @@
 """Ledger tests: append-only behavior, latest-wins supersession,
 tamper evidence, and export/import."""
 
+import gc
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -8,11 +11,11 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from l2ai.channel import parse_scenario
 from l2ai.harness import HONEST_SCENARIO, World, run_scenario
 from l2ai.ledger import (
-    BlockAddress, CardRecord, IdentityIndex, Ledger, NotFound,
-    SmartCard, TokenRecord, _KIND_NAMES, _block_digest, parse_record,
+    BlockAddress, CardRecord, IdentityIndex, Ledger, LedgerBlock, NotFound,
+    SmartCard, TokenRecord, _KIND_NAMES, parse_record,
 )
 from l2ai.permissions import Role
-from l2ai.primitives import WIDTH, PrimitiveOps, seal
+from l2ai.primitives import WIDTH, PrimitiveOps, seal, sha256_160
 
 
 def make_ops(seed=0):
@@ -36,9 +39,10 @@ def test_chain_links_and_verifies():
     ops, ledger = make_ops(), Ledger()
     for _ in range(5):
         ledger.append(sample_token(ops))
-    assert [b.height for b in ledger.blocks] == list(range(5))
-    assert ledger.blocks[0].prev_digest == bytes(WIDTH)
-    for prev, block in zip(ledger.blocks, ledger.blocks[1:]):
+    blocks = [LedgerBlock.from_record(record) for record in ledger.blocks]
+    assert [b.height for b in blocks] == list(range(5))
+    assert blocks[0].prev_digest == bytes(WIDTH)
+    for prev, block in zip(blocks, blocks[1:]):
         assert block.prev_digest == prev.block_digest
     assert ledger.verify_chain()
 
@@ -60,6 +64,24 @@ def test_single_bit_tamper_detected():
     assert not Ledger.from_lines(lines).verify_chain()
 
 
+@pytest.mark.parametrize("index,field,value", [
+    (2, "height", 7),                       # the last block: no later link to break
+    (0, "prev_digest", bytes([1]) * WIDTH),  # the genesis link
+    (1, "prev_digest", bytes([1]) * WIDTH),
+], ids=["last-height", "genesis-link", "middle-link"])
+def test_resigned_block_with_a_wrong_height_or_link_fails_verification(index, field,
+                                                                       value):
+    # the digest covers a record's own height and link, so only the height
+    # and link checks catch a forger who signs the edited record again
+    ops, ledger = make_ops(17), Ledger()
+    for _ in range(3):
+        ledger.append(sample_token(ops))
+    block = LedgerBlock.from_record(ledger.blocks[index])._replace(**{field: value})
+    covered = struct.pack(">Q", block.height) + block.prev_digest + block.payload
+    ledger.blocks[index] = block._replace(block_digest=sha256_160(covered)).to_record()
+    assert not ledger.verify_chain()
+
+
 def test_token_revocation_is_append_only():
     ops, ledger = make_ops(2), Ledger()
     token = sample_token(ops)
@@ -69,7 +91,7 @@ def test_token_revocation_is_append_only():
     ledger.revoke_token(token.x)
     assert not ledger.any_digest(token.x)
     assert len(ledger.blocks) == before + 1      # tombstone appended, nothing rewritten
-    assert parse_record(ledger.blocks[before - 1].payload) == token
+    assert parse_record(LedgerBlock.from_record(ledger.blocks[before - 1]).payload) == token
     assert ledger.verify_chain()
     # revoking again is a no-op, not a second tombstone
     ledger.revoke_token(token.x)
@@ -178,7 +200,7 @@ def test_any_digest_agrees_with_linear_scan():
     def scan(x: bytes) -> bool:
         latest = {}
         for block in ledger.blocks:
-            record = parse_record(block.payload)
+            record = parse_record(LedgerBlock.from_record(block).payload)
             if isinstance(record, TokenRecord):
                 latest[("t", record.x)] = not record.revoked
             elif isinstance(record, IdentityIndex):
@@ -191,7 +213,7 @@ def test_any_digest_agrees_with_linear_scan():
     # the identity index holds live records only, not one per supersede
     live = {}
     for block in ledger.blocks:
-        record = parse_record(block.payload)
+        record = parse_record(LedgerBlock.from_record(block).payload)
         if isinstance(record, IdentityIndex):
             live[record.h_dtid] = record.superseded_by is None
     assert len(ledger._idents) == sum(live.values())
@@ -238,7 +260,7 @@ def rechained(payloads: list[bytes]) -> list[str]:
     as a forger who rewrites the chain would write them."""
     lines, prev = [], bytes(WIDTH)
     for height, payload in enumerate(payloads):
-        digest = _block_digest(height, prev, payload)
+        digest = sha256_160(struct.pack(">Q", height) + prev + payload)
         kind = _KIND_NAMES.get(payload[0], "unknown")
         lines.append(f"{height} {prev.hex()} {kind} {payload.hex()} {digest.hex()}")
         prev = digest
@@ -313,6 +335,39 @@ def test_import_refuses_lines_export_does_not_write(rewrite):
         Ledger.from_lines(lines)
 
 
+@pytest.mark.parametrize("height", [-1, 2**64, 2**70])
+def test_import_refuses_a_height_the_record_cannot_hold(height):
+    lines = list(SEED42_EXPORT)
+    lines[1] = with_field(lines[1], 0, lambda _: str(height))
+    with pytest.raises(ValueError, match="line 2: height"):
+        Ledger.from_lines(lines)
+
+
+def test_blocks_are_untracked_records_that_decode_and_re_encode():
+    world = World(seed=42)
+    written = []
+    put_card = world.ledger.put_card
+
+    def recording_put_card(card):
+        address = put_card(card)
+        written.append((address, card))
+        return address
+
+    world.ledger.put_card = recording_put_card
+    assert run_scenario(world, parse_scenario(HONEST_SCENARIO)).ok
+    records = world.ledger.blocks
+    assert world.ledger.export_lines() == SEED42_EXPORT
+    for record in records:
+        assert type(record) is bytes and not gc.is_tracked(record)
+        assert LedgerBlock.from_record(record).to_record() == record
+    # put_card returns the height of the block it wrote
+    assert written
+    for address, card in written:
+        block = LedgerBlock.from_record(records[address.height])
+        assert block.height == address.height
+        assert block.payload == CardRecord(card).serialize()
+
+
 def test_import_accepts_line_endings():
     for ending in ("\n", "\r\n"):
         rebuilt = Ledger.from_lines([line + ending for line in SEED42_EXPORT])
@@ -338,15 +393,22 @@ def honest_export() -> list[str]:
 
 
 HONEST_EXPORT = honest_export()
-MUTATIONS = ("delete", "duplicate", "swap", "truncate", "corrupt-hex", "flip-byte")
+MUTATIONS = ("delete", "duplicate", "swap", "truncate", "corrupt-hex", "flip-byte",
+             "height")
+HEIGHTS = st.one_of(
+    st.integers(max_value=-1),
+    st.integers(0, 2**64 - 2),                  # in range, and almost always wrong
+    st.just(2**64 - 1),                         # the largest the 8-byte field holds
+    st.integers(min_value=2**64),
+)
 
 
 @st.composite
 def mutated_exports(draw) -> list[str]:
     """The honest export with one line deleted, duplicated, swapped,
-    truncated, given a bad hex character, or given a flipped payload byte;
-    the line moves and the flip are drawn with the chain left as written or
-    recomputed, as a forger would write it."""
+    truncated, given a bad hex character, a flipped payload byte or another
+    height; the line moves and the flip are drawn with the chain left as
+    written or recomputed, as a forger would write it."""
     lines = list(HONEST_EXPORT)
     i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
     mutation = draw(st.sampled_from(MUTATIONS))
@@ -365,12 +427,15 @@ def mutated_exports(draw) -> list[str]:
         char = draw(st.sampled_from("0123456789abcdefg"))
         fields[f] = fields[f][:k] + char + fields[f][k + 1:]
         lines[i] = " ".join(fields)
+    elif mutation == "height":
+        fields[0] = str(draw(HEIGHTS))
+        lines[i] = " ".join(fields)
     else:
         payload = bytearray.fromhex(fields[3])
         payload[draw(st.integers(0, len(payload) - 1))] ^= draw(st.integers(1, 255))
         fields[3] = payload.hex()
         lines[i] = " ".join(fields)
-    if mutation not in ("truncate", "corrupt-hex") and draw(st.booleans()):
+    if mutation not in ("truncate", "corrupt-hex", "height") and draw(st.booleans()):
         lines = rechained([bytes.fromhex(line.split()[3]) for line in lines])
     return lines
 
@@ -392,7 +457,7 @@ def test_mutated_exports_import_faithfully_or_raise_value_error(lines):
         # the lookups of a verifying import are those of its writes replayed
         replayed = Ledger()
         for block in ledger.blocks:
-            replayed.append(parse_record(block.payload))
+            replayed.append(parse_record(LedgerBlock.from_record(block).payload))
         assert replayed.export_lines() == ledger.export_lines()
 
 

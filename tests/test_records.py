@@ -8,8 +8,8 @@ import pytest
 from l2ai.channel import parse_scenario
 from l2ai.harness import HONEST_SCENARIO, World, run_scenario
 from l2ai.ledger import (
-    BlockAddress, CardRecord, IdentityIndex, Ledger, SmartCard, TokenRecord,
-    parse_record,
+    BlockAddress, CardRecord, IdentityIndex, Ledger, LedgerBlock, SmartCard,
+    TokenRecord, parse_record,
 )
 from l2ai.primitives import WIDTH, Ciphertext, PrimitiveOps, seal
 from l2ai.protocol import (
@@ -104,7 +104,8 @@ def _ledger(count: int = 4) -> Ledger:
 
 def test_chain_links_are_raw_bytes():
     ledger = _ledger()
-    for block in ledger.blocks:
+    for record in ledger.blocks:
+        block = LedgerBlock.from_record(record)
         assert type(block.prev_digest) is bytes and len(block.prev_digest) == 20
         assert type(block.block_digest) is bytes and len(block.block_digest) == 20
     assert ledger.verify_chain()
