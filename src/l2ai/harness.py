@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 from .channel import Channel, Envelope, Scenario, parse_scenario
 from .ledger import Ledger
 from .permissions import DEFAULT_SCOPE, PermissionTable, Role, SCOPE_CATALOG
-from .primitives import PrimitiveOps, SimClock, sha256_160
+from .primitives import OP_KEYS, PrimitiveOps, SimClock, sha256_160
 from .protocol import (
     DEFAULT_DELTA_T, MSG1_WIDTH, MSG2_WIDTH, PROVISIONAL_WIDTH,
     REG_REQUEST_WIDTH, Credentials, HospitalServer, Msg1, Msg2,
@@ -73,8 +73,6 @@ EXPECTED_OPS = {
     ("server", "auth"):        {"hash": 10, "xor": 7, "enc": 0, "dec": 0, "fe": 0},
     ("server", "update-auth"): {"hash": 3, "xor": 3, "enc": 1, "dec": 0, "fe": 0},
 }
-
-OP_KEYS = ("hash", "xor", "enc", "dec", "fe")
 
 
 @dataclass(slots=True)
@@ -148,24 +146,17 @@ class World:
 
     def _metered(self, side: str, phase: str, ops: PrimitiveOps, call, *args,
                  rejects=(Reject, ValueError)):
-        """Run call(*args) and charge the counted operations it used to
-        (side, phase), as one call, whether or not it completes. Returns
-        (result, None), or (None, "rejected <Class>") when it raises one of
-        `rejects`; anything else propagates."""
-        c = ops.counters
-        hash_ops, xor_ops, enc_ops, dec_ops, fe_ops = (
-            c.hash_ops, c.xor_ops, c.enc_ops, c.dec_ops, c.fe_ops)
+        """Run call(*args) with the counted operations of `ops` charged
+        directly to (side, phase), as one call, whether or not it completes.
+        Returns (result, None), or (None, "rejected <Class>") when it raises
+        one of `rejects`; anything else propagates."""
+        own, ops.counts = ops.counts, self.phase_ops[(side, phase)]
         try:
             return call(*args), None
         except rejects as exc:
             return None, f"rejected {type(exc).__name__}"
         finally:
-            bucket = self.phase_ops[(side, phase)]
-            bucket["hash"] += c.hash_ops - hash_ops
-            bucket["xor"] += c.xor_ops - xor_ops
-            bucket["enc"] += c.enc_ops - enc_ops
-            bucket["dec"] += c.dec_ops - dec_ops
-            bucket["fe"] += c.fe_ops - fe_ops
+            ops.counts = own
             self.phase_calls[(side, phase)] += 1
 
     def _send(self, src: str, dst: str, payload: bytes) -> Envelope:

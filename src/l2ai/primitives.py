@@ -20,9 +20,10 @@ checks the width of a token it unseals. Values derived inside the package
 have their width by construction and are never checked again; the ledger's
 chain links are the same raw ``bytes``.
 
-Operation counters track protocol-level invocations only. Internal hashing
-done by the sketch, the cipher keystream, or the ledger's chain maintenance
-goes through the uncounted core on purpose: the per-phase cost figures the
+Operation counts track protocol-level invocations only, and a call the
+harness meters charges them directly to its phase. Internal hashing done by
+the sketch, the cipher keystream, or the ledger's chain maintenance goes
+through the uncounted core on purpose: the per-phase cost figures the
 harness reports are defined as the number of primitive calls the protocol
 itself makes, and would be meaningless if implementation details leaked in.
 """
@@ -33,6 +34,7 @@ import hashlib
 import hmac
 import random
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -237,55 +239,31 @@ def recover_key(bio: BioTemplate, helper: HelperData) -> bytes:
 
 # --- instrumentation and entity-scoped operations -------------------------------
 
-@dataclass
-class OpCounters:
-    """Protocol-level primitive invocation counts for one entity."""
-
-    hash_ops: int = 0
-    xor_ops: int = 0
-    enc_ops: int = 0
-    dec_ops: int = 0
-    fe_ops: int = 0
-
-    def snapshot(self) -> "OpCounters":
-        return OpCounters(self.hash_ops, self.xor_ops, self.enc_ops,
-                          self.dec_ops, self.fe_ops)
-
-    def delta(self, earlier: "OpCounters") -> "OpCounters":
-        return OpCounters(self.hash_ops - earlier.hash_ops,
-                          self.xor_ops - earlier.xor_ops,
-                          self.enc_ops - earlier.enc_ops,
-                          self.dec_ops - earlier.dec_ops,
-                          self.fe_ops - earlier.fe_ops)
-
-    def reset(self) -> None:
-        self.hash_ops = self.xor_ops = self.enc_ops = self.dec_ops = self.fe_ops = 0
-
-    def as_dict(self) -> dict:
-        return {"hash": self.hash_ops, "xor": self.xor_ops, "enc": self.enc_ops,
-                "dec": self.dec_ops, "fe": self.fe_ops}
+# the names of the counted operations, as PrimitiveOps.counts keys them
+OP_KEYS = ("hash", "xor", "enc", "dec", "fe")
 
 
 class PrimitiveOps:
     """Counted primitive operations plus seeded randomness for one entity.
 
-    Every protocol computation goes through an instance of this class so the
-    harness can attribute costs to a side and a phase by snapshotting
-    ``counters``.
+    Every protocol computation goes through an instance of this class, and
+    each counted call adds one to ``counts`` under its OP_KEYS name. The
+    harness charges a call to a side and a phase by pointing ``counts`` at
+    that phase's Counter for the length of the call.
     """
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
-        self.counters = OpCounters()
+        self.counts: Counter = Counter()
 
     # counted operations
 
     def hash(self, data: bytes) -> bytes:
-        self.counters.hash_ops += 1
+        self.counts["hash"] += 1
         return sha256_160(data)
 
     def xor(self, a: bytes, b: bytes) -> bytes:
-        self.counters.xor_ops += 1
+        self.counts["xor"] += 1
         return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(WIDTH, "big")
 
     def concat_mask(self, a: bytes, b: bytes) -> bytes:
@@ -294,19 +272,19 @@ class PrimitiveOps:
         return self.hash(a + b)
 
     def enc(self, key: bytes, plaintext: bytes) -> Ciphertext:
-        self.counters.enc_ops += 1
+        self.counts["enc"] += 1
         return seal(key, plaintext, nonce=self.rng.randbytes(NONCE_WIDTH))
 
     def dec(self, key: bytes, ct: Ciphertext) -> bytes:
-        self.counters.dec_ops += 1
+        self.counts["dec"] += 1
         return open_sealed(key, ct)
 
     def fe_gen(self, bio: BioTemplate) -> tuple[bytes, HelperData]:
-        self.counters.fe_ops += 1
+        self.counts["fe"] += 1
         return gen_sketch(bio, self.rng.getrandbits(FE_BLOCKS))
 
     def fe_rep(self, bio: BioTemplate, helper: HelperData) -> bytes:
-        self.counters.fe_ops += 1
+        self.counts["fe"] += 1
         return recover_key(bio, helper)
 
     # uncounted seeded draws

@@ -74,6 +74,10 @@ class UnknownToken(Reject):
     """Registration presented a token digest that is not live on the ledger."""
 
 
+class AlreadyRegistered(Reject):
+    """Registration recovered an identity that already has a live index."""
+
+
 class InvalidRole(Reject):
     """Token requested for a role the permission table does not know."""
 
@@ -372,7 +376,7 @@ class HospitalServer:
 
         user_id = ops.xor(req.did, ops.hash(req.x + t_g))
         if self.ledger.live_index_for(user_id) is not None:
-            raise Reject("identity already registered")
+            raise AlreadyRegistered("identity already registered")
         r1 = ops.rand_digest()
         d_tid = ops.xor(user_id, r1)
         ax = ops.xor(t_g, ops.concat_mask(d_tid, self.id_hms))

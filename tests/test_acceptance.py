@@ -249,28 +249,25 @@ def test_criterion_07_operation_budget_headline_counts():
     clock, server, gateway, _ = fresh_pair()
     clock.advance(100)
 
-    u0 = gateway.ops.counters.snapshot()
+    u0 = gateway.ops.counts.copy()
     msg1 = gateway.start_login()
-    login_delta = gateway.ops.counters.delta(u0)
+    login_delta = gateway.ops.counts - u0
 
-    s0 = server.ops.counters.snapshot()
+    s0 = server.ops.counts.copy()
     msg2, _ = server.authenticate(msg1, SCOPE)
-    auth_delta = server.ops.counters.delta(s0)
+    auth_delta = server.ops.counts - s0
 
-    u1 = gateway.ops.counters.snapshot()
+    u1 = gateway.ops.counts.copy()
     gateway.accept_server_reply(msg2)
-    verify_delta = gateway.ops.counters.delta(u1)
+    verify_delta = gateway.ops.counts - u1
 
-    assert login_delta.as_dict() == {"hash": 6, "xor": 6, "enc": 0,
-                                     "dec": 0, "fe": 1}
-    assert verify_delta.as_dict() == {"hash": 1, "xor": 1, "enc": 0,
-                                      "dec": 0, "fe": 0}
-    assert auth_delta.as_dict() == {"hash": 10, "xor": 7, "enc": 0,
-                                    "dec": 0, "fe": 0}
-    user_hashes = login_delta.hash_ops + verify_delta.hash_ops
-    assert user_hashes == 7 and auth_delta.hash_ops == 10
+    assert login_delta == Counter(hash=6, xor=6, fe=1)
+    assert verify_delta == Counter(hash=1, xor=1)
+    assert auth_delta == Counter(hash=10, xor=7)
+    user_hashes = login_delta["hash"] + verify_delta["hash"]
+    assert user_hashes == 7 and auth_delta["hash"] == 10
     print(f"ACCEPTANCE 07 PASS user-session-hashes={user_hashes} "
-          f"server-auth-hashes={auth_delta.hash_ops} fe-per-login=1")
+          f"server-auth-hashes={auth_delta['hash']} fe-per-login=1")
 
 
 def test_criterion_08_reference_agreement_100_seeds():

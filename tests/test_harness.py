@@ -6,6 +6,7 @@ import io
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,15 @@ def test_registration_with_a_wrong_width_sealed_token_is_rejected(size):
     assert world.channel.delivered[-1] == (env, "rejected ValueError")
 
 
+def test_second_registration_of_a_live_identity_is_already_registered(tmp_path, capsys):
+    scn = tmp_path / "s.scn"
+    scn.write_text("honest register a\nhonest register a\n")
+    trace = tmp_path / "trace.txt"
+    assert cli_main(["run", str(scn), "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert trace.read_text().endswith("OUTCOME seq=3 rejected AlreadyRegistered\n")
+
+
 def test_update_auth_on_tainted_card_is_a_rejection(tmp_path, capsys):
     # a tampered provisional card points at no known token: the role update
     # is rejected like any other, instead of a ledger miss escaping the run
@@ -238,6 +248,29 @@ def test_expected_ops_table_is_exhaustive():
     assert sides == {"user", "server"}
     for counts in EXPECTED_OPS.values():
         assert set(counts) == {"hash", "xor", "enc", "dec", "fe"}
+
+
+def test_counts_land_where_the_call_was_metered():
+    world = World(seed=42)
+    ops = world.server.ops
+    own = ops.counts
+    # the server's two setup hashes are spent outside any metered call
+    assert world.phase_ops == {}
+    assert own == Counter(hash=2)
+
+    def spend_then_fail():
+        ops.hash(b"x")
+        raise RuntimeError("not a rejection")
+
+    with pytest.raises(RuntimeError):
+        world._metered("server", "probe", ops, spend_then_fail)
+    assert world.phase_calls == Counter({("server", "probe"): 1})
+    assert world.phase_ops == {("server", "probe"): Counter(hash=1)}
+
+    assert ops.counts is own
+    ops.hash(b"y")
+    assert world.phase_ops == {("server", "probe"): Counter(hash=1)}
+    assert own == Counter(hash=3)
 
 
 def test_worlds_do_not_share_a_permission_table():

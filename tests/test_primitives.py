@@ -1,6 +1,8 @@
 """Primitive-layer tests: frozen hash vectors, cipher authentication,
 sketch tolerance, clock and counter behavior."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -9,7 +11,7 @@ from l2ai.primitives import (
     WIDTH, BIO_WIDTH, FE_BLOCKS, FE_PAD_BIT,
     AuthFailure, RecoveryFailure,
     BioTemplate, Ciphertext, HelperData,
-    OpCounters, PrimitiveOps, SimClock,
+    PrimitiveOps, SimClock,
     gen_sketch, is_fresh, open_sealed, recover_key,
     repetition_decode, repetition_encode, seal, sha256_160,
 )
@@ -383,21 +385,16 @@ def test_counters_track_calls_exactly():
     a, b = ops.rand_digest(), ops.rand_digest()
     ops.xor(a, b)
     ops.concat_mask(a, b)  # counts as one hash
-    assert ops.counters.hash_ops == 6
-    assert ops.counters.xor_ops == 1
+    assert ops.counts == Counter(hash=6, xor=1)
 
-    before = ops.counters.snapshot()
+    before = ops.counts.copy()
     key = ops.rand_digest()
     ops.dec(key, ops.enc(key, b"p"))
     bio = ops.rand_template()
     _, helper = ops.fe_gen(bio)
     ops.fe_rep(bio, helper)
-    delta = ops.counters.delta(before)
     # cipher and sketch internals must not leak into the hash count
-    assert delta.as_dict() == {"hash": 0, "xor": 0, "enc": 1, "dec": 1, "fe": 2}
-
-    ops.counters.reset()
-    assert ops.counters.as_dict() == {"hash": 0, "xor": 0, "enc": 0, "dec": 0, "fe": 0}
+    assert ops.counts - before == Counter(enc=1, dec=1, fe=2)
 
 
 def test_seeded_ops_are_reproducible():

@@ -13,9 +13,9 @@ from l2ai.permissions import (
 )
 from l2ai.primitives import WIDTH, PrimitiveOps, SimClock
 from l2ai.protocol import (
-    BadMac, Credentials, HospitalServer, InvalidRole, LocalVerifyFailed,
-    Msg1, Msg2, ProvisionalCard, Reject, RegRequest, Stale, UnknownPrincipal,
-    UnknownToken, Unauthorized, UserGateway,
+    AlreadyRegistered, BadMac, Credentials, HospitalServer, InvalidRole,
+    LocalVerifyFailed, Msg1, Msg2, ProvisionalCard, RegRequest, Stale,
+    UnknownPrincipal, UnknownToken, Unauthorized, UserGateway,
     login, update_credentials, verify_server,
 )
 
@@ -135,7 +135,7 @@ def test_duplicate_registration_rejected():
     gateway, _ = registered_user(clock, ledger, server, creds=creds)
     other = UserGateway(202, clock, ledger, creds)
     token = server.issue_token(b"code", Role.DOCTOR)
-    with pytest.raises(Reject):
+    with pytest.raises(AlreadyRegistered):
         server.register(other.build_registration(token))
 
 
@@ -517,22 +517,22 @@ def test_wire_layouts_match_reference():
 def test_user_login_and_verify_cost_seven_hashes():
     clock, ledger, server = make_world()
     gateway, _ = registered_user(clock, ledger, server)
-    before = gateway.ops.counters.snapshot()
+    before = gateway.ops.counts.copy()
     msg1 = gateway.start_login()
     msg2, _ = server.authenticate(msg1, SCOPE)
     gateway.accept_server_reply(msg2)
-    delta = gateway.ops.counters.delta(before)
-    assert delta.hash_ops == 7
-    assert delta.fe_ops == 1
-    assert delta.enc_ops == 0 and delta.dec_ops == 0
+    delta = gateway.ops.counts - before
+    assert delta["hash"] == 7
+    assert delta["fe"] == 1
+    assert delta["enc"] == 0 and delta["dec"] == 0
 
 
 def test_server_authenticate_costs_ten_hashes():
     clock, ledger, server = make_world()
     gateway, _ = registered_user(clock, ledger, server)
     msg1 = gateway.start_login()
-    before = server.ops.counters.snapshot()
+    before = server.ops.counts.copy()
     server.authenticate(msg1, SCOPE)
-    delta = server.ops.counters.delta(before)
-    assert delta.hash_ops == 10      # static-secret digests are cached at setup
-    assert delta.enc_ops == 0 and delta.dec_ops == 0 and delta.fe_ops == 0
+    delta = server.ops.counts - before
+    assert delta["hash"] == 10       # static-secret digests are cached at setup
+    assert delta["enc"] == 0 and delta["dec"] == 0 and delta["fe"] == 0
