@@ -25,6 +25,12 @@ after a drain "not delivered" means exactly "dropped".
 Delivery handlers return an outcome string and must not raise; the caller
 wraps protocol rejections into outcomes. Everything is logged to a stable
 line format, so two runs of the same scenario compare equal byte-for-byte.
+The trace is stored as text, one newline-joined chunk per drain: each line
+waits in a short pending list until the end of `run` joins it into that
+drain's chunk, and reading the trace first flushes any pending lines (sends
+made outside a drain, lines logged before a `ChannelError`). `trace` is the
+whole text, the bytes the report's event digest covers; `log` renders its
+lines on demand.
 """
 
 from __future__ import annotations
@@ -88,7 +94,8 @@ class Channel:
         self.clock = clock
         self.base_delay = base_delay
         self.knowledge: dict[int, bytes] = {}     # eavesdropped payloads, as sent
-        self.log: list[str] = []
+        self._chunks: list[str] = []               # the trace, one chunk per drain
+        self._pending: list[str] = []              # lines logged since the last flush
         self.delivered: list[tuple[Envelope, str]] = []
         self.dropped: set[int] = set()            # seqs swallowed by a drop action
         self._next_seq = 1
@@ -192,14 +199,34 @@ class Channel:
             outcome = handler(env)
             self.delivered.append((env, outcome))
             self._log(self.clock.now(), f"OUTCOME seq={env.seq} {outcome}")
+        self._flush()
         if strict:
             leftover = sorted(set(self._eavesdrops) | set(self._drops)
                               | set(self._modifies) | set(self._replays))
             if leftover:
                 raise UnknownSeq(f"armed actions never matched a send: seqs {leftover}")
 
+    # --- trace -------------------------------------------------------------------
+
     def _log(self, t: int, text: str) -> None:
-        self.log.append(f"{t:08d} {text}")
+        self._pending.append(f"{t:08d} {text}")
+
+    def _flush(self) -> None:
+        if self._pending:
+            self._chunks.append("\n".join(self._pending))
+            self._pending.clear()
+
+    @property
+    def trace(self) -> str:
+        """Every event line so far, newline-joined, without a final newline."""
+        self._flush()
+        return "\n".join(self._chunks)
+
+    @property
+    def log(self) -> list[str]:
+        """The trace's lines, rendered from the stored text on each read."""
+        self._flush()
+        return [line for chunk in self._chunks for line in chunk.split("\n")]
 
 
 # --- scenario scripts -----------------------------------------------------------

@@ -7,7 +7,9 @@
 
 Exit status: 0 when the run or suite holds up, 1 when an invariant or suite
 check fails, 2 for unusable input (bad scenario text, bad permission table,
-unreadable files, adversary script errors).
+unreadable files or output files that cannot be written, adversary script
+errors); `run` writes its --report and --trace files before the report goes
+to stdout, so exit 2 always leaves stdout empty.
 
 The argument parser is built once, when the module is imported, and `main`
 only parses with it, so `main` may be called any number of times in one
@@ -49,11 +51,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     world = _build_world(args)
     result = run_scenario(world, scenario)
     report = "\n".join(result.report_lines()) + "\n"
-    sys.stdout.write(report)
+    # files first: a path that cannot be written exits 2 with stdout empty
     if args.report is not None:
         args.report.write_text(report)
     if args.trace is not None:
-        args.trace.write_text("\n".join(world.channel.log) + "\n")
+        args.trace.write_text(world.channel.trace + "\n")
+    sys.stdout.write(report)
     return 0 if result.ok else 1
 
 
@@ -65,7 +68,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     report_path = args.out / "report.txt"
     trace_path = args.out / "trace.txt"
     report_path.write_text("\n".join(result.report_lines()) + "\n")
-    trace_path.write_text("\n".join(world.channel.log) + "\n")
+    trace_path.write_text(world.channel.trace + "\n")
     print(f"wrote {report_path} and {trace_path}")
     return 0 if result.ok else 1
 

@@ -36,7 +36,7 @@ EXPECTED_OPS pins the per-call costs the metrics suite enforces.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .channel import Channel, Envelope, Scenario, parse_scenario
@@ -114,8 +114,8 @@ class World:
         self.sessions: list[Session] = []
         self.step_notes: list[str] = []
         self.tainted: set[str] = set()
-        self.phase_ops: dict[tuple[str, str], Counter] = defaultdict(Counter)
-        self.phase_calls: Counter = Counter()
+        self.phase_ops: dict[tuple[str, str], dict[str, int]] = {}
+        self.phase_calls: dict[tuple[str, str], int] = {}
         self.width_counts: Counter = Counter()
         self._cred_draw: dict[str, PrimitiveOps] = {}
         self._session_by_seq: dict[int, Session] = {}   # msg1 and server-reply sends
@@ -150,14 +150,19 @@ class World:
         directly to (side, phase), as one call, whether or not it completes.
         Returns (result, None), or (None, "rejected <Class>") when it raises
         one of `rejects`; anything else propagates."""
-        own, ops.counts = ops.counts, self.phase_ops[(side, phase)]
+        key = (side, phase)
+        bucket = self.phase_ops.get(key)
+        if bucket is None:
+            bucket = self.phase_ops[key] = dict.fromkeys(OP_KEYS, 0)
+            self.phase_calls[key] = 0
+        own, ops.counts = ops.counts, bucket
         try:
             return call(*args), None
         except rejects as exc:
             return None, f"rejected {type(exc).__name__}"
         finally:
             ops.counts = own
-            self.phase_calls[(side, phase)] += 1
+            self.phase_calls[key] += 1
 
     def _send(self, src: str, dst: str, payload: bytes) -> Envelope:
         self.width_counts[len(payload)] += 1
@@ -197,7 +202,7 @@ class World:
 
     def update_user_credentials(self, name: str) -> None:
         gateway = self.get_user(name)
-        serial = self.phase_calls[("user", "update-creds")] + 1
+        serial = self.phase_calls.get(("user", "update-creds"), 0) + 1
         new_password = f"pw-{name}-v{serial}".encode()
         new_bio = self._cred_draw[name].rand_template()
         _, rejected = self._metered("user", "update-creds", gateway.ops,
@@ -315,7 +320,7 @@ class World:
         for (side, phase) in sorted(self.phase_ops):
             ops = self.phase_ops[(side, phase)]
             calls = self.phase_calls[(side, phase)]
-            counts = " ".join(f"{k}={ops.get(k, 0)}" for k in OP_KEYS)
+            counts = " ".join(f"{k}={ops[k]}" for k in OP_KEYS)
             lines.append(f"ops side={side} phase={phase} calls={calls} {counts}")
         for width in sorted(self.width_counts):
             kind = WIRE_KINDS.get(width, "other")
@@ -329,7 +334,7 @@ class World:
         pending = outcomes.pop("pending", 0)
         local = sum(1 for s in self.sessions if s.local_reject)
         rejected = len(self.sessions) - verified - pending - local
-        digest = sha256_160("\n".join(ch.log).encode()).hex()
+        digest = sha256_160(ch.trace.encode()).hex()
         lines.extend([
             f"summary sessions={len(self.sessions)} verified={verified} "
             f"rejected={rejected} pending={pending} local={local}",
@@ -540,15 +545,15 @@ def suite_metrics(seed: int = 42, emit=print) -> bool:
     for key in sorted(EXPECTED_OPS):
         side, phase = key
         calls = world.phase_calls.get(key, 0)
-        got = world.phase_ops.get(key, Counter())
         if calls == 0:
             ok = False
             emit(f"FAIL metrics side={side} phase={phase}: never exercised")
             continue
+        got = world.phase_ops[key]
         expect = {k: v * calls for k, v in EXPECTED_OPS[key].items()}
-        match = all(got.get(k, 0) == expect[k] for k in OP_KEYS)
+        match = all(got[k] == expect[k] for k in OP_KEYS)
         ok &= match
-        counts = " ".join(f"{k}={got.get(k, 0)}/{expect[k]}" for k in OP_KEYS)
+        counts = " ".join(f"{k}={got[k]}/{expect[k]}" for k in OP_KEYS)
         emit(f"{'ok' if match else 'FAIL'} metrics side={side} phase={phase} "
              f"calls={calls} {counts}")
     widths = {

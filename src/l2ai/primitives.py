@@ -34,7 +34,6 @@ import hashlib
 import hmac
 import random
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -249,12 +248,13 @@ class PrimitiveOps:
     Every protocol computation goes through an instance of this class, and
     each counted call adds one to ``counts`` under its OP_KEYS name. The
     harness charges a call to a side and a phase by pointing ``counts`` at
-    that phase's Counter for the length of the call.
+    that phase's bucket for the length of the call. Both are plain dicts
+    pre-filled with every OP_KEYS name, so a count is one dict item store.
     """
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
-        self.counts: Counter = Counter()
+        self.counts: dict[str, int] = dict.fromkeys(OP_KEYS, 0)
 
     # counted operations
 

@@ -12,7 +12,7 @@ from l2ai.channel import parse_scenario
 from l2ai.harness import HONEST_SCENARIO, SUITES, World, run_scenario
 from l2ai.ledger import Ledger, LedgerBlock
 from l2ai.permissions import Role, SCOPE_CATALOG
-from l2ai.primitives import PrimitiveOps, RecoveryFailure, SimClock
+from l2ai.primitives import OP_KEYS, PrimitiveOps, RecoveryFailure, SimClock
 from l2ai.protocol import (
     Credentials, HospitalServer, Msg1, Msg2, Reject, Stale, Unauthorized,
     UnknownPrincipal, UserGateway, login,
@@ -251,19 +251,19 @@ def test_criterion_07_operation_budget_headline_counts():
 
     u0 = gateway.ops.counts.copy()
     msg1 = gateway.start_login()
-    login_delta = gateway.ops.counts - u0
+    login_delta = {k: gateway.ops.counts[k] - u0[k] for k in OP_KEYS}
 
     s0 = server.ops.counts.copy()
     msg2, _ = server.authenticate(msg1, SCOPE)
-    auth_delta = server.ops.counts - s0
+    auth_delta = {k: server.ops.counts[k] - s0[k] for k in OP_KEYS}
 
     u1 = gateway.ops.counts.copy()
     gateway.accept_server_reply(msg2)
-    verify_delta = gateway.ops.counts - u1
+    verify_delta = {k: gateway.ops.counts[k] - u1[k] for k in OP_KEYS}
 
-    assert login_delta == Counter(hash=6, xor=6, fe=1)
-    assert verify_delta == Counter(hash=1, xor=1)
-    assert auth_delta == Counter(hash=10, xor=7)
+    assert login_delta == {"hash": 6, "xor": 6, "enc": 0, "dec": 0, "fe": 1}
+    assert verify_delta == {"hash": 1, "xor": 1, "enc": 0, "dec": 0, "fe": 0}
+    assert auth_delta == {"hash": 10, "xor": 7, "enc": 0, "dec": 0, "fe": 0}
     user_hashes = login_delta["hash"] + verify_delta["hash"]
     assert user_hashes == 7 and auth_delta["hash"] == 10
     print(f"ACCEPTANCE 07 PASS user-session-hashes={user_hashes} "

@@ -175,6 +175,42 @@ def test_identical_scripts_produce_identical_logs():
     assert one_run() == one_run()
 
 
+# --- trace storage ------------------------------------------------------------
+
+def test_trace_is_kept_as_one_chunk_per_drain():
+    ch = Channel(SimClock(), base_delay=10)
+
+    def echo(env):
+        ch.send("b", "a", b"pong")
+        return "ok"
+
+    runs = 30
+    for _ in range(runs):
+        ch.send("a", "b", b"ping")
+        ch.run({"a": lambda env: "ok", "b": echo})
+    ch.send("a", "b", b"undrained")
+    # six lines per round trip, stored as one text chunk per run
+    assert len(ch._chunks) + len(ch._pending) <= runs + 1
+    assert len(ch.log) == 6 * runs + 1
+    assert ch.trace == "\n".join(ch.log)
+
+
+def test_trace_keeps_lines_not_yet_drained_and_lines_before_an_error():
+    ch = Channel(SimClock(), base_delay=10)
+    assert ch.trace == "" and ch.log == []
+    ch.send("a", "b", b"x")
+    assert ch.log == ["00000000 SEND seq=1 a->b len=1"]    # sent, not drained
+
+    ch.send("a", "nobody", b"yy")
+    with pytest.raises(ChannelError):
+        ch.run({"b": lambda env: "ok"})
+    # the delivery that found no handler was logged before the run failed
+    assert ch.log[-3:] == ["00000010 DELIVER seq=1 a->b len=1",
+                           "00000010 OUTCOME seq=1 ok",
+                           "00000010 DELIVER seq=2 a->nobody len=2"]
+    assert ch.trace == "\n".join(ch.log)
+
+
 # --- scenario grammar ---------------------------------------------------------
 
 SCRIPT = """\

@@ -6,13 +6,12 @@ import io
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from l2ai.channel import HONEST_PHASES, parse_scenario
+from l2ai.channel import HONEST_PHASES, ChannelError, parse_scenario
 from l2ai.cli import main as cli_main
 from l2ai.harness import (
     CHAIN_VIOLATION, EXPECTED_OPS, HONEST_SCENARIO, SERVER, SUITES, World,
@@ -62,6 +61,32 @@ def test_trace_matches_golden():
     world, result = run_text(HONEST_SCENARIO, seed=42)
     expected = (GOLDEN / "honest-seed42-trace.txt").read_text().splitlines()
     assert world.channel.log == expected
+
+
+def report_digest(world: World) -> str:
+    (line,) = [ln for ln in world.report_lines([]) if "event-digest=" in ln]
+    return line.split("event-digest=")[1]
+
+
+def test_event_digest_covers_lines_not_yet_drained():
+    world, _ = run_text("honest register a\n")
+    world.auth_attempt("a")                       # msg1 sent, never drained
+    assert world.channel.log[-1] == "00000100 SEND seq=3 a->hms len=68"
+    assert report_digest(world) == \
+        sha256_160("\n".join(world.channel.log).encode()).hex()
+
+
+def test_event_digest_covers_lines_logged_before_a_channel_error():
+    # the drop names the wrong parties for the server's reply, which is sent
+    # from inside the drain that delivers msg1
+    world = World(seed=42)
+    with pytest.raises(ChannelError):
+        run_scenario(world, parse_scenario(
+            "honest register a\nhonest auth a\ndrop hms nobody 4\n"))
+    log = world.channel.log
+    assert log[-2:] == ["00000150 DELIVER seq=3 a->hms len=68",
+                        "00000150 SEND seq=4 hms->a len=48"]
+    assert report_digest(world) == sha256_160("\n".join(log).encode()).hex()
 
 
 def test_tampered_msg1_rejected_without_violations():
@@ -256,7 +281,7 @@ def test_counts_land_where_the_call_was_metered():
     own = ops.counts
     # the server's two setup hashes are spent outside any metered call
     assert world.phase_ops == {}
-    assert own == Counter(hash=2)
+    assert own == {"hash": 2, "xor": 0, "enc": 0, "dec": 0, "fe": 0}
 
     def spend_then_fail():
         ops.hash(b"x")
@@ -264,13 +289,14 @@ def test_counts_land_where_the_call_was_metered():
 
     with pytest.raises(RuntimeError):
         world._metered("server", "probe", ops, spend_then_fail)
-    assert world.phase_calls == Counter({("server", "probe"): 1})
-    assert world.phase_ops == {("server", "probe"): Counter(hash=1)}
+    probe = {"hash": 1, "xor": 0, "enc": 0, "dec": 0, "fe": 0}
+    assert world.phase_calls == {("server", "probe"): 1}
+    assert world.phase_ops == {("server", "probe"): probe}
 
     assert ops.counts is own
     ops.hash(b"y")
-    assert world.phase_ops == {("server", "probe"): Counter(hash=1)}
-    assert own == Counter(hash=3)
+    assert world.phase_ops == {("server", "probe"): probe}
+    assert own == {"hash": 3, "xor": 0, "enc": 0, "dec": 0, "fe": 0}
 
 
 def test_worlds_do_not_share_a_permission_table():
@@ -297,6 +323,47 @@ def test_cli_run_writes_report_and_trace(tmp_path, capsys):
     assert "summary violations=0" in out
     assert report.read_text() == out
     assert trace.read_text().startswith("00000000 SEND seq=1")
+
+
+def test_cli_empty_scenario_trace_is_one_newline(tmp_path, capsys):
+    scn = tmp_path / "empty.scn"
+    scn.write_text("")
+    trace = tmp_path / "trace.txt"
+    assert cli_main(["run", str(scn), "--trace", str(trace)]) == 0
+    assert trace.read_bytes() == b"\n"
+
+
+@pytest.mark.parametrize("script", [
+    HONEST_SCENARIO,
+    "honest register a\nhonest auth a\nhonest auth a\ndrop a hms 3\n"
+    "replay 3 400\nmodify 5 5 80\n",
+], ids=["honest", "attacked"])
+def test_cli_export_trace_equals_run_trace(tmp_path, capsys, script):
+    scn = tmp_path / "s.scn"
+    scn.write_text(script)
+    trace = tmp_path / "trace.txt"
+    out = tmp_path / "exported"
+    run_rc = cli_main(["run", str(scn), "--trace", str(trace)])
+    export_rc = cli_main(["export", str(scn), "--out", str(out)])
+    capsys.readouterr()
+    assert run_rc == export_rc
+    assert (out / "trace.txt").read_bytes() == trace.read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--report", "--trace"])
+def test_cli_unwritable_output_leaves_stdout_empty(tmp_path, capsys, flag):
+    # the run itself ends in a violation (exit 1); an output file that
+    # cannot be written is an input error, and no report reaches stdout
+    scn = tmp_path / "s.scn"
+    scn.write_text("honest register bob N\nhonest update-auth bob P\n"
+                   "honest auth bob\n")
+    assert cli_main(["run", str(scn)]) == 1
+    capsys.readouterr()
+    rc = cli_main(["run", str(scn), flag, str(tmp_path / "missing" / "out.txt")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("l2ai: ")
 
 
 def test_cli_exit_codes(tmp_path, capsys):
