@@ -171,22 +171,6 @@ class LedgerBlock(NamedTuple):
                    record[_DIGEST])
 
 
-class BlockAddress(NamedTuple):
-    """Where a card landed: block height plus the card identifier."""
-
-    height: int
-    card_uid: bytes
-
-    def to_bytes(self) -> bytes:
-        return struct.pack(">Q", self.height) + self.card_uid
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "BlockAddress":
-        if len(raw) != 8 + WIDTH:
-            raise ValueError(f"block address must be {8 + WIDTH} bytes")
-        return cls(struct.unpack(">Q", raw[:8])[0], raw[8:])
-
-
 def _link_from_hex(text: str) -> bytes:
     link = bytes.fromhex(text)
     if len(link) != WIDTH:
@@ -243,8 +227,9 @@ class Ledger:
         elif isinstance(record, CardRecord):
             self._cards[record.card.card_uid] = record.card
 
-    def put_card(self, card: SmartCard) -> BlockAddress:
-        return BlockAddress(self.append(CardRecord(card)), card.card_uid)
+    def put_card(self, card: SmartCard) -> int:
+        """Publish a card version; returns the height of its block."""
+        return self.append(CardRecord(card))
 
     def replace_index(self, old_h: bytes, new_h: bytes, user_id: bytes) -> None:
         if self._idents.get(old_h) != user_id:

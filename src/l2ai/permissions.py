@@ -126,7 +126,14 @@ class PermissionTable:
                 s for s in parts[1].split(",") if s)
             window = None
             if len(parts) == 4:
-                start, end = int(parts[2]), int(parts[3])
+                minutes = []
+                for text in parts[2:]:
+                    try:
+                        minutes.append(int(text))
+                    except ValueError:
+                        raise ValueError(f"line {lineno}: window minutes must be "
+                                         f"integers, got {text!r}") from None
+                start, end = minutes
                 if not (0 <= start < MINUTES_PER_DAY and 0 <= end < MINUTES_PER_DAY):
                     raise ValueError(f"line {lineno}: window minutes out of range")
                 window = (start, end)

@@ -168,16 +168,11 @@ FE_BLOCKS = 51
 FE_PAD_BIT = 255
 
 
-@dataclass(frozen=True)
-class HelperData:
+class HelperData(NamedTuple):
     """Public sketch: the masked codeword plus the key-check digest."""
 
     offset: bytes
     check: bytes
-
-    def __post_init__(self):
-        if len(self.offset) != BIO_WIDTH:
-            raise ValueError(f"offset must be {BIO_WIDTH} bytes")
 
     def to_bytes(self) -> bytes:
         return self.offset + self.check
@@ -265,11 +260,6 @@ class PrimitiveOps:
     def xor(self, a: bytes, b: bytes) -> bytes:
         self.counts["xor"] += 1
         return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(WIDTH, "big")
-
-    def concat_mask(self, a: bytes, b: bytes) -> bytes:
-        """Digest of the concatenated pair; used where a 160-bit value must be
-        XOR-combined with two fields at once."""
-        return self.hash(a + b)
 
     def enc(self, key: bytes, plaintext: bytes) -> Ciphertext:
         self.counts["enc"] += 1

@@ -18,8 +18,8 @@ index) without touching the user's factors.
 
 All multi-field hash inputs are raw concatenations of fixed-width fields
 (digests 20 bytes, timestamps 8-byte big-endian). Where a 160-bit value
-must be XOR-combined with a pair of fields, the pair is first compressed
-with concat_mask. The per-side operation counts of each flow are pinned by
+must be XOR-combined with a pair of fields, the XOR takes the hash of the
+concatenated pair. The per-side operation counts of each flow are pinned by
 the metrics tests; change them only on purpose.
 """
 
@@ -28,14 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .ledger import (
-    BlockAddress, IdentityIndex, Ledger, NotFound, SmartCard, TokenRecord,
-)
+from .ledger import IdentityIndex, Ledger, NotFound, SmartCard, TokenRecord
 from .permissions import PermissionTable, Role
 from .primitives import (
-    WIDTH, BioTemplate, Ciphertext, HelperData, PrimitiveOps,
-    RecoveryFailure, SimClock, is_fresh, open_sealed, pack_ts, seal,
-    sha256_160, unpack_ts,
+    WIDTH, BioTemplate, HelperData, PrimitiveOps, RecoveryFailure, SimClock,
+    is_fresh, pack_ts, unpack_ts,
 )
 
 DEFAULT_DELTA_T = 2000  # freshness window, simulated milliseconds
@@ -379,7 +376,7 @@ class HospitalServer:
             raise AlreadyRegistered("identity already registered")
         r1 = ops.rand_digest()
         d_tid = ops.xor(user_id, r1)
-        ax = ops.xor(t_g, ops.concat_mask(d_tid, self.id_hms))
+        ax = ops.xor(t_g, ops.hash(d_tid + self.id_hms))
         k_i = ops.xor(ops.hash(self.s_hms + user_id), req.pwd)
         eid = ops.xor(d_tid, self._h_s)
         hid = ops.xor(self._h_pair, d_tid)
@@ -401,7 +398,7 @@ class HospitalServer:
 
         # unmask the pseudo-identity and the token
         d_tid = ops.xor(msg1.eid, self._h_s)
-        t_g = ops.xor(msg1.ax, ops.concat_mask(d_tid, self.id_hms))
+        t_g = ops.xor(msg1.ax, ops.hash(d_tid + self.id_hms))
         h_dtid = ops.hash(d_tid)
         h_tg = ops.hash(t_g)
         try:
@@ -434,7 +431,7 @@ class HospitalServer:
         # re-key the pseudonymous card fields so nothing repeats next session
         r2 = ops.rand_digest()
         d_new = ops.xor(user_id, r2)
-        ax_new = ops.xor(t_g, ops.concat_mask(d_new, self.id_hms))
+        ax_new = ops.xor(t_g, ops.hash(d_new + self.id_hms))
         eid_new = ops.xor(d_new, self._h_s)
         hid_new = ops.xor(self._h_pair, d_new)
         try:
@@ -465,7 +462,7 @@ class HospitalServer:
 
         # recover the current pseudo-identity and the old token from the card
         d_tid = ops.xor(card.eid_i, self._h_s)
-        mask = ops.concat_mask(d_tid, self.id_hms)
+        mask = ops.hash(d_tid + self.id_hms)
         t_g_old = ops.xor(card.ax_ui, mask)
         x_old = ops.hash(t_g_old)
         try:
@@ -487,8 +484,8 @@ class HospitalServer:
 
 class UserGateway:
     """The user's terminal: holds the factors, drives the user-side flows,
-    and keeps the card's ledger address sealed under a device-local key
-    (storage plumbing, outside protocol op accounting)."""
+    and keeps the id of the card it finalised, by which it reads the
+    card's latest version from the ledger."""
 
     def __init__(self, seed: int, clock: SimClock, ledger: Ledger,
                  creds: Credentials, delta_t: int = DEFAULT_DELTA_T):
@@ -497,8 +494,7 @@ class UserGateway:
         self.ledger = ledger
         self.creds = creds
         self.delta_t = delta_t
-        self._device_key = sha256_160(b"device-key:" + str(seed).encode())
-        self._sealed_address: bytes | None = None
+        self._card_uid: bytes | None = None
         self._scratch: UserScratch | None = None
         self._session: UserSession | None = None
 
@@ -508,23 +504,20 @@ class UserGateway:
         req, self._scratch = register_request(self.ops, self.creds, token)
         return req
 
-    def accept_provisional(self, provisional: ProvisionalCard) -> BlockAddress:
+    def accept_provisional(self, provisional: ProvisionalCard) -> None:
         if self._scratch is None:
             raise UnexpectedMessage("no registration in progress")
         card = finalize_card(self.ops, provisional, self._scratch)
         self._scratch = None                      # token and scratch are dropped here
-        address = self.ledger.put_card(card)
-        self._sealed_address = seal(self._device_key, address.to_bytes(),
-                                    nonce=self.ops.rng.randbytes(16)).to_bytes()
-        return address
+        self.ledger.put_card(card)
+        self._card_uid = card.card_uid
 
     # card access
 
     def current_card(self) -> SmartCard:
-        if self._sealed_address is None:
+        if self._card_uid is None:
             raise UnexpectedMessage("gateway holds no card")
-        raw = open_sealed(self._device_key, Ciphertext.from_bytes(self._sealed_address))
-        return self.ledger.get_card(BlockAddress.from_bytes(raw).card_uid)
+        return self.ledger.get_card(self._card_uid)
 
     # login and verification
 

@@ -11,8 +11,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from l2ai.channel import parse_scenario
 from l2ai.harness import HONEST_SCENARIO, World, run_scenario
 from l2ai.ledger import (
-    BlockAddress, CardRecord, IdentityIndex, Ledger, LedgerBlock, NotFound,
-    SmartCard, TokenRecord, _KIND_NAMES, parse_record,
+    CardRecord, IdentityIndex, Ledger, LedgerBlock, NotFound, SmartCard,
+    TokenRecord, _KIND_NAMES, parse_record,
 )
 from l2ai.permissions import Role
 from l2ai.primitives import WIDTH, PrimitiveOps, seal, sha256_160
@@ -120,20 +120,13 @@ def test_identity_index_replacement():
 def test_card_latest_version_wins():
     ops, ledger = make_ops(4), Ledger()
     card = sample_card(ops)
-    addr = ledger.put_card(card)
-    assert addr == BlockAddress(height=0, card_uid=card.card_uid)
+    assert ledger.put_card(card) == 0
     assert ledger.get_card(card.card_uid) == card
 
     newer = card._replace(ax_ui=ops.rand_digest())
-    ledger.put_card(newer)
+    assert ledger.put_card(newer) == 1
     assert ledger.get_card(card.card_uid) == newer
     assert ledger.verify_chain()
-
-
-def test_block_address_roundtrip():
-    ops = make_ops(5)
-    addr = BlockAddress(height=7, card_uid=ops.rand_digest())
-    assert BlockAddress.from_bytes(addr.to_bytes()) == addr
 
 
 def test_queries_raise_not_found():
@@ -229,18 +222,6 @@ def test_any_digest_agrees_with_linear_scan():
 def test_parse_record_short_payload_is_value_error(payload):
     with pytest.raises(ValueError):
         parse_record(payload)
-
-
-@pytest.mark.parametrize("size", [0, 1, 7])
-def test_block_address_short_input_is_value_error(size):
-    with pytest.raises(ValueError):
-        BlockAddress.from_bytes(bytes(size))
-
-
-@pytest.mark.parametrize("uid_size", [WIDTH - 1, WIDTH + 1])
-def test_block_address_refuses_a_wrong_width_card_id(uid_size):
-    with pytest.raises(ValueError):
-        BlockAddress.from_bytes(bytes(8 + uid_size))
 
 
 @pytest.mark.parametrize("payload_hex", ["02" + "00" * 19, "01" + "00" * 20])
@@ -349,9 +330,9 @@ def test_blocks_are_untracked_records_that_decode_and_re_encode():
     put_card = world.ledger.put_card
 
     def recording_put_card(card):
-        address = put_card(card)
-        written.append((address, card))
-        return address
+        height = put_card(card)
+        written.append((height, card))
+        return height
 
     world.ledger.put_card = recording_put_card
     assert run_scenario(world, parse_scenario(HONEST_SCENARIO)).ok
@@ -362,9 +343,9 @@ def test_blocks_are_untracked_records_that_decode_and_re_encode():
         assert LedgerBlock.from_record(record).to_record() == record
     # put_card returns the height of the block it wrote
     assert written
-    for address, card in written:
-        block = LedgerBlock.from_record(records[address.height])
-        assert block.height == address.height
+    for height, card in written:
+        block = LedgerBlock.from_record(records[height])
+        assert block.height == height
         assert block.payload == CardRecord(card).serialize()
 
 
@@ -551,7 +532,7 @@ class LedgerModel(RuleBasedStateMachine):
     def put_card(self, uid, ax):
         card = BASE_CARD._replace(card_uid=uid, ax_ui=ax)
         height = len(self.ledger.blocks)
-        assert self.ledger.put_card(card) == BlockAddress(height=height, card_uid=uid)
+        assert self.ledger.put_card(card) == height
         self.cards[uid] = card
 
     @rule(h=st.sampled_from(DIGESTS), user=st.sampled_from(USERS))

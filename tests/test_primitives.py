@@ -14,7 +14,7 @@ from l2ai.primitives import (
     repetition_decode, repetition_encode, seal, sha256_160,
 )
 from l2ai.ledger import (
-    BlockAddress, IdentityIndex, Ledger, SmartCard, TokenRecord, parse_record,
+    IdentityIndex, Ledger, SmartCard, TokenRecord, parse_record,
 )
 from l2ai.protocol import (
     MSG1_WIDTH, MSG2_WIDTH, PROVISIONAL_WIDTH, REG_REQUEST_WIDTH,
@@ -106,7 +106,6 @@ WIRE_DECODERS = [
     (Msg2.from_bytes, MSG2_WIDTH),
     (HelperData.from_bytes, BIO_WIDTH + WIDTH),
     (SmartCard.from_bytes, 6 * WIDTH + (BIO_WIDTH + WIDTH) + WIDTH),   # + helper, card id
-    (lambda raw: BlockAddress.from_bytes(bytes(8) + raw[8:]), 8 + WIDTH),
 ]
 
 
@@ -382,8 +381,7 @@ def test_counters_track_calls_exactly():
         ops.hash(b"x")
     a, b = ops.rand_digest(), ops.rand_digest()
     ops.xor(a, b)
-    ops.concat_mask(a, b)  # counts as one hash
-    assert ops.counts == {"hash": 6, "xor": 1, "enc": 0, "dec": 0, "fe": 0}
+    assert ops.counts == {"hash": 5, "xor": 1, "enc": 0, "dec": 0, "fe": 0}
 
     before = ops.counts.copy()
     key = ops.rand_digest()

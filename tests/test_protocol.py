@@ -284,7 +284,7 @@ def test_token_digest_is_not_a_principal(scope):
     t_g1 = server.issue_token(b"code-1", Role.PATIENT).t_g
     t_g2 = server.issue_token(b"code-2", Role.PATIENT).t_g
     msg1 = Msg1(t1=clock.now(), m1=bytes(WIDTH), eid=oracle.x20(t_g1, server._h_s),
-                ax=oracle.x20(t_g2, server.ops.concat_mask(t_g1, server.id_hms)))
+                ax=oracle.x20(t_g2, server.ops.hash(t_g1 + server.id_hms)))
     with pytest.raises(UnknownPrincipal, match="not live on the ledger"):
         server.authenticate(msg1, scope)
 
@@ -472,6 +472,12 @@ def test_permission_table_parse_errors():
     with pytest.raises(ValueError):
         PermissionTable.parse(
             PermissionTable.default().to_text().replace("SA  *", "SA  * 10"))
+    # a window minute that is not an integer is named with its line
+    for window, bad in (("x 10", "'x'"), ("10 1e3", "'1e3'")):
+        with pytest.raises(ValueError,
+                           match=f"^line 6: window minutes must be integers, got {bad}$"):
+            PermissionTable.parse(
+                PermissionTable.default().to_text().replace("SA  *", f"SA  * {window}"))
     # round trip
     table = PermissionTable.default()
     assert PermissionTable.parse(table.to_text()).grants == table.grants

@@ -8,10 +8,10 @@ import pytest
 from l2ai.channel import parse_scenario
 from l2ai.harness import HONEST_SCENARIO, World, run_scenario
 from l2ai.ledger import (
-    BlockAddress, CardRecord, IdentityIndex, Ledger, LedgerBlock, SmartCard,
-    TokenRecord, parse_record,
+    CardRecord, IdentityIndex, Ledger, LedgerBlock, SmartCard, TokenRecord,
+    parse_record,
 )
-from l2ai.primitives import WIDTH, Ciphertext, PrimitiveOps, seal
+from l2ai.primitives import WIDTH, Ciphertext, HelperData, PrimitiveOps, seal
 from l2ai.protocol import (
     AuthTranscript, Msg1, Msg2, ProvisionalCard, RegRequest, UserSession,
 )
@@ -29,7 +29,7 @@ RECORDS = {
     "TokenRecord": (TokenRecord(_d(), _CIPHERTEXT), "revoked", True),
     "IdentityIndex": (IdentityIndex(_d(), _d()), "superseded_by", _d()),
     "CardRecord": (CardRecord(_CARD), "card", _CARD._replace(e_i=_d())),
-    "BlockAddress": (BlockAddress(7, _d()), "height", 8),
+    "HelperData": (_CARD.tau, "check", _d()),
     "UserSession": (UserSession(_d(), _d(), 100), "t1", 101),
     "AuthTranscript": (AuthTranscript(_d(), _d(), _d(), _d(), _d(), _d(), _d(),
                                       100, 150), "sk", _d()),
@@ -46,7 +46,7 @@ DECODERS = {
     "TokenRecord": (TokenRecord.serialize, parse_record),
     "IdentityIndex": (IdentityIndex.serialize, parse_record),
     "CardRecord": (CardRecord.serialize, parse_record),
-    "BlockAddress": (BlockAddress.to_bytes, BlockAddress.from_bytes),
+    "HelperData": (HelperData.to_bytes, HelperData.from_bytes),
     "RegRequest": (RegRequest.to_bytes, RegRequest.from_bytes),
     "ProvisionalCard": (ProvisionalCard.to_bytes, ProvisionalCard.from_bytes),
     "Msg1": (Msg1.to_bytes, Msg1.from_bytes),
@@ -124,7 +124,9 @@ def test_every_kept_protocol_value_is_raw_20_bytes():
         "token lookup keys": list(ledger._tokens),
         "token x": [token.x for token in ledger._tokens.values()],
         "session keys": [sk for s in world.sessions for sk in (s.sk_user, s.sk_server)],
+        "gateway card ids": [gateway._card_uid for gateway in world.users.values()],
     }
     for name, values in groups.items():
         assert values, name
         assert all(type(v) is bytes and len(v) == WIDTH for v in values), name
+    assert all(uid in ledger._cards for uid in groups["gateway card ids"])
