@@ -15,12 +15,14 @@ The adversary is a set of actions armed before the run:
   delay <ms>                 set the one-way delivery delay for the run
 
 Replayed copies carry negative sequence numbers so honest numbering never
-shifts underneath a script. Modification happens on the wire: the eavesdrop
-record and the adversary's replay material keep the bytes as the honest
-party sent them. An armed action whose sequence number never occurs is a
-scripting mistake and fails the run loudly. A dropped send's seq goes into
-`dropped` when it is sent; every other send is delivered by the next run, so
-after a drain "not delivered" means exactly "dropped".
+shifts underneath a script. A sender may name an owner for a send; its
+envelope and every replayed copy carry it back to the handlers, and the
+channel itself never reads it. Modification happens on the wire: the
+eavesdrop record and the adversary's replay material keep the bytes as the
+honest party sent them. An armed action whose sequence number never occurs
+is a scripting mistake and fails the run loudly. A dropped send's seq goes
+into `dropped` when it is sent; every other send is delivered by the next
+run, so after a drain "not delivered" means exactly "dropped".
 
 Delivery handlers return an outcome string and must not raise; the caller
 wraps protocol rejections into outcomes. Everything is logged to a stable
@@ -36,7 +38,7 @@ lines on demand.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .permissions import DEFAULT_SCOPE, Role
@@ -65,7 +67,10 @@ class ParseError(ValueError):
 @dataclass(frozen=True, slots=True)
 class Envelope:
     """One message in flight. `tampered` marks an adversary modification;
-    `replay_of` names the original send for re-injected copies."""
+    `replay_of` names the original send for re-injected copies. `owner` is
+    whatever the sender passed to `send` (replayed copies keep it): the
+    channel carries it and never reads it, and it takes no part in `==` or
+    `hash`."""
 
     seq: int
     src: str
@@ -75,6 +80,7 @@ class Envelope:
     deliver_time: int
     tampered: bool = False
     replay_of: int | None = None
+    owner: object = field(default=None, compare=False)
 
     @property
     def touched(self) -> bool:
@@ -139,7 +145,7 @@ class Channel:
 
     # --- wire ------------------------------------------------------------------
 
-    def send(self, src: str, dst: str, payload: bytes) -> Envelope:
+    def send(self, src: str, dst: str, payload: bytes, owner: object = None) -> Envelope:
         now = self.clock.now()
         seq = self._next_seq
         self._next_seq += 1
@@ -154,7 +160,7 @@ class Channel:
                 raise ChannelError(f"replay of seq={seq} at t={at} predates its send at t={now}")
             rseq = self._next_replay
             self._next_replay -= 1
-            copy = Envelope(rseq, src, dst, payload, now, at, False, seq)
+            copy = Envelope(rseq, src, dst, payload, now, at, False, seq, owner)
             self._push(copy)
             self._log(now, f"REPLAY seq={rseq} of={seq} at={at}")
 
@@ -169,7 +175,8 @@ class Channel:
             out = bytes(buf)
             self._log(now, f"MODIFY seq={seq} off={offset} mask={mask.hex()}")
 
-        env = Envelope(seq, src, dst, out, now, now + self.base_delay, out != payload)
+        env = Envelope(seq, src, dst, out, now, now + self.base_delay, out != payload,
+                       owner=owner)
         if seq in self._drops:
             want = self._drops.pop(seq)
             if want != (src, dst):
@@ -298,7 +305,10 @@ def parse_scenario(text: str) -> Scenario:
                 raise ParseError(line_no, f"usage: {usage}")
 
         def num(token: str, what: str, minimum: int = 0) -> int:
+            digits = token.removeprefix("-")       # ASCII digits only: no "+", "_"
             try:
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError
                 value = int(token)
             except ValueError:
                 raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None

@@ -6,13 +6,13 @@ Outcome strings, not exceptions, cross the harness boundary. Every protocol
 call goes through World._metered, which charges the call's counted operations
 to its (side, phase), also when it is rejected part way, and turns a Reject or
 ValueError into "rejected <Class>"; so an attack scenario runs to completion.
-Each send is tied to its owner when it is made (a Session for msg1 and server
-replies, a user for enrollment traffic), and a delivery handler records its
-result on the owner of the envelope's origin. The channel records each drop
-when it happens, so finalize only taints users whose enrollment traffic was
-dropped. Call finalize and check_invariants after the final drain;
-check_invariants is the one place the ledger chain is verified, and the report
-renders the verdict it is given.
+Each send carries its owner on its envelope (a Session for msg1 and server
+replies, a user name for enrollment traffic), replayed copies included, so a
+delivery handler records its result on the envelope's owner. The channel
+decides each drop when the message is sent, so a dropped enrollment send
+taints its user right there. Call check_invariants after the final drain;
+it is the one place the ledger chain is verified, and the report renders the
+verdict it is given.
 
 The invariant checker encodes what a run must satisfy regardless of the
 adversary script:
@@ -79,25 +79,23 @@ EXPECTED_OPS = {
 class Session:
     """One authentication attempt, from the user's login call to the final
     verdict. Wire-less local failures have no msg1 envelope; reply_env is the
-    server's reply as the channel sent it."""
+    server's reply as the channel sent it. `outcome` is written where each
+    verdict is decided: a verified reply outranks the server's rejection of
+    the original msg1, which outranks the user's rejection of an original
+    reply."""
 
     user: str
     scope: str
     msg1_env: Envelope | None = None
-    local_reject: str | None = None
     reply_env: Envelope | None = None
     sk_user: bytes | None = None
     sk_server: bytes | None = None
-    server_reject: str | None = None
-    user_reject: str | None = None
+    outcome: str = "pending"
 
     @property
-    def outcome(self) -> str:
-        if self.local_reject:
-            return self.local_reject
-        if self.sk_user is not None:
-            return "verified"
-        return self.server_reject or self.user_reject or "pending"
+    def local_reject(self) -> str | None:
+        """The login's own rejection, for a session that never reached the wire."""
+        return self.outcome if self.msg1_env is None else None
 
 
 class World:
@@ -118,8 +116,6 @@ class World:
         self.phase_calls: dict[tuple[str, str], int] = {}
         self.width_counts: Counter = Counter()
         self._cred_draw: dict[str, PrimitiveOps] = {}
-        self._session_by_seq: dict[int, Session] = {}   # msg1 and server-reply sends
-        self._user_by_seq: dict[int, str] = {}          # reg-request, provisional sends
 
     # --- entities ------------------------------------------------------------
 
@@ -164,9 +160,15 @@ class World:
             ops.counts = own
             self.phase_calls[key] += 1
 
-    def _send(self, src: str, dst: str, payload: bytes) -> Envelope:
+    def _send(self, src: str, dst: str, payload: bytes,
+              owner: Session | str | None) -> Envelope:
+        """Put a payload on the wire for its owner: a Session, or the name of
+        the user whose enrollment it carries, who is tainted if it is dropped."""
         self.width_counts[len(payload)] += 1
-        return self.channel.send(src, dst, payload)
+        env = self.channel.send(src, dst, payload, owner)
+        if isinstance(owner, str) and env.seq in self.channel.dropped:
+            self.tainted.add(owner)
+        return env
 
     # --- honest steps -------------------------------------------------------------
 
@@ -179,24 +181,16 @@ class World:
                                  rejects=())
         req, _ = self._metered("user", "register", gateway.ops,
                                gateway.build_registration, token, rejects=())
-        env = self._send(name, SERVER, req.to_bytes())
-        self._user_by_seq[env.seq] = name
+        self._send(name, SERVER, req.to_bytes(), name)
 
     def auth_attempt(self, name: str, scope: str = DEFAULT_SCOPE,
                      creds: Credentials | None = None) -> Session:
         gateway = self.get_user(name)
-        original = gateway.creds
-        if creds is not None:
-            gateway.creds = creds
-        try:
-            msg1, rejected = self._metered("user", "login", gateway.ops,
-                                           gateway.start_login)
-        finally:
-            gateway.creds = original
-        session = Session(user=name, scope=scope, local_reject=rejected)
+        msg1, rejected = self._metered("user", "login", gateway.ops,
+                                       gateway.start_login, creds)
+        session = Session(user=name, scope=scope, outcome=rejected or "pending")
         if not rejected:
-            session.msg1_env = self._send(name, SERVER, msg1.to_bytes())
-            self._session_by_seq[session.msg1_env.seq] = session
+            session.msg1_env = self._send(name, SERVER, msg1.to_bytes(), session)
         self.sessions.append(session)
         return session
 
@@ -226,7 +220,7 @@ class World:
     def _server_handler(self, env: Envelope) -> str:
         width = len(env.payload)
         if width == REG_REQUEST_WIDTH:
-            user = self._user_by_seq.get(env.origin)
+            user = env.owner
             if env.touched and user is not None:
                 self.tainted.add(user)
             provisional, rejected = self._metered(
@@ -234,27 +228,25 @@ class World:
                 lambda: self.server.register(RegRequest.from_bytes(env.payload)))
             if rejected:
                 return rejected
-            reply = self._send(SERVER, env.src, provisional.to_bytes())
-            if user is not None:
-                self._user_by_seq[reply.seq] = user
+            self._send(SERVER, env.src, provisional.to_bytes(), user)
             return "provisional-issued"
 
         if width == MSG1_WIDTH:
-            session = self._session_by_seq.get(env.origin)
+            session = env.owner
             scope = session.scope if session is not None else DEFAULT_SCOPE
             result, rejected = self._metered(
                 "server", "auth", self.server.ops,
                 lambda: self.server.authenticate(Msg1.from_bytes(env.payload), scope))
             if rejected:
-                if session is not None and env.seq > 0:
-                    session.server_reject = rejected
+                # only the original's rejection counts; a verified reply outranks it
+                if session is not None and env.seq > 0 and session.outcome != "verified":
+                    session.outcome = rejected
                 return rejected
             msg2, transcript = result
-            reply = self._send(SERVER, env.src, msg2.to_bytes())
+            reply = self._send(SERVER, env.src, msg2.to_bytes(), session)
             if session is not None:
                 session.sk_server = transcript.sk
                 session.reply_env = reply
-                self._session_by_seq[reply.seq] = session
             return f"accepted sk={transcript.sk.hex()[:8]}"
 
         return f"rejected UnexpectedMessage ({width}B to server)"
@@ -263,24 +255,26 @@ class World:
         gateway = self.users[name]
         width = len(env.payload)
         if width == PROVISIONAL_WIDTH:
-            if env.touched and env.origin in self._user_by_seq:
-                self.tainted.add(self._user_by_seq[env.origin])
+            if env.touched and env.owner is not None:
+                self.tainted.add(env.owner)
             _, rejected = self._metered(
                 "user", "finalize", gateway.ops,
                 lambda: gateway.accept_provisional(ProvisionalCard.from_bytes(env.payload)))
             return rejected or "registered"
 
         if width == MSG2_WIDTH:
-            session = self._session_by_seq.get(env.origin)
+            session = env.owner
             sk, rejected = self._metered(
                 "user", "verify", gateway.ops,
                 lambda: gateway.accept_server_reply(Msg2.from_bytes(env.payload)))
             if rejected:
-                if session is not None and env.seq > 0:      # not a replayed copy
-                    session.user_reject = rejected
+                # an original reply's rejection ranks below every other verdict
+                if session is not None and env.seq > 0 and session.outcome == "pending":
+                    session.outcome = rejected
                 return rejected
             if session is not None:
                 session.sk_user = sk
+                session.outcome = "verified"
             return f"verified sk={sk.hex()[:8]}"
 
         return f"rejected UnexpectedMessage ({width}B to {name})"
@@ -288,10 +282,10 @@ class World:
     # --- post-run resolution ------------------------------------------------------
 
     def finalize(self) -> None:
-        """Taint users whose enrollment traffic was dropped; call after the
-        final drain. Every other verdict is recorded at delivery."""
-        self.tainted.update(self._user_by_seq[seq] for seq in self.channel.dropped
-                            if seq in self._user_by_seq)
+        """Does nothing: every verdict is recorded at delivery, and a dropped
+        enrollment send taints its user when it is sent, so nothing is left
+        to resolve after the final drain. Kept because the benchmark in
+        perfbench/ still calls and times it."""
 
     # --- report ---------------------------------------------------------------------
 
@@ -417,7 +411,6 @@ def run_scenario(world: World, scenario: Scenario) -> RunResult:
             world.update_authorization(step.user, step.role)
         world.drain(strict=False)
     world.drain(strict=True)
-    world.finalize()
     return RunResult(world=world, violations=check_invariants(world))
 
 
@@ -527,7 +520,6 @@ def suite_attacks(seed: int = 42, emit=print) -> bool:
     world.drain()
     session = world.auth_attempt("carol", scope="write-prescription")
     world.drain()
-    world.finalize()
     good = session.outcome == "rejected Unauthorized" \
         and world.ledger.verify_chain()
     ok &= good
@@ -626,7 +618,6 @@ def suite_fuzz(seed: int = 42, sessions: int = 1000, users: int = 50,
                             f"{session.outcome}")
         world.clock.advance(rng.randint(1, 40))
     world.drain(strict=True)
-    world.finalize()
     problems.extend(check_invariants(world))
 
     # with nothing dropped or tampered, the delivered payloads are every

@@ -2,8 +2,8 @@
 
 The table maps each of the eight principal groups to the activity scopes it
 may request, plus an optional [start, end) window in minutes of the
-simulated day. It ships with a default grant matrix and round-trips through
-a small line-oriented text format so deployments can swap their own:
+simulated day. It ships with a default grant matrix and parses a small
+line-oriented text format so deployments can swap their own:
 
     # role  scopes (comma separated, * = everything)  [start-min end-min]
     D  read-patient-vitals,write-prescription
@@ -128,7 +128,10 @@ class PermissionTable:
             if len(parts) == 4:
                 minutes = []
                 for text in parts[2:]:
+                    digits = text.removeprefix("-")   # ASCII digits only: no "+", "_"
                     try:
+                        if not (digits.isascii() and digits.isdigit()):
+                            raise ValueError
                         minutes.append(int(text))
                     except ValueError:
                         raise ValueError(f"line {lineno}: window minutes must be "
@@ -145,15 +148,6 @@ class PermissionTable:
         """The built-in table, parsed once at import. Each call gets its own
         grants dict; the RoleGrants in it are frozen and shared."""
         return cls(dict(_DEFAULT_GRANTS))
-
-    def to_text(self) -> str:
-        lines = []
-        for role in Role:
-            grant = self.grants[role]
-            scopes = ALL_SCOPES if grant.scopes is None else ",".join(sorted(grant.scopes))
-            window = f"  {grant.window[0]} {grant.window[1]}" if grant.window else ""
-            lines.append(f"{role.value}  {scopes}{window}")
-        return "\n".join(lines) + "\n"
 
 
 _DEFAULT_GRANTS = PermissionTable.parse(DEFAULT_TABLE_TEXT).grants

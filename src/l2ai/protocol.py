@@ -521,8 +521,10 @@ class UserGateway:
 
     # login and verification
 
-    def start_login(self) -> Msg1:
-        msg1, self._session = login(self.ops, self.clock, self.creds,
+    def start_login(self, creds: Credentials | None = None) -> Msg1:
+        """Log in with the held factors, or with `creds`, unkept, when given."""
+        msg1, self._session = login(self.ops, self.clock,
+                                    self.creds if creds is None else creds,
                                     self.current_card())
         return msg1
 

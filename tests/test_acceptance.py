@@ -371,7 +371,6 @@ def test_criterion_09_master_secret_never_leaves_server():
         world.drain()
         if session.sk_user is not None:
             verified += 1
-    world.finalize()
     assert verified == 1000
     assert world.ledger.verify_chain()
 

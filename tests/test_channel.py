@@ -1,6 +1,8 @@
 """Channel simulator tests: event ordering, adversary actions, scenario
 grammar, and run-to-run determinism."""
 
+from dataclasses import replace
+
 import pytest
 
 from l2ai.channel import (
@@ -104,6 +106,20 @@ def test_replay_reinjects_original_bytes():
     replayed = ch.delivered[1][0]
     assert replayed.replay_of == 1 and replayed.touched and not replayed.tampered
     assert replayed.deliver_time == 5000 and clock.now() == 5000
+
+
+def test_owner_rides_on_replayed_copies_and_stays_out_of_equality():
+    ch = Channel(SimClock(), base_delay=50)
+    ch.script_replay(1, 500)
+    owner = ["mutable", "so unhashable"]
+    sent = ch.send("a", "b", b"\x00\x02", owner)
+    ch.run({"b": sink([])})
+    replayed = ch.delivered[1][0]
+    assert sent.owner is owner and replayed.owner is owner
+    unowned = replace(sent, owner=None)
+    assert unowned == sent and hash(unowned) == hash(sent)
+    assert replace(replayed, owner=None) == replayed
+    assert len({sent, unowned, replayed}) == 2
 
 
 def test_replay_before_send_time_is_a_scripting_error():
@@ -255,6 +271,13 @@ def test_parse_auth_scope_argument():
     ("delay", "usage"),
     ("delay x", "integer"),
     ("delay -5", ">= 0"),
+    # int() alone would accept a sign, underscores and non-ASCII digits
+    ("delay ٥٠", "delay must be an integer, got '٥٠'"),
+    ("delay -", "delay must be an integer, got '-'"),
+    ("replay +3 400", "seq must be an integer, got '+3'"),
+    ("replay 3 +4_00", "at-ms must be an integer, got '+4_00'"),
+    ("modify ３ 1 ff", "seq must be an integer, got '３'"),
+    ("modify 3 0_1 ff", "offset must be an integer, got '0_1'"),
     ("eavesdrop 0", ">= 1"),
     ("drop a b", "usage"),
     ("modify 1 2", "usage"),

@@ -6,6 +6,7 @@ import io
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,40 @@ def test_dropped_registration_taints_user():
     assert result.ok
 
 
+# Enrollment runs over a protected path: any disturbance of the reg-request
+# (seq 1) or the provisional card (seq 2) taints the user and nothing else. A
+# dropped send taints its user when it is sent, since the channel decides
+# drops there.
+@pytest.mark.parametrize("attack", [
+    "drop alice hms 1", "modify 1 0 01", "replay 1 10",
+    "drop hms alice 2", "modify 2 3 ff", "replay 2 60",
+])
+def test_enrollment_disturbance_taints_its_user(attack):
+    world, result = run_text(f"honest register alice\n{attack}\nhonest auth alice\n")
+    assert world.tainted == {"alice"}
+    assert result.ok, result.violations
+
+
+@pytest.mark.parametrize("attack, outcome", [
+    # a verified reply outranks the server's rejection of the original msg1
+    ("replay 3 120", "verified"),
+    # which outranks the user's rejection of the reply it got instead
+    ("replay 3 120\nmodify 4 5 80", "rejected UnknownPrincipal"),
+    # a rejected replayed copy of the reply never counts
+    ("replay 4 210", "verified"),
+    # a verified copy outranks the late original reply's UnexpectedMessage
+    ("replay 4 160", "verified"),
+    ("drop alice hms 3", "pending"),
+])
+def test_session_outcome_precedence(attack, outcome):
+    world, _ = run_text(f"honest register alice\nhonest auth alice\n{attack}\n")
+    (session,) = world.sessions
+    assert session.outcome == outcome
+    assert session.local_reject is None
+    assert session.msg1_env.owner is session
+    assert hash(session.msg1_env) == hash(replace(session.msg1_env, owner=None))
+
+
 def test_clean_rejection_is_a_violation():
     # a patient token asking for a doctor scope on untouched wire must fail
     # the completion invariant: the run is judged broken, exit code 1
@@ -166,7 +201,6 @@ def test_registration_with_identity_index_digest_is_unknown_token():
                              RegRequest(x=h_dtid, did=filler, pwd=filler).to_bytes())
     world.drain()
     assert world.channel.delivered[-1] == (env, "rejected UnknownToken")
-    world.finalize()
     assert check_invariants(world) == []
     assert world.ledger.verify_chain()
 
@@ -230,7 +264,6 @@ def test_race_report_is_pinned(name, tmp_path, capsys):
 
 
 def test_wrong_password_never_reaches_wire():
-    from dataclasses import replace
     world = World(seed=3)
     world.register_user("erin")
     world.drain()
@@ -239,7 +272,7 @@ def test_wrong_password_never_reaches_wire():
     session = world.auth_attempt("erin", creds=bad)
     assert session.local_reject == "rejected LocalVerifyFailed"
     assert session.msg1_env is None
-    assert gateway.creds.password == b"pw-erin"     # restored after the attempt
+    assert gateway.creds.password == b"pw-erin"     # the injected creds are not kept
 
 
 def test_scope_by_session_not_global():
@@ -250,7 +283,6 @@ def test_scope_by_session_not_global():
     world.drain()
     bad = world.auth_attempt("fay", scope="write-prescription")
     world.drain()
-    world.finalize()
     assert ok.outcome == "verified"
     assert bad.outcome == "rejected Unauthorized"
 

@@ -444,9 +444,9 @@ def test_authorize_matches_table_exactly():
 
 
 def test_time_window_enforcement():
-    text = PermissionTable.default().to_text().replace(
-        "L  read-lab-orders,write-lab-results",
-        "L  read-lab-orders,write-lab-results  360 1200")
+    text = DEFAULT_TABLE_TEXT.replace(
+        "L   read-lab-orders,write-lab-results",
+        "L   read-lab-orders,write-lab-results  360 1200")
     table = PermissionTable.parse(text)
     ms = 60_000
     assert table.allows(Role.LABORATORY, "read-lab-orders", 360 * ms)
@@ -466,27 +466,27 @@ def test_permission_table_parse_errors():
     with pytest.raises(ValueError):
         PermissionTable.parse("D *\n")                      # seven roles missing
     with pytest.raises(ValueError):
-        PermissionTable.parse(PermissionTable.default().to_text() + "D *\n")
+        PermissionTable.parse(DEFAULT_TABLE_TEXT + "D *\n")
     with pytest.raises(ValueError):
-        PermissionTable.parse(PermissionTable.default().to_text() + "Q *\n")
+        PermissionTable.parse(DEFAULT_TABLE_TEXT + "Q *\n")
     with pytest.raises(ValueError):
-        PermissionTable.parse(
-            PermissionTable.default().to_text().replace("SA  *", "SA  * 10"))
-    # a window minute that is not an integer is named with its line
-    for window, bad in (("x 10", "'x'"), ("10 1e3", "'1e3'")):
-        with pytest.raises(ValueError,
-                           match=f"^line 6: window minutes must be integers, got {bad}$"):
-            PermissionTable.parse(
-                PermissionTable.default().to_text().replace("SA  *", f"SA  * {window}"))
-    # round trip
-    table = PermissionTable.default()
-    assert PermissionTable.parse(table.to_text()).grants == table.grants
+        PermissionTable.parse(DEFAULT_TABLE_TEXT.replace("SA  *", "SA  * 10"))
+    # a window minute that is not ASCII digits is named with its line; int()
+    # alone would read "+1_0" as 10 and "٣" as 3
+    for window, bad in (("x 10", "x"), ("10 1e3", "1e3"), ("+1_0 ٣", "+1_0"),
+                        ("10 ٣", "٣"), ("1_0 20", "1_0"), ("- 5", "-")):
+        with pytest.raises(ValueError) as err:
+            PermissionTable.parse(DEFAULT_TABLE_TEXT.replace("SA  *", f"SA  * {window}"))
+        assert str(err.value) == f"line 7: window minutes must be integers, got {bad!r}"
+    # a leading minus still parses, so a negative minute is out of range
+    with pytest.raises(ValueError, match="^line 7: window minutes out of range$"):
+        PermissionTable.parse(DEFAULT_TABLE_TEXT.replace("SA  *", "SA  * -5 10"))
 
 
 def test_default_table_is_the_parsed_builtin_text():
     # parsed once at import; each call still returns its own grants dict
-    assert PermissionTable.default().to_text() == \
-        PermissionTable.parse(DEFAULT_TABLE_TEXT).to_text()
+    assert PermissionTable.default().grants == \
+        PermissionTable.parse(DEFAULT_TABLE_TEXT).grants
     assert PermissionTable.default().grants is not PermissionTable.default().grants
 
 
