@@ -39,38 +39,39 @@ def _add_world_args(parser: argparse.ArgumentParser) -> None:
                         help="permission table file (default: built-in table)")
 
 
-def _build_world(args: argparse.Namespace) -> World:
+def _run_scenario_file(args: argparse.Namespace) -> tuple[str, str, bool]:
+    """Run the scenario file in a world built from the options; returns the
+    report text, the trace text and whether the run held up."""
+    scenario = parse_scenario(args.scenario.read_text())
     table = None
     if args.perm_table is not None:
         table = PermissionTable.parse(args.perm_table.read_text())
-    return World(seed=args.seed, delta_t=args.delta_t, perm_table=table)
+    world = World(seed=args.seed, delta_t=args.delta_t, perm_table=table)
+    result = run_scenario(world, scenario)
+    report = "\n".join(result.report_lines()) + "\n"
+    return report, world.channel.trace + "\n", result.ok
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = parse_scenario(args.scenario.read_text())
-    world = _build_world(args)
-    result = run_scenario(world, scenario)
-    report = "\n".join(result.report_lines()) + "\n"
+    report, trace, ok = _run_scenario_file(args)
     # files first: a path that cannot be written exits 2 with stdout empty
     if args.report is not None:
         args.report.write_text(report)
     if args.trace is not None:
-        args.trace.write_text(world.channel.trace + "\n")
+        args.trace.write_text(trace)
     sys.stdout.write(report)
-    return 0 if result.ok else 1
+    return 0 if ok else 1
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    scenario = parse_scenario(args.scenario.read_text())
-    world = _build_world(args)
-    result = run_scenario(world, scenario)
+    report, trace, ok = _run_scenario_file(args)
     args.out.mkdir(parents=True, exist_ok=True)
     report_path = args.out / "report.txt"
     trace_path = args.out / "trace.txt"
-    report_path.write_text("\n".join(result.report_lines()) + "\n")
-    trace_path.write_text(world.channel.trace + "\n")
+    report_path.write_text(report)
+    trace_path.write_text(trace)
     print(f"wrote {report_path} and {trace_path}")
-    return 0 if result.ok else 1
+    return 0 if ok else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -104,8 +104,8 @@ class World:
         self.seed = seed
         self.clock = SimClock()
         self.ledger = Ledger()
-        self.server = HospitalServer.setup(seed, self.clock, self.ledger,
-                                           perm_table, delta_t)
+        self.server = HospitalServer(seed, self.clock, self.ledger, perm_table,
+                                     delta_t)
         self.channel = Channel(self.clock)
         self.users: dict[str, UserGateway] = {}
         self.handlers = {SERVER: self._server_handler}
@@ -135,7 +135,7 @@ class World:
             self.users[name] = UserGateway(seed, self.clock, self.ledger, creds,
                                            delta_t=self.server.delta_t)
             self._cred_draw[name] = draw
-            self.handlers[name] = lambda env, n=name: self._user_handler(n, env)
+            self.handlers[name] = self._user_handler
         return self.users[name]
 
     # --- instrumentation -------------------------------------------------------
@@ -251,8 +251,8 @@ class World:
 
         return f"rejected UnexpectedMessage ({width}B to server)"
 
-    def _user_handler(self, name: str, env: Envelope) -> str:
-        gateway = self.users[name]
+    def _user_handler(self, env: Envelope) -> str:
+        gateway = self.users[env.dst]
         width = len(env.payload)
         if width == PROVISIONAL_WIDTH:
             if env.touched and env.owner is not None:
@@ -277,7 +277,7 @@ class World:
                 session.outcome = "verified"
             return f"verified sk={sk.hex()[:8]}"
 
-        return f"rejected UnexpectedMessage ({width}B to {name})"
+        return f"rejected UnexpectedMessage ({width}B to {env.dst})"
 
     # --- post-run resolution ------------------------------------------------------
 

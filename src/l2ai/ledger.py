@@ -14,14 +14,19 @@ whose last 20 bytes are the hash of everything before them, and whose
 ``prev_digest`` is the previous record's last 20 bytes (``bytes(WIDTH)``
 for block 0). ``LedgerBlock`` decodes a record into those four fields on
 demand, for export and inspection. The lookups hold the live answers
-(latest token per digest, user id per live identity digest, latest card).
+(latest token per digest, user id per live identity digest, latest card)
+and answer None on a miss: an unknown digest or card is an ordinary answer
+of dynamic indexing, not an error.
 Every digest, in the payloads, the lookups and the chain links, is the raw
 20-byte ``bytes`` of the hash core; the payload decoders check each
 payload's total width, so the fields they slice out need no check of their
-own. The payload records are immutable ``typing.NamedTuple``s; a new
-version is made with ``_replace``.
+own. The payload records are immutable ``typing.NamedTuple``s (a card
+block holds the ``SmartCard`` itself); a new version is made with
+``_replace``.
 A digest is live for one user at a time and a user has one live digest; a
-write that would break either is refused before anything is appended.
+write that would break either, that revokes an unknown token, or that
+replaces an index not live for its user is refused with ValueError before
+anything is appended.
 Import replays the writes and refuses, naming the line, a line that is not
 exactly what export writes for its block, a height the 8-byte field cannot
 hold, a record that does not parse or is not in canonical form, or one
@@ -42,10 +47,6 @@ from typing import NamedTuple
 from .primitives import WIDTH, Ciphertext, HelperData, sha256_160
 
 
-class NotFound(Exception):
-    """Ledger query missed: unknown index digest, card, or token."""
-
-
 TOKEN_TAG = 0x01
 IDENT_TAG = 0x02
 CARD_TAG = 0x03
@@ -54,7 +55,8 @@ _KIND_NAMES = {TOKEN_TAG: "token", IDENT_TAG: "ident", CARD_TAG: "card"}
 
 
 class SmartCard(NamedTuple):
-    """Ledger-resident smart card contents.
+    """Ledger-resident smart card contents; a card block holds the card
+    itself, tagged by `serialize`.
 
     Fields: masked long-term key (e_i), card verifier (f_i), masked
     pseudo-identity (eid_i), server re-keying random (r_hms), masked server
@@ -83,6 +85,9 @@ class SmartCard(NamedTuple):
         tau = HelperData.from_bytes(raw[6 * WIDTH:6 * WIDTH + 52])
         return cls(*fields, tau, raw[6 * WIDTH + 52:])
 
+    def serialize(self) -> bytes:
+        return bytes([CARD_TAG]) + self.to_bytes()
+
 
 class TokenRecord(NamedTuple):
     """Token index digest plus the server-sealed token bytes."""
@@ -108,15 +113,6 @@ class IdentityIndex(NamedTuple):
                 bytes([self.superseded_by is not None]) + marker)
 
 
-class CardRecord(NamedTuple):
-    """A published smart card version."""
-
-    card: SmartCard
-
-    def serialize(self) -> bytes:
-        return bytes([CARD_TAG]) + self.card.to_bytes()
-
-
 def parse_record(payload: bytes):
     if not payload:
         raise ValueError("empty record payload")
@@ -135,7 +131,7 @@ def parse_record(payload: bytes):
                              superseded_by=body[2 * WIDTH + 1:3 * WIDTH + 1]
                              if has_marker else None)
     if tag == CARD_TAG:
-        return CardRecord(card=SmartCard.from_bytes(body))
+        return SmartCard.from_bytes(body)
     raise ValueError(f"unknown record tag {tag:#x}")
 
 
@@ -224,16 +220,16 @@ class Ledger:
             elif holder is not None:
                 del self._live_by_user[user]
                 del self._idents[h]
-        elif isinstance(record, CardRecord):
-            self._cards[record.card.card_uid] = record.card
+        elif isinstance(record, SmartCard):
+            self._cards[record.card_uid] = record
 
     def put_card(self, card: SmartCard) -> int:
         """Publish a card version; returns the height of its block."""
-        return self.append(CardRecord(card))
+        return self.append(card)
 
     def replace_index(self, old_h: bytes, new_h: bytes, user_id: bytes) -> None:
         if self._idents.get(old_h) != user_id:
-            raise NotFound("no live identity index for the given digest")
+            raise ValueError("no live identity index for the given digest")
         if new_h != old_h and new_h in self._idents:
             raise ValueError("identity index digest is live for another user")
         self.append(IdentityIndex(h_dtid=old_h, user_id=user_id, superseded_by=new_h))
@@ -242,7 +238,7 @@ class Ledger:
     def revoke_token(self, x: bytes) -> None:
         current = self._tokens.get(x)
         if current is None:
-            raise NotFound("no token record for the given digest")
+            raise ValueError("no token record for the given digest")
         if not current.revoked:
             self.append(current._replace(revoked=True))
 
@@ -255,27 +251,21 @@ class Ledger:
             return True
         return x in self._idents
 
-    def get_identity(self, h_dtid: bytes) -> bytes:
-        user_id = self._idents.get(h_dtid)
-        if user_id is None:
-            raise NotFound("no live identity index for the given digest")
-        return user_id
+    def get_identity(self, h_dtid: bytes) -> bytes | None:
+        """The user whose identity index `h_dtid` is live, if any."""
+        return self._idents.get(h_dtid)
 
     def live_index_for(self, user_id: bytes) -> bytes | None:
         """The h(pseudo-identity) currently live for a user, if any."""
         return self._live_by_user.get(user_id)
 
-    def get_token(self, x: bytes) -> TokenRecord:
-        token = self._tokens.get(x)
-        if token is None:
-            raise NotFound("no token record for the given digest")
-        return token
+    def get_token(self, x: bytes) -> TokenRecord | None:
+        """The latest token record for `x`, revoked or not, if any."""
+        return self._tokens.get(x)
 
-    def get_card(self, card_uid: bytes) -> SmartCard:
-        card = self._cards.get(card_uid)
-        if card is None:
-            raise NotFound("no card record for the given identifier")
-        return card
+    def get_card(self, card_uid: bytes) -> SmartCard | None:
+        """The latest version of the card, if one was published."""
+        return self._cards.get(card_uid)
 
     # --- integrity and transport -------------------------------------------------
 

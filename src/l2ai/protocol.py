@@ -6,15 +6,18 @@ the master secret, and the user gateway, which holds the human factors
 
 Flow summary. Token issuance seals a fresh token under the server secret
 and anchors its digest on the ledger. Registration binds the user's factors
-to the token and ends with the card on the ledger; the card stores only
-masked values, so neither the card nor the chain reveals identity, password,
-or token. Login checks the factors locally against the card verifier, then
-builds a one-time authentication request; the server resolves the request
-through the ledger, answers with a key-confirmation message, and re-keys
-the card's pseudonymous fields so no wire or ledger value repeats across
-sessions. Credential update swaps password/biometric on the card; an
-authorization update swaps the token (and so the card's authorization
-index) without touching the user's factors.
+to the token and ends with the card on the ledger. The chain holds the user
+id in clear, as each card's `card_uid` and each identity index's `user_id`,
+so a ledger reader learns who registered and whose card each session
+re-keys; password, biometric key and token appear on it only hashed, masked
+or sealed under the server secret. Login checks the factors locally against
+the card verifier, then builds a one-time authentication request; the
+server resolves the request through the ledger (a lookup that misses is a
+rejection), answers with a key-confirmation message, and re-keys the card's
+pseudonymous fields so none of them repeats across sessions. Credential
+update swaps password/biometric on the card; an authorization update swaps
+the token (and so the card's authorization index) without touching the
+user's factors.
 
 All multi-field hash inputs are raw concatenations of fixed-width fields
 (digests 20 bytes, timestamps 8-byte big-endian). Where a 160-bit value
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .ledger import IdentityIndex, Ledger, NotFound, SmartCard, TokenRecord
+from .ledger import IdentityIndex, Ledger, SmartCard, TokenRecord
 from .permissions import PermissionTable, Role
 from .primitives import (
     WIDTH, BioTemplate, HelperData, PrimitiveOps, RecoveryFailure, SimClock,
@@ -105,13 +108,13 @@ class Token:
 @dataclass(frozen=True, slots=True)
 class UserScratch:
     """Gateway-held values alive only between the registration request and
-    card finalization; dropped (token included) once the card is built."""
+    card finalization; dropped once the card is built. The gateway never
+    keeps the token itself."""
 
     user_id: bytes
     b_i: bytes
     pwd_i: bytes
     tau: HelperData
-    t_g: bytes
 
 
 class UserSession(NamedTuple):
@@ -222,8 +225,7 @@ def register_request(ops: PrimitiveOps, creds: Credentials,
     x = ops.hash(token.t_g)                        # token index digest
     pwd = ops.hash(creds.password + b_i)           # salted password digest
     did = ops.xor(creds.user_id, ops.hash(x + token.t_g))
-    scratch = UserScratch(user_id=creds.user_id, b_i=b_i, pwd_i=pwd,
-                          tau=tau, t_g=token.t_g)
+    scratch = UserScratch(user_id=creds.user_id, b_i=b_i, pwd_i=pwd, tau=tau)
     return RegRequest(x=x, did=did, pwd=pwd), scratch
 
 
@@ -316,27 +318,21 @@ class HospitalServer:
     they are computed once here; per-request hash counts rely on that.
     """
 
-    def __init__(self, ops: PrimitiveOps, clock: SimClock, ledger: Ledger,
-                 perm_table: PermissionTable, delta_t: int = DEFAULT_DELTA_T):
+    def __init__(self, seed: int, clock: SimClock, ledger: Ledger,
+                 perm_table: PermissionTable | None = None,
+                 delta_t: int = DEFAULT_DELTA_T):
         if delta_t < 0:
             raise ValueError(f"freshness window must be >= 0 ms, got {delta_t}")
-        self.ops = ops
+        self.ops = ops = PrimitiveOps(seed)
         self.clock = clock
         self.ledger = ledger
-        self.perm_table = perm_table
+        self.perm_table = perm_table or PermissionTable.default()
         self.delta_t = delta_t
         self.id_hms = ops.rand_digest()
         self.s_hms = ops.rand_digest()
         self._h_s = ops.hash(self.s_hms)
         self._h_pair = ops.hash(self.id_hms + self.s_hms)
         self.token_roles: dict[bytes, Role] = {}
-
-    @classmethod
-    def setup(cls, seed: int, clock: SimClock, ledger: Ledger,
-              perm_table: PermissionTable | None = None,
-              delta_t: int = DEFAULT_DELTA_T) -> "HospitalServer":
-        return cls(PrimitiveOps(seed), clock, ledger,
-                   perm_table or PermissionTable.default(), delta_t)
 
     # --- token issuance ------------------------------------------------------------
 
@@ -361,10 +357,7 @@ class HospitalServer:
         """Admit a token holder: recover their identity, derive the card
         values, and anchor the identity index."""
         ops = self.ops
-        try:
-            record = self.ledger.get_token(req.x)
-        except NotFound:
-            record = None
+        record = self.ledger.get_token(req.x)
         if record is None or record.revoked:
             raise UnknownToken("token digest not live on the ledger")
         t_g = ops.dec(self.s_hms, record.y)
@@ -401,12 +394,9 @@ class HospitalServer:
         t_g = ops.xor(msg1.ax, ops.hash(d_tid + self.id_hms))
         h_dtid = ops.hash(d_tid)
         h_tg = ops.hash(t_g)
-        try:
-            user_id = self.ledger.get_identity(h_dtid)
-            live = not self.ledger.get_token(h_tg).revoked
-        except NotFound:
-            live = False
-        if not live:
+        user_id = self.ledger.get_identity(h_dtid)
+        token = None if user_id is None else self.ledger.get_token(h_tg)
+        if token is None or token.revoked:
             raise UnknownPrincipal("pseudo-identity or token not live on the ledger")
 
         role = self.token_roles.get(h_tg)
@@ -434,10 +424,9 @@ class HospitalServer:
         ax_new = ops.xor(t_g, ops.hash(d_new + self.id_hms))
         eid_new = ops.xor(d_new, self._h_s)
         hid_new = ops.xor(self._h_pair, d_new)
-        try:
-            card = self.ledger.get_card(user_id)
-        except NotFound:
-            raise UnknownPrincipal("no card published for the identity") from None
+        card = self.ledger.get_card(user_id)
+        if card is None:
+            raise UnknownPrincipal("no card published for the identity")
         self.ledger.put_card(card._replace(eid_i=eid_new, ax_ui=ax_new,
                                            hid_hms=hid_new, r_hms=r2))
         self.ledger.replace_index(h_dtid, ops.hash(d_new), user_id)
@@ -455,20 +444,18 @@ class HospitalServer:
         if role not in self.perm_table:
             raise InvalidRole(f"no permission row for role {role!r}")
         ops = self.ops
-        try:
-            card = self.ledger.get_card(user_id)
-        except NotFound:
-            raise UnknownPrincipal("no card for the given identity") from None
+        card = self.ledger.get_card(user_id)
+        if card is None:
+            raise UnknownPrincipal("no card for the given identity")
 
         # recover the current pseudo-identity and the old token from the card
         d_tid = ops.xor(card.eid_i, self._h_s)
         mask = ops.hash(d_tid + self.id_hms)
         t_g_old = ops.xor(card.ax_ui, mask)
         x_old = ops.hash(t_g_old)
-        try:
-            self.ledger.revoke_token(x_old)
-        except NotFound:
-            raise UnknownPrincipal("card does not point at a known token") from None
+        if self.ledger.get_token(x_old) is None:
+            raise UnknownPrincipal("card does not point at a known token")
+        self.ledger.revoke_token(x_old)
         self.token_roles.pop(x_old, None)
 
         t_g_new = ops.rand_digest()
@@ -508,7 +495,7 @@ class UserGateway:
         if self._scratch is None:
             raise UnexpectedMessage("no registration in progress")
         card = finalize_card(self.ops, provisional, self._scratch)
-        self._scratch = None                      # token and scratch are dropped here
+        self._scratch = None
         self.ledger.put_card(card)
         self._card_uid = card.card_uid
 

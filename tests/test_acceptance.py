@@ -41,7 +41,7 @@ EXPECTED_GRANTS = {
 def fresh_pair(seed=42, delta_t=2000, role=Role.DOCTOR):
     """One server and one enrolled user, wired to the same clock and ledger."""
     clock, ledger = SimClock(), Ledger()
-    server = HospitalServer.setup(seed, clock, ledger, delta_t=delta_t)
+    server = HospitalServer(seed, clock, ledger, delta_t=delta_t)
     ops = PrimitiveOps(seed * 3 + 1)
     creds = Credentials(user_id=ops.rand_digest(), password=b"pw-acceptance",
                         bio=ops.rand_template())
@@ -277,7 +277,7 @@ def test_criterion_08_reference_agreement_100_seeds():
     fields_checked = 0
     for seed in range(100):
         clock, ledger = SimClock(), Ledger()
-        server = HospitalServer.setup(seed, clock, ledger)
+        server = HospitalServer(seed, clock, ledger)
         ops = PrimitiveOps(seed ^ 0xACCE)
         creds = Credentials(user_id=ops.rand_digest(),
                             password=b"pw-%d" % seed, bio=ops.rand_template())
@@ -392,7 +392,7 @@ def test_criterion_10_authorization_matrix_and_revocation():
     # authorization swaps: the old card index is unknown afterwards and the
     # new role's scopes take effect immediately
     clock, ledger = SimClock(), Ledger()
-    server = HospitalServer.setup(7, clock, ledger)
+    server = HospitalServer(7, clock, ledger)
     granted = denied = 0
     for i, role in enumerate(Role):
         gateway, _ = enroll(server, ledger, clock, seed=300 + i, role=role)

@@ -11,8 +11,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from l2ai.channel import parse_scenario
 from l2ai.harness import HONEST_SCENARIO, World, run_scenario
 from l2ai.ledger import (
-    CardRecord, IdentityIndex, Ledger, LedgerBlock, NotFound, SmartCard,
-    TokenRecord, _KIND_NAMES, parse_record,
+    IdentityIndex, Ledger, LedgerBlock, SmartCard, TokenRecord, _KIND_NAMES,
+    parse_record,
 )
 from l2ai.permissions import Role
 from l2ai.primitives import WIDTH, PrimitiveOps, seal, sha256_160
@@ -109,10 +109,9 @@ def test_identity_index_replacement():
     assert not ledger.any_digest(old_h)
     assert ledger.any_digest(new_h)
     assert ledger.get_identity(new_h) == user_id
-    with pytest.raises(NotFound):
-        ledger.get_identity(old_h)
+    assert ledger.get_identity(old_h) is None
     # replacing the dead index again must fail
-    with pytest.raises(NotFound):
+    with pytest.raises(ValueError):
         ledger.replace_index(old_h, ops.rand_digest(), user_id)
     assert ledger.verify_chain()
 
@@ -129,20 +128,20 @@ def test_card_latest_version_wins():
     assert ledger.verify_chain()
 
 
-def test_queries_raise_not_found():
+def test_lookup_misses_answer_none_and_writes_on_a_miss_raise_value_error():
     ops, ledger = make_ops(6), Ledger()
+    ledger.append(sample_token(ops))
     ghost = ops.rand_digest()
     assert not ledger.any_digest(ghost)
-    with pytest.raises(NotFound):
-        ledger.get_identity(ghost)
-    with pytest.raises(NotFound):
-        ledger.get_token(ghost)
-    with pytest.raises(NotFound):
-        ledger.get_card(ghost)
-    with pytest.raises(NotFound):
+    assert ledger.get_identity(ghost) is None
+    assert ledger.get_token(ghost) is None
+    assert ledger.get_card(ghost) is None
+    assert ledger.live_index_for(ghost) is None
+    with pytest.raises(ValueError):
         ledger.revoke_token(ghost)
-    with pytest.raises(NotFound):
+    with pytest.raises(ValueError):
         ledger.replace_index(ghost, ghost, ghost)
+    assert len(ledger.blocks) == 1
 
 
 def test_export_import_roundtrip():
@@ -167,7 +166,7 @@ def test_payload_serialization_roundtrips():
                           superseded_by=ops.rand_digest())
     assert parse_record(ident.serialize()) == ident
     card = sample_card(ops)
-    assert parse_record(CardRecord(card=card).serialize()).card == card
+    assert parse_record(card.serialize()) == card
 
 
 def test_any_digest_agrees_with_linear_scan():
@@ -346,7 +345,7 @@ def test_blocks_are_untracked_records_that_decode_and_re_encode():
     for height, card in written:
         block = LedgerBlock.from_record(records[height])
         assert block.height == height
-        assert block.payload == CardRecord(card).serialize()
+        assert block.payload == card.serialize()
 
 
 def test_import_accepts_line_endings():
@@ -522,7 +521,7 @@ class LedgerModel(RuleBasedStateMachine):
     def revoke_token(self, x):
         current = self.tokens.get(x)
         if current is None:
-            self.appends(0, lambda: self.ledger.revoke_token(x), raises=NotFound)
+            self.appends(0, lambda: self.ledger.revoke_token(x), raises=ValueError)
             return
         self.appends(0 if current.revoked else 1,
                      lambda: self.ledger.revoke_token(x))
@@ -550,7 +549,7 @@ class LedgerModel(RuleBasedStateMachine):
     def replace_index(self, old, new, user):
         write = lambda: self.ledger.replace_index(old, new, user)   # noqa: E731
         if self.idents.get(old) != user:
-            self.appends(0, write, raises=NotFound)
+            self.appends(0, write, raises=ValueError)
             return
         if self.idents.get(new, user) != user:        # new is another user's
             self.appends(0, write, raises=ValueError)
@@ -562,26 +561,14 @@ class LedgerModel(RuleBasedStateMachine):
     def assert_lookups(self, ledger: Ledger) -> None:
         for x in DIGESTS:
             token = self.tokens.get(x)
-            if token is None:
-                with pytest.raises(NotFound):
-                    ledger.get_token(x)
-            else:
-                assert ledger.get_token(x) == token
-            if x in self.idents:
-                assert ledger.get_identity(x) == self.idents[x]
-            else:
-                with pytest.raises(NotFound):
-                    ledger.get_identity(x)
+            assert ledger.get_token(x) == token
+            assert ledger.get_identity(x) == self.idents.get(x)
             live_token = token is not None and not token.revoked
             assert ledger.any_digest(x) == (live_token or x in self.idents)
         for user in USERS:
             assert ledger.live_index_for(user) == self.live.get(user)
         for uid in CARD_UIDS:
-            if uid in self.cards:
-                assert ledger.get_card(uid) == self.cards[uid]
-            else:
-                with pytest.raises(NotFound):
-                    ledger.get_card(uid)
+            assert ledger.get_card(uid) == self.cards.get(uid)
         assert ledger.verify_chain()
 
     @invariant()

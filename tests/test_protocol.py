@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 import oracle
-from l2ai.ledger import Ledger, NotFound
+from l2ai.ledger import Ledger
 from l2ai.permissions import (
     DEFAULT_TABLE_TEXT, PermissionTable, Role, SCOPE_CATALOG,
 )
@@ -16,7 +16,7 @@ from l2ai.protocol import (
     AlreadyRegistered, BadMac, Credentials, HospitalServer, InvalidRole,
     LocalVerifyFailed, Msg1, Msg2, ProvisionalCard, RegRequest, Stale,
     UnknownPrincipal, UnknownToken, Unauthorized, UserGateway,
-    login, update_credentials, verify_server,
+    finalize_card, login, register_request, update_credentials, verify_server,
 )
 
 SCOPE = "read-patient-vitals"
@@ -24,7 +24,7 @@ SCOPE = "read-patient-vitals"
 
 def make_world(seed=42, delta_t=2000):
     clock, ledger = SimClock(), Ledger()
-    server = HospitalServer.setup(seed, clock, ledger, delta_t=delta_t)
+    server = HospitalServer(seed, clock, ledger, delta_t=delta_t)
     return clock, ledger, server
 
 
@@ -298,6 +298,31 @@ def test_replayed_msg1_rejected_after_rekey():
     clock.advance(10)                      # still well inside the window
     with pytest.raises(UnknownPrincipal):  # pseudonym already superseded
         server.authenticate(msg1, SCOPE)
+
+
+def test_authenticate_rejects_a_card_never_published():
+    # the card is finalized but never put on the ledger: its identity index
+    # and token are live, so only the card lookup misses
+    clock, ledger, server = make_world()
+    creds, ops = make_creds(), PrimitiveOps(101)
+    req, scratch = register_request(ops, creds, server.issue_token(b"code", Role.DOCTOR))
+    card = finalize_card(ops, server.register(req), scratch)
+    msg1, _ = login(ops, clock, creds, card)
+    before = len(ledger.blocks)
+    with pytest.raises(UnknownPrincipal, match="no card published"):
+        server.authenticate(msg1, SCOPE)
+    assert len(ledger.blocks) == before
+
+
+def test_authenticate_rejects_a_live_token_with_no_role():
+    clock, ledger, server = make_world()
+    gateway, token = registered_user(clock, ledger, server)
+    del server.token_roles[oracle.h(token.t_g)]
+    msg1 = gateway.start_login()
+    before = len(ledger.blocks)
+    with pytest.raises(UnknownPrincipal, match="no registered role"):
+        server.authenticate(msg1, SCOPE)
+    assert len(ledger.blocks) == before
 
 
 def test_verify_server_rejections():

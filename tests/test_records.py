@@ -8,7 +8,7 @@ import pytest
 from l2ai.channel import parse_scenario
 from l2ai.harness import HONEST_SCENARIO, World, run_scenario
 from l2ai.ledger import (
-    CardRecord, IdentityIndex, Ledger, LedgerBlock, SmartCard, TokenRecord,
+    IdentityIndex, Ledger, LedgerBlock, SmartCard, TokenRecord,
     parse_record,
 )
 from l2ai.primitives import WIDTH, Ciphertext, HelperData, PrimitiveOps, seal
@@ -28,7 +28,6 @@ RECORDS = {
     "SmartCard": (_CARD, "ax_ui", _d()),
     "TokenRecord": (TokenRecord(_d(), _CIPHERTEXT), "revoked", True),
     "IdentityIndex": (IdentityIndex(_d(), _d()), "superseded_by", _d()),
-    "CardRecord": (CardRecord(_CARD), "card", _CARD._replace(e_i=_d())),
     "HelperData": (_CARD.tau, "check", _d()),
     "UserSession": (UserSession(_d(), _d(), 100), "t1", 101),
     "AuthTranscript": (AuthTranscript(_d(), _d(), _d(), _d(), _d(), _d(), _d(),
@@ -42,10 +41,9 @@ RECORDS = {
 # how each wire or ledger record is decoded from its own bytes
 DECODERS = {
     "Ciphertext": (Ciphertext.to_bytes, Ciphertext.from_bytes),
-    "SmartCard": (SmartCard.to_bytes, SmartCard.from_bytes),
+    "SmartCard": (SmartCard.serialize, parse_record),
     "TokenRecord": (TokenRecord.serialize, parse_record),
     "IdentityIndex": (IdentityIndex.serialize, parse_record),
-    "CardRecord": (CardRecord.serialize, parse_record),
     "HelperData": (HelperData.to_bytes, HelperData.from_bytes),
     "RegRequest": (RegRequest.to_bytes, RegRequest.from_bytes),
     "ProvisionalCard": (ProvisionalCard.to_bytes, ProvisionalCard.from_bytes),
