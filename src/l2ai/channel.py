@@ -19,10 +19,12 @@ shifts underneath a script. A sender may name an owner for a send; its
 envelope and every replayed copy carry it back to the handlers, and the
 channel itself never reads it. Modification happens on the wire: the
 eavesdrop record and the adversary's replay material keep the bytes as the
-honest party sent them. An armed action whose sequence number never occurs
-is a scripting mistake and fails the run loudly. A dropped send's seq goes
-into `dropped` when it is sent; every other send is delivered by the next
-run, so after a drain "not delivered" means exactly "dropped".
+honest party sent them. The armed actions live in one map keyed by seq, and
+each send pops its own entry, so a matched action leaves nothing behind; an
+armed seq that never occurs is a scripting mistake and fails the run
+loudly. A dropped send's seq goes into `dropped` when it is sent; every
+other send is delivered by the next run, so after a drain "not delivered"
+means exactly "dropped".
 
 Delivery handlers return an outcome string and must not raise; the caller
 wraps protocol rejections into outcomes. Everything is logged to a stable
@@ -64,13 +66,13 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Envelope:
     """One message in flight. `tampered` marks an adversary modification;
     `replay_of` names the original send for re-injected copies. `owner` is
     whatever the sender passed to `send` (replayed copies keep it): the
     channel carries it and never reads it, and it takes no part in `==` or
-    `hash`."""
+    `hash`. Not frozen, which saves a per-field `object.__setattr__`."""
 
     seq: int
     src: str
@@ -95,6 +97,16 @@ class Envelope:
 Handler = Callable[[Envelope], str]
 
 
+@dataclass(slots=True)
+class _Armed:
+    """Every action armed on one seq; the send of that seq consumes it."""
+
+    eavesdrop: bool = False
+    drop: tuple[str, str] | None = None
+    modifies: list[tuple[int, bytes]] = field(default_factory=list)
+    replays: list[int] = field(default_factory=list)
+
+
 class Channel:
     def __init__(self, clock: SimClock, base_delay: int = DEFAULT_DELAY):
         self.clock = clock
@@ -108,115 +120,101 @@ class Channel:
         self._next_replay = -1
         self._pushes = 0
         self._queue: list[tuple[int, int, Envelope]] = []
-        self._eavesdrops: set[int] = set()
-        self._drops: dict[int, tuple[str, str]] = {}
-        self._modifies: dict[int, list[tuple[int, bytes]]] = {}
-        self._replays: dict[int, list[int]] = {}
+        self._armed: dict[int, _Armed] = {}        # seq -> actions not yet matched
 
     # --- adversary scripting (armed before or between runs) -------------------
 
     def script_eavesdrop(self, seq: int) -> None:
-        self._check_seq(seq)
-        self._eavesdrops.add(seq)
+        self._arm(seq).eavesdrop = True
 
     def script_drop(self, src: str, dst: str, seq: int) -> None:
-        self._check_seq(seq)
-        if seq in self._drops:
+        armed = self._arm(seq)
+        if armed.drop is not None:
             raise ChannelError(f"seq={seq} already has a drop armed")
-        self._drops[seq] = (src, dst)
+        armed.drop = (src, dst)
 
     def script_modify(self, seq: int, offset: int, mask: bytes) -> None:
-        self._check_seq(seq)
         if offset < 0 or not mask:
             raise ChannelError("modify needs a non-negative offset and a non-empty mask")
-        self._modifies.setdefault(seq, []).append((offset, mask))
+        self._arm(seq).modifies.append((offset, mask))
 
     def script_replay(self, seq: int, at_ms: int) -> None:
-        self._check_seq(seq)
         if at_ms < 0:
             raise ChannelError("replay time must be non-negative")
-        self._replays.setdefault(seq, []).append(at_ms)
+        self._arm(seq).replays.append(at_ms)
 
-    def _check_seq(self, seq: int) -> None:
+    def _arm(self, seq: int) -> _Armed:
         if seq < 1:
             raise ChannelError(f"sequence numbers start at 1, got {seq}")
         if seq < self._next_seq:
             raise ChannelError(f"seq={seq} was already sent; arm actions up front")
+        return self._armed.setdefault(seq, _Armed())
 
     # --- wire ------------------------------------------------------------------
 
     def send(self, src: str, dst: str, payload: bytes, owner: object = None) -> Envelope:
         now = self.clock.now()
         seq = self._next_seq
-        self._next_seq += 1
-        self._log(now, f"SEND seq={seq} {src}->{dst} len={len(payload)}")
-
-        if seq in self._eavesdrops or seq in self._replays:
-            self.knowledge[seq] = payload
-            self._eavesdrops.discard(seq)
-            self._log(now, f"EAVESDROP seq={seq}")
-        for at in self._replays.pop(seq, ()):
-            if at < now:
-                raise ChannelError(f"replay of seq={seq} at t={at} predates its send at t={now}")
-            rseq = self._next_replay
-            self._next_replay -= 1
-            copy = Envelope(rseq, src, dst, payload, now, at, False, seq, owner)
-            self._push(copy)
-            self._log(now, f"REPLAY seq={rseq} of={seq} at={at}")
-
+        self._next_seq = seq + 1
+        pending = self._pending
+        pending.append(f"{now:08d} SEND seq={seq} {src}->{dst} len={len(payload)}")
         out = payload
-        for offset, mask in self._modifies.pop(seq, ()):
-            if offset + len(mask) > len(out):
-                raise ChannelError(f"modify seq={seq} off={offset} runs past the "
-                                   f"{len(out)}-byte payload")
-            buf = bytearray(out)
-            for i, m in enumerate(mask):
-                buf[offset + i] ^= m
-            out = bytes(buf)
-            self._log(now, f"MODIFY seq={seq} off={offset} mask={mask.hex()}")
-
+        armed = self._armed.pop(seq, None)
+        if armed is not None:         # in trace order: record, replay, modify, drop
+            if armed.eavesdrop or armed.replays:
+                self.knowledge[seq] = payload
+                pending.append(f"{now:08d} EAVESDROP seq={seq}")
+            for at in armed.replays:
+                if at < now:
+                    raise ChannelError(f"replay of seq={seq} at t={at} predates its "
+                                       f"send at t={now}")
+                rseq = self._next_replay
+                self._next_replay -= 1
+                self._pushes += 1
+                heapq.heappush(self._queue, (at, self._pushes, Envelope(
+                    rseq, src, dst, payload, now, at, False, seq, owner)))
+                pending.append(f"{now:08d} REPLAY seq={rseq} of={seq} at={at}")
+            for offset, mask in armed.modifies:
+                end = offset + len(mask)
+                if end > len(out):
+                    raise ChannelError(f"modify seq={seq} off={offset} runs past the "
+                                       f"{len(out)}-byte payload")
+                flipped = bytes(a ^ b for a, b in zip(out[offset:end], mask))
+                out = out[:offset] + flipped + out[end:]
+                pending.append(f"{now:08d} MODIFY seq={seq} off={offset} mask={mask.hex()}")
+            if armed.drop is not None:
+                if armed.drop != (src, dst):
+                    raise ChannelError(f"drop for seq={seq} names {armed.drop[0]}->"
+                                       f"{armed.drop[1]} but the send is {src}->{dst}")
+                pending.append(f"{now:08d} DROP seq={seq} {src}->{dst}")
+                self.dropped.add(seq)
         env = Envelope(seq, src, dst, out, now, now + self.base_delay, out != payload,
-                       owner=owner)
-        if seq in self._drops:
-            want = self._drops.pop(seq)
-            if want != (src, dst):
-                raise ChannelError(f"drop for seq={seq} names {want[0]}->{want[1]} "
-                                   f"but the send is {src}->{dst}")
-            self._log(now, f"DROP seq={seq} {src}->{dst}")
-            self.dropped.add(seq)
-            return env
-        self._push(env)
+                       None, owner)
+        if armed is None or armed.drop is None:
+            self._pushes += 1
+            heapq.heappush(self._queue, (env.deliver_time, self._pushes, env))
         return env
-
-    def _push(self, env: Envelope) -> None:
-        self._pushes += 1
-        heapq.heappush(self._queue, (env.deliver_time, self._pushes, env))
 
     def run(self, handlers: dict[str, Handler], strict: bool = True) -> None:
         """Deliver everything in deliver-time order (handlers may send more).
         With strict=True, leftover armed actions fail the run."""
-        while self._queue:
-            _, _, env = heapq.heappop(self._queue)
-            self.clock.advance_to(env.deliver_time)
-            self._log(env.deliver_time,
-                      f"DELIVER seq={env.seq} {env.src}->{env.dst} len={len(env.payload)}")
+        queue, clock, pending = self._queue, self.clock, self._pending
+        while queue:
+            env = heapq.heappop(queue)[2]
+            clock.advance_to(env.deliver_time)
+            pending.append(f"{env.deliver_time:08d} DELIVER seq={env.seq} "
+                           f"{env.src}->{env.dst} len={len(env.payload)}")
             handler = handlers.get(env.dst)
             if handler is None:
                 raise ChannelError(f"no handler registered for {env.dst!r}")
             outcome = handler(env)
             self.delivered.append((env, outcome))
-            self._log(self.clock.now(), f"OUTCOME seq={env.seq} {outcome}")
+            pending.append(f"{clock.now():08d} OUTCOME seq={env.seq} {outcome}")
         self._flush()
-        if strict:
-            leftover = sorted(set(self._eavesdrops) | set(self._drops)
-                              | set(self._modifies) | set(self._replays))
-            if leftover:
-                raise UnknownSeq(f"armed actions never matched a send: seqs {leftover}")
+        if strict and self._armed:
+            raise UnknownSeq(f"armed actions never matched a send: seqs {sorted(self._armed)}")
 
     # --- trace -------------------------------------------------------------------
-
-    def _log(self, t: int, text: str) -> None:
-        self._pending.append(f"{t:08d} {text}")
 
     def _flush(self) -> None:
         if self._pending:
@@ -276,6 +274,43 @@ class Scenario:
             channel.script_replay(seq, at)
 
 
+def _need(line_no: int, args: list[str], n: int, usage: str) -> None:
+    if len(args) != n:
+        raise ParseError(line_no, f"usage: {usage}")
+
+
+def _num(line_no: int, token: str, what: str, minimum: int = 0) -> int:
+    digits = token.removeprefix("-")       # ASCII digits only: no "+", "_"
+    try:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
+        value = int(token)                 # also refuses a very long number
+    except ValueError:
+        raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None
+    if value < minimum:
+        raise ParseError(line_no, f"{what} must be >= {minimum}, got {value}")
+    return value
+
+
+def _honest_step(line_no: int, args: list[str]) -> HonestStep:
+    if len(args) not in (2, 3):
+        raise ParseError(line_no, "usage: honest <phase> <user> [role|scope]")
+    phase, user, *extra = args
+    if phase not in HONEST_PHASES:
+        raise ParseError(line_no, f"unknown phase {phase!r}; "
+                                  f"one of {', '.join(HONEST_PHASES)}")
+    if not extra:
+        return HonestStep(phase=phase, user=user)
+    if phase == "auth":                      # third token is the scope
+        return HonestStep(phase=phase, user=user, scope=extra[0])
+    if phase not in ("register", "update-auth"):
+        raise ParseError(line_no, f"{phase} takes no third argument")
+    try:
+        return HonestStep(phase=phase, user=user, role=Role(extra[0]))
+    except ValueError:
+        raise ParseError(line_no, f"unknown role {extra[0]!r}") from None
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse a scenario script. Grammar, one directive per line ('#' starts
     a comment):
@@ -300,63 +335,31 @@ def parse_scenario(text: str) -> Scenario:
             continue
         verb, *args = line.split()
 
-        def need(n: int, usage: str):
-            if len(args) != n:
-                raise ParseError(line_no, f"usage: {usage}")
-
-        def num(token: str, what: str, minimum: int = 0) -> int:
-            digits = token.removeprefix("-")       # ASCII digits only: no "+", "_"
-            try:
-                if not (digits.isascii() and digits.isdigit()):
-                    raise ValueError
-                value = int(token)
-            except ValueError:
-                raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None
-            if value < minimum:
-                raise ParseError(line_no, f"{what} must be >= {minimum}, got {value}")
-            return value
-
         if verb == "honest":
-            if len(args) not in (2, 3):
-                raise ParseError(line_no, "usage: honest <phase> <user> [role|scope]")
-            phase, user = args[0], args[1]
-            if phase not in HONEST_PHASES:
-                raise ParseError(line_no, f"unknown phase {phase!r}; "
-                                          f"one of {', '.join(HONEST_PHASES)}")
-            step = HonestStep(phase=phase, user=user)
-            if len(args) == 3:
-                if phase == "auth":                      # third token is the scope
-                    step = HonestStep(phase=phase, user=user, scope=args[2])
-                elif phase in ("register", "update-auth"):
-                    try:
-                        step = HonestStep(phase=phase, user=user, role=Role(args[2]))
-                    except ValueError:
-                        raise ParseError(line_no, f"unknown role {args[2]!r}") from None
-                else:
-                    raise ParseError(line_no, f"{phase} takes no third argument")
-            steps.append(step)
+            steps.append(_honest_step(line_no, args))
         elif verb == "delay":
-            need(1, "delay <ms>")
-            base_delay = num(args[0], "delay")
+            _need(line_no, args, 1, "delay <ms>")
+            base_delay = _num(line_no, args[0], "delay")
         elif verb == "eavesdrop":
-            need(1, "eavesdrop <seq>")
-            eavesdrops.append(num(args[0], "seq", minimum=1))
+            _need(line_no, args, 1, "eavesdrop <seq>")
+            eavesdrops.append(_num(line_no, args[0], "seq", minimum=1))
         elif verb == "drop":
-            need(3, "drop <from> <to> <seq>")
-            drops.append((args[0], args[1], num(args[2], "seq", minimum=1)))
+            _need(line_no, args, 3, "drop <from> <to> <seq>")
+            drops.append((args[0], args[1], _num(line_no, args[2], "seq", minimum=1)))
         elif verb == "modify":
-            need(3, "modify <seq> <offset> <mask-hex>")
+            _need(line_no, args, 3, "modify <seq> <offset> <mask-hex>")
             try:
                 mask = bytes.fromhex(args[2])
             except ValueError:
                 raise ParseError(line_no, f"mask must be hex, got {args[2]!r}") from None
             if not mask:
                 raise ParseError(line_no, "mask must not be empty")
-            modifies.append((num(args[0], "seq", minimum=1),
-                             num(args[1], "offset"), mask))
+            modifies.append((_num(line_no, args[0], "seq", minimum=1),
+                             _num(line_no, args[1], "offset"), mask))
         elif verb == "replay":
-            need(2, "replay <seq> <at-ms>")
-            replays.append((num(args[0], "seq", minimum=1), num(args[1], "at-ms")))
+            _need(line_no, args, 2, "replay <seq> <at-ms>")
+            replays.append((_num(line_no, args[0], "seq", minimum=1),
+                            _num(line_no, args[1], "at-ms")))
         else:
             raise ParseError(line_no, f"unknown directive {verb!r}")
 

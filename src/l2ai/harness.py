@@ -6,6 +6,8 @@ Outcome strings, not exceptions, cross the harness boundary. Every protocol
 call goes through World._metered, which charges the call's counted operations
 to its (side, phase), also when it is rejected part way, and turns a Reject or
 ValueError into "rejected <Class>"; so an attack scenario runs to completion.
+A delivery handler decodes the payload before the metered call, since its
+width dispatch has already checked the one thing a decoder checks.
 Each send carries its owner on its envelope (a Session for msg1 and server
 replies, a user name for enrollment traffic), replayed copies included, so a
 delivery handler records its result on the envelope's owner. The channel
@@ -224,8 +226,8 @@ class World:
             if env.touched and user is not None:
                 self.tainted.add(user)
             provisional, rejected = self._metered(
-                "server", "register", self.server.ops,
-                lambda: self.server.register(RegRequest.from_bytes(env.payload)))
+                "server", "register", self.server.ops, self.server.register,
+                RegRequest.from_bytes(env.payload))
             if rejected:
                 return rejected
             self._send(SERVER, env.src, provisional.to_bytes(), user)
@@ -235,8 +237,8 @@ class World:
             session = env.owner
             scope = session.scope if session is not None else DEFAULT_SCOPE
             result, rejected = self._metered(
-                "server", "auth", self.server.ops,
-                lambda: self.server.authenticate(Msg1.from_bytes(env.payload), scope))
+                "server", "auth", self.server.ops, self.server.authenticate,
+                Msg1.from_bytes(env.payload), scope)
             if rejected:
                 # only the original's rejection counts; a verified reply outranks it
                 if session is not None and env.seq > 0 and session.outcome != "verified":
@@ -258,15 +260,15 @@ class World:
             if env.touched and env.owner is not None:
                 self.tainted.add(env.owner)
             _, rejected = self._metered(
-                "user", "finalize", gateway.ops,
-                lambda: gateway.accept_provisional(ProvisionalCard.from_bytes(env.payload)))
+                "user", "finalize", gateway.ops, gateway.accept_provisional,
+                ProvisionalCard.from_bytes(env.payload))
             return rejected or "registered"
 
         if width == MSG2_WIDTH:
             session = env.owner
             sk, rejected = self._metered(
-                "user", "verify", gateway.ops,
-                lambda: gateway.accept_server_reply(Msg2.from_bytes(env.payload)))
+                "user", "verify", gateway.ops, gateway.accept_server_reply,
+                Msg2.from_bytes(env.payload))
             if rejected:
                 # an original reply's rejection ranks below every other verdict
                 if session is not None and env.seq > 0 and session.outcome == "pending":
@@ -439,9 +441,8 @@ def suite_honest(seed: int = 42, rounds: int = 20, emit=print) -> bool:
         good = result.ok and verified == len(world.sessions) == 4 \
             and len(keys) == verified
         ok &= good
-        emit(f"{'ok' if good else 'FAIL'} honest seed={seed + i} "
-             f"sessions={len(world.sessions)} verified={verified} "
-             f"distinct-keys={len(keys)}")
+        emit(f"{'ok' if good else 'FAIL'} honest seed={seed + i} sessions="
+             f"{len(world.sessions)} verified={verified} distinct-keys={len(keys)}")
         for violation in result.violations:
             emit(f"  violation: {violation}")
     return ok
@@ -451,47 +452,46 @@ def suite_honest(seed: int = 42, rounds: int = 20, emit=print) -> bool:
 # Timeline arithmetic (base delay 50ms): register = two sends, each
 # step advances the clock 100ms; the n-th step's sends start at (n-1)*100.
 
-def _attack_cases() -> list[tuple[str, str, dict]]:
-    return [
-        ("replay-fresh-after-rekey",
-         "honest register alice\nhonest auth alice\nreplay 3 180\n",
-         {"replay_outcome": "rejected UnknownPrincipal", "verified": 1}),
-        ("replay-stale",
-         "honest register alice\nhonest auth alice\nreplay 3 2101\n",
-         {"replay_outcome": "rejected Stale", "verified": 1}),
-        ("tamper-msg1-proof",
-         "honest register alice\nhonest auth alice\nmodify 3 10 ff\n",
-         {"session_outcomes": ["rejected BadMac"], "verified": 0}),
-        ("tamper-msg1-pseudonym",
-         "honest register alice\nhonest auth alice\nmodify 3 30 01\n",
-         {"session_outcomes": ["rejected UnknownPrincipal"], "verified": 0}),
-        ("tamper-msg1-timestamp",
-         "honest register alice\nhonest auth alice\nmodify 3 0 0000000000000fff\n",
-         {"session_outcomes": ["rejected Stale"], "verified": 0}),
-        ("tamper-msg2",
-         "honest register alice\nhonest auth alice\nmodify 4 5 80\n",
-         {"session_outcomes": ["rejected BadMac"], "verified": 0}),
-        ("drop-msg1-then-clean-retry",
-         "honest register alice\nhonest auth alice\nhonest auth alice\n"
-         "drop alice hms 3\n",
-         {"session_outcomes": ["pending", "verified"], "verified": 1}),
-        ("drop-msg2-then-clean-retry",
-         "honest register alice\nhonest auth alice\nhonest auth alice\n"
-         "drop hms alice 4\n",
-         {"session_outcomes": ["pending", "verified"], "verified": 1}),
-        ("suppress-then-replay-is-delayed-delivery",
-         "honest register alice\nhonest auth alice\n"
-         "drop alice hms 3\nreplay 3 400\n",
-         {"session_outcomes": ["verified"], "verified": 1}),
-        ("replay-msg2-no-session",
-         "honest register alice\nhonest auth alice\nreplay 4 500\n",
-         {"replay_outcome": "rejected UnexpectedMessage", "verified": 1}),
-    ]
+_ATTACK_CASES: list[tuple[str, str, dict]] = [
+    ("replay-fresh-after-rekey",
+     "honest register alice\nhonest auth alice\nreplay 3 180\n",
+     {"replay_outcome": "rejected UnknownPrincipal", "verified": 1}),
+    ("replay-stale",
+     "honest register alice\nhonest auth alice\nreplay 3 2101\n",
+     {"replay_outcome": "rejected Stale", "verified": 1}),
+    ("tamper-msg1-proof",
+     "honest register alice\nhonest auth alice\nmodify 3 10 ff\n",
+     {"session_outcomes": ["rejected BadMac"], "verified": 0}),
+    ("tamper-msg1-pseudonym",
+     "honest register alice\nhonest auth alice\nmodify 3 30 01\n",
+     {"session_outcomes": ["rejected UnknownPrincipal"], "verified": 0}),
+    ("tamper-msg1-timestamp",
+     "honest register alice\nhonest auth alice\nmodify 3 0 0000000000000fff\n",
+     {"session_outcomes": ["rejected Stale"], "verified": 0}),
+    ("tamper-msg2",
+     "honest register alice\nhonest auth alice\nmodify 4 5 80\n",
+     {"session_outcomes": ["rejected BadMac"], "verified": 0}),
+    ("drop-msg1-then-clean-retry",
+     "honest register alice\nhonest auth alice\nhonest auth alice\n"
+     "drop alice hms 3\n",
+     {"session_outcomes": ["pending", "verified"], "verified": 1}),
+    ("drop-msg2-then-clean-retry",
+     "honest register alice\nhonest auth alice\nhonest auth alice\n"
+     "drop hms alice 4\n",
+     {"session_outcomes": ["pending", "verified"], "verified": 1}),
+    ("suppress-then-replay-is-delayed-delivery",
+     "honest register alice\nhonest auth alice\n"
+     "drop alice hms 3\nreplay 3 400\n",
+     {"session_outcomes": ["verified"], "verified": 1}),
+    ("replay-msg2-no-session",
+     "honest register alice\nhonest auth alice\nreplay 4 500\n",
+     {"replay_outcome": "rejected UnexpectedMessage", "verified": 1}),
+]
 
 
 def suite_attacks(seed: int = 42, emit=print) -> bool:
     ok = True
-    for name, text, expect in _attack_cases():
+    for name, text, expect in _ATTACK_CASES:
         world = World(seed=seed)
         result = run_scenario(world, parse_scenario(text))
         problems = list(result.violations)
@@ -548,12 +548,7 @@ def suite_metrics(seed: int = 42, emit=print) -> bool:
         counts = " ".join(f"{k}={got[k]}/{expect[k]}" for k in OP_KEYS)
         emit(f"{'ok' if match else 'FAIL'} metrics side={side} phase={phase} "
              f"calls={calls} {counts}")
-    widths = {
-        MSG1_WIDTH: world.width_counts.get(MSG1_WIDTH, 0),
-        MSG2_WIDTH: world.width_counts.get(MSG2_WIDTH, 0),
-        REG_REQUEST_WIDTH: world.width_counts.get(REG_REQUEST_WIDTH, 0),
-        PROVISIONAL_WIDTH: world.width_counts.get(PROVISIONAL_WIDTH, 0),
-    }
+    widths = {width: world.width_counts.get(width, 0) for width in WIRE_KINDS}
     sizes_ok = widths[MSG1_WIDTH] == widths[MSG2_WIDTH] == 4 \
         and widths[REG_REQUEST_WIDTH] == widths[PROVISIONAL_WIDTH] == 2 \
         and set(world.width_counts) == set(WIRE_KINDS)

@@ -204,7 +204,9 @@ class Ledger:
         return height
 
     def _index(self, record) -> None:
-        if isinstance(record, TokenRecord):
+        if isinstance(record, SmartCard):            # every login writes one
+            self._cards[record.card_uid] = record
+        elif isinstance(record, TokenRecord):
             self._tokens[record.x] = record
         elif isinstance(record, IdentityIndex):
             user, h = record.user_id, record.h_dtid
@@ -220,8 +222,6 @@ class Ledger:
             elif holder is not None:
                 del self._live_by_user[user]
                 del self._idents[h]
-        elif isinstance(record, SmartCard):
-            self._cards[record.card_uid] = record
 
     def put_card(self, card: SmartCard) -> int:
         """Publish a card version; returns the height of its block."""

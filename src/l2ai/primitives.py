@@ -50,20 +50,22 @@ class RecoveryFailure(Exception):
     """Sketch decoder detected noise beyond the correctable budget."""
 
 
+_int_from = int.from_bytes     # bound once, not on every call
+_sha256 = hashlib.sha256
+
+
 def sha256_160(data: bytes) -> bytes:
     """Uncounted hash core, raw bytes in and out."""
-    return hashlib.sha256(data).digest()[:WIDTH]
+    return _sha256(data).digest()[:WIDTH]
 
 
 MAX_TIME = 2**64 - 1     # the latest time an 8-byte wire timestamp holds
-
-
-def pack_ts(t: int) -> bytes:
-    return struct.pack(">Q", t)
+_TS = struct.Struct(">Q")
+pack_ts = _TS.pack       # int -> 8-byte big-endian timestamp
 
 
 def unpack_ts(raw: bytes) -> int:
-    return struct.unpack(">Q", raw)[0]
+    return _TS.unpack(raw)[0]
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ def _tag(k_mac: bytes, nonce: bytes, body: bytes) -> bytes:
 
 
 def _xor_bytes(data: bytes, stream: bytes) -> bytes:
-    return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(len(data), "big")
+    return (_int_from(data, "big") ^ _int_from(stream, "big")).to_bytes(len(data), "big")
 
 
 def seal(key: bytes, plaintext: bytes, nonce: bytes) -> Ciphertext:
@@ -217,14 +219,14 @@ def derive_fe_key(message: int) -> bytes:
 def gen_sketch(bio: BioTemplate, message: int) -> tuple[bytes, HelperData]:
     """Deterministic sketch for a given message; key derivation included."""
     sigma = derive_fe_key(message)
-    offset = int.from_bytes(bio.value, "big") ^ repetition_encode(message)
+    offset = _int_from(bio.value, "big") ^ repetition_encode(message)
     helper = HelperData(offset=offset.to_bytes(BIO_WIDTH, "big"),
                         check=sha256_160(sigma))
     return sigma, helper
 
 
 def recover_key(bio: BioTemplate, helper: HelperData) -> bytes:
-    word = int.from_bytes(bio.value, "big") ^ int.from_bytes(helper.offset, "big")
+    word = _int_from(bio.value, "big") ^ _int_from(helper.offset, "big")
     sigma = derive_fe_key(repetition_decode(word))
     if sha256_160(sigma) != helper.check:
         raise RecoveryFailure("template noise exceeds the correctable budget")
@@ -255,11 +257,11 @@ class PrimitiveOps:
 
     def hash(self, data: bytes) -> bytes:
         self.counts["hash"] += 1
-        return sha256_160(data)
+        return _sha256(data).digest()[:WIDTH]     # sha256_160, one frame fewer
 
     def xor(self, a: bytes, b: bytes) -> bytes:
         self.counts["xor"] += 1
-        return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(WIDTH, "big")
+        return (_int_from(a, "big") ^ _int_from(b, "big")).to_bytes(WIDTH, "big")
 
     def enc(self, key: bytes, plaintext: bytes) -> Ciphertext:
         self.counts["enc"] += 1

@@ -382,8 +382,8 @@ class HospitalServer:
 
     def authenticate(self, msg1: Msg1, scope: str) -> tuple[Msg2, AuthTranscript]:
         """Process an authentication request. Checks run in a fixed order —
-        freshness, principal, authorization, proof — and nothing is written
-        until every check has passed, so a rejected request leaves no trace."""
+        freshness, principal (identity, token, card), authorization, proof — and
+        nothing is drawn or written until all have passed: a rejection leaves no trace."""
         ops = self.ops
         now = self.clock.now()
         if not is_fresh(now, msg1.t1, self.delta_t):
@@ -398,6 +398,9 @@ class HospitalServer:
         token = None if user_id is None else self.ledger.get_token(h_tg)
         if token is None or token.revoked:
             raise UnknownPrincipal("pseudo-identity or token not live on the ledger")
+        card = self.ledger.get_card(user_id)
+        if card is None:
+            raise UnknownPrincipal("no card published for the identity")
 
         role = self.token_roles.get(h_tg)
         if role is None:
@@ -424,9 +427,6 @@ class HospitalServer:
         ax_new = ops.xor(t_g, ops.hash(d_new + self.id_hms))
         eid_new = ops.xor(d_new, self._h_s)
         hid_new = ops.xor(self._h_pair, d_new)
-        card = self.ledger.get_card(user_id)
-        if card is None:
-            raise UnknownPrincipal("no card published for the identity")
         self.ledger.put_card(card._replace(eid_i=eid_new, ax_ui=ax_new,
                                            hid_hms=hid_new, r_hms=r2))
         self.ledger.replace_index(h_dtid, ops.hash(d_new), user_id)

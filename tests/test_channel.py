@@ -151,6 +151,52 @@ def test_leftover_actions_fail_strict_run():
     ch2.run({"b": sink([])}, strict=False)      # lenient mode for exploration
 
 
+def test_every_action_on_one_seq_logs_in_order_and_leaves_nothing_armed():
+    ch = Channel(SimClock(), base_delay=10)
+    ch.script_drop("a", "b", 1)
+    ch.script_replay(1, 300)
+    ch.script_modify(1, 0, b"\x01")
+    ch.script_eavesdrop(1)
+    ch.script_modify(1, 1, b"\x02")
+    ch.script_replay(1, 200)
+    env = ch.send("a", "b", b"\x00\x00")
+    assert [line.split()[1] for line in ch.log] == [
+        "SEND", "EAVESDROP", "REPLAY", "REPLAY", "MODIFY", "MODIFY", "DROP"]
+    assert ch.log[2:4] == ["00000000 REPLAY seq=-1 of=1 at=300",
+                           "00000000 REPLAY seq=-2 of=1 at=200"]
+    assert env.payload == b"\x01\x02" and env.tampered
+    assert ch.knowledge == {1: b"\x00\x00"}
+    assert ch.dropped == {1} and ch._armed == {}
+    seen = []
+    ch.run({"b": sink(seen)})                   # strict: nothing is left over
+    assert seen == [(-2, b"\x00\x00"), (-1, b"\x00\x00")]
+
+
+def test_strict_run_names_leftovers_of_every_kind():
+    ch = Channel(SimClock())
+    ch.script_replay(9, 100)
+    ch.script_modify(4, 0, b"\x01")
+    ch.script_drop("a", "b", 7)
+    ch.script_eavesdrop(5)
+    ch.script_eavesdrop(2)
+    ch.script_modify(2, 0, b"\x01")
+    ch.send("a", "b", b"x")
+    ch.send("a", "b", b"y")
+    with pytest.raises(UnknownSeq, match=r"seqs \[4, 5, 7, 9\]$"):
+        ch.run({"b": sink([])})
+
+
+def test_a_second_drop_and_a_bad_modify_are_refused_and_arm_nothing():
+    ch = Channel(SimClock())
+    ch.script_eavesdrop(3)
+    ch.script_drop("a", "b", 3)
+    with pytest.raises(ChannelError, match="already has a drop armed"):
+        ch.script_drop("a", "c", 3)
+    with pytest.raises(ChannelError, match="non-negative offset"):
+        ch.script_modify(6, -1, b"\x01")
+    assert sorted(ch._armed) == [3] and ch._armed[3].drop == ("a", "b")
+
+
 def test_arming_past_seqs_rejected():
     ch = Channel(SimClock())
     ch.send("a", "b", b"x")
@@ -257,7 +303,8 @@ def test_parse_scenario_full_grammar():
     ch = Channel(SimClock())
     sc.arm(ch)
     assert ch.base_delay == 80
-    assert ch._replays == {3: [9000]}
+    assert sorted(ch._armed) == [3, 4]
+    assert ch._armed[3].replays == [9000] and ch._armed[4].drop == ("alice", "hms")
 
 
 def test_parse_auth_scope_argument():

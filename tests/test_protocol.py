@@ -309,9 +309,14 @@ def test_authenticate_rejects_a_card_never_published():
     card = finalize_card(ops, server.register(req), scratch)
     msg1, _ = login(ops, clock, creds, card)
     before = len(ledger.blocks)
+    rng_state, counts = server.ops.rng.getstate(), server.ops.counts.copy()
     with pytest.raises(UnknownPrincipal, match="no card published"):
         server.authenticate(msg1, SCOPE)
     assert len(ledger.blocks) == before
+    # the miss is found before any draw, at the cost of the principal lookup
+    assert server.ops.rng.getstate() == rng_state
+    delta = {k: server.ops.counts[k] - counts[k] for k in OP_KEYS}
+    assert delta == {"hash": 3, "xor": 2, "enc": 0, "dec": 0, "fe": 0}
 
 
 def test_authenticate_rejects_a_live_token_with_no_role():
