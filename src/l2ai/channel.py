@@ -27,14 +27,16 @@ other send is delivered by the next run, so after a drain "not delivered"
 means exactly "dropped".
 
 Delivery handlers return an outcome string and must not raise; the caller
-wraps protocol rejections into outcomes. Everything is logged to a stable
-line format, so two runs of the same scenario compare equal byte-for-byte.
-The trace is stored as text, one newline-joined chunk per drain: each line
-waits in a short pending list until the end of `run` joins it into that
-drain's chunk, and reading the trace first flushes any pending lines (sends
-made outside a drain, lines logged before a `ChannelError`). `trace` is the
-whole text, the bytes the report's event digest covers; `log` renders its
-lines on demand.
+wraps protocol rejections into outcomes. The outcome is stored on its
+envelope; `deliveries` lists delivered envelopes in order, and `delivered`
+is a read-only view of (envelope, outcome) pairs built on each read. Every
+event is logged to a stable line format, so two runs of the same scenario
+compare equal byte-for-byte. The trace is stored as text: the end of `run`
+joins the drain's pending lines onto the last chunk, and a new chunk starts
+once that one holds TRACE_CHUNK characters. Reading the trace first flushes
+any pending lines (sends made outside a drain, lines logged before a
+`ChannelError`). `trace` is the whole text, the bytes the report's event
+digest covers; `log` renders its lines on demand.
 """
 
 from __future__ import annotations
@@ -43,10 +45,11 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .permissions import DEFAULT_SCOPE, Role
+from .permissions import DEFAULT_SCOPE, Role, ascii_int
 from .primitives import SimClock
 
 DEFAULT_DELAY = 50  # one-way delivery delay, simulated milliseconds
+TRACE_CHUNK = 4096  # characters a trace chunk holds before the next one starts
 
 
 class ChannelError(Exception):
@@ -71,8 +74,9 @@ class Envelope:
     """One message in flight. `tampered` marks an adversary modification;
     `replay_of` names the original send for re-injected copies. `owner` is
     whatever the sender passed to `send` (replayed copies keep it): the
-    channel carries it and never reads it, and it takes no part in `==` or
-    `hash`. Not frozen, which saves a per-field `object.__setattr__`."""
+    channel carries it and never reads it. `outcome` is the handler's return,
+    None until delivery. Neither takes part in `==` or `hash`. Not frozen,
+    which saves a per-field `object.__setattr__`."""
 
     seq: int
     src: str
@@ -83,6 +87,7 @@ class Envelope:
     tampered: bool = False
     replay_of: int | None = None
     owner: object = field(default=None, compare=False)
+    outcome: str | None = field(default=None, compare=False)
 
     @property
     def touched(self) -> bool:
@@ -112,9 +117,9 @@ class Channel:
         self.clock = clock
         self.base_delay = base_delay
         self.knowledge: dict[int, bytes] = {}     # eavesdropped payloads, as sent
-        self._chunks: list[str] = []               # the trace, one chunk per drain
+        self._chunks: list[str] = []               # the trace, TRACE_CHUNK-sized chunks
         self._pending: list[str] = []              # lines logged since the last flush
-        self.delivered: list[tuple[Envelope, str]] = []
+        self.deliveries: list[Envelope] = []       # delivered envelopes, in order
         self.dropped: set[int] = set()            # seqs swallowed by a drop action
         self._next_seq = 1
         self._next_replay = -1
@@ -207,19 +212,27 @@ class Channel:
             handler = handlers.get(env.dst)
             if handler is None:
                 raise ChannelError(f"no handler registered for {env.dst!r}")
-            outcome = handler(env)
-            self.delivered.append((env, outcome))
+            outcome = env.outcome = handler(env)
+            self.deliveries.append(env)
             pending.append(f"{clock.now():08d} OUTCOME seq={env.seq} {outcome}")
         self._flush()
         if strict and self._armed:
             raise UnknownSeq(f"armed actions never matched a send: seqs {sorted(self._armed)}")
 
+    @property
+    def delivered(self) -> list[tuple[Envelope, str]]:
+        """(envelope, outcome) pairs in delivery order, built on each read."""
+        return [(env, env.outcome) for env in self.deliveries]
+
     # --- trace -------------------------------------------------------------------
 
     def _flush(self) -> None:
         if self._pending:
-            self._chunks.append("\n".join(self._pending))
+            chunks, text = self._chunks, "\n".join(self._pending)
             self._pending.clear()
+            if chunks and len(chunks[-1]) < TRACE_CHUNK:
+                text = "\n".join((chunks.pop(), text))
+            chunks.append(text)
 
     @property
     def trace(self) -> str:
@@ -280,11 +293,8 @@ def _need(line_no: int, args: list[str], n: int, usage: str) -> None:
 
 
 def _num(line_no: int, token: str, what: str, minimum: int = 0) -> int:
-    digits = token.removeprefix("-")       # ASCII digits only: no "+", "_"
     try:
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError
-        value = int(token)                 # also refuses a very long number
+        value = ascii_int(token)
     except ValueError:
         raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None
     if value < minimum:

@@ -296,8 +296,8 @@ class World:
         check_invariants."""
         ch = self.channel
         sends = ch._next_seq - 1
-        replays = sum(1 for env, _ in ch.delivered if env.replay_of is not None)
-        tampered = sum(1 for env, _ in ch.delivered if env.tampered)
+        replays = sum(1 for env in ch.deliveries if env.replay_of is not None)
+        tampered = sum(1 for env in ch.deliveries if env.tampered)
 
         lines = [
             "l2ai-report v=1",
@@ -334,7 +334,7 @@ class World:
         lines.extend([
             f"summary sessions={len(self.sessions)} verified={verified} "
             f"rejected={rejected} pending={pending} local={local}",
-            f"summary sends={sends} deliveries={len(ch.delivered)} "
+            f"summary sends={sends} deliveries={len(ch.deliveries)} "
             f"drops={len(ch.dropped)} replay-deliveries={replays} "
             f"tampered-deliveries={tampered}",
             f"summary users={len(self.users)} tainted={len(self.tainted)}",
@@ -369,11 +369,11 @@ def check_invariants(world: World) -> list[str]:
         violations.append(CHAIN_VIOLATION)
 
     accepted_per_origin: Counter = Counter()
-    for env, outcome in world.channel.delivered:
-        accepted = not outcome.startswith("rejected")
+    for env in world.channel.deliveries:
+        accepted = not env.outcome.startswith("rejected")
         auth_wire = len(env.payload) in (MSG1_WIDTH, MSG2_WIDTH)
         if accepted and env.tampered and auth_wire:
-            violations.append(f"tampered delivery seq={env.seq} accepted: {outcome}")
+            violations.append(f"tampered delivery seq={env.seq} accepted: {env.outcome}")
         if accepted and auth_wire:
             accepted_per_origin[env.origin] += 1
     for origin, count in sorted(accepted_per_origin.items()):
@@ -504,7 +504,7 @@ def suite_attacks(seed: int = 42, emit=print) -> bool:
                 problems.append(f"session outcomes {got} != "
                                 f"{expect['session_outcomes']}")
         if "replay_outcome" in expect:
-            replayed = [out for env, out in world.channel.delivered
+            replayed = [env.outcome for env in world.channel.deliveries
                         if env.replay_of is not None]
             if replayed != [expect["replay_outcome"]]:
                 problems.append(f"replay outcomes {replayed} != "
@@ -617,11 +617,11 @@ def suite_fuzz(seed: int = 42, sessions: int = 1000, users: int = 50,
 
     # with nothing dropped or tampered, the delivered payloads are every
     # payload that was put on the wire
-    delivered = world.channel.delivered
-    if world.channel.dropped or any(env.tampered for env, _ in delivered):
+    delivered = world.channel.deliveries
+    if world.channel.dropped or any(env.tampered for env in delivered):
         problems.append("fuzz traffic was dropped or tampered")
     secret = world.server.s_hms
-    wire = b"".join(env.payload for env, _ in delivered)
+    wire = b"".join(env.payload for env in delivered)
     chain = b"".join(world.ledger.blocks)
     if secret in wire:
         problems.append("master secret bytes appeared on the wire")

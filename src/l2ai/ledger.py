@@ -21,8 +21,8 @@ Every digest, in the payloads, the lookups and the chain links, is the raw
 20-byte ``bytes`` of the hash core; the payload decoders check each
 payload's total width, so the fields they slice out need no check of their
 own. The payload records are immutable ``typing.NamedTuple``s (a card
-block holds the ``SmartCard`` itself); a new version is made with
-``_replace``.
+block holds the ``SmartCard`` itself); a new version is built directly
+from its fields, which is cheaper than ``_replace``.
 A digest is live for one user at a time and a user has one live digest; a
 write that would break either, that revokes an unknown token, or that
 replaces an index not live for its user is refused with ValueError before
@@ -240,7 +240,7 @@ class Ledger:
         if current is None:
             raise ValueError("no token record for the given digest")
         if not current.revoked:
-            self.append(current._replace(revoked=True))
+            self.append(TokenRecord(current.x, current.y, True))
 
     # --- queries ---------------------------------------------------------------
 

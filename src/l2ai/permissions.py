@@ -21,6 +21,15 @@ MINUTES_PER_DAY = 1440
 MS_PER_MINUTE = 60_000
 
 
+def ascii_int(token: str) -> int:
+    """The integer ASCII digits with an optional leading '-' spell; ValueError
+    for anything else ("+", "_", other digits) or a number too long for int."""
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an ASCII integer: {token!r}")
+    return int(token)
+
+
 class Role(str, Enum):
     DOCTOR = "D"
     NURSE = "N"
@@ -127,15 +136,12 @@ class PermissionTable:
             window = None
             if len(parts) == 4:
                 minutes = []
-                for text in parts[2:]:
-                    digits = text.removeprefix("-")   # ASCII digits only: no "+", "_"
+                for token in parts[2:]:
                     try:
-                        if not (digits.isascii() and digits.isdigit()):
-                            raise ValueError
-                        minutes.append(int(text))
+                        minutes.append(ascii_int(token))
                     except ValueError:
                         raise ValueError(f"line {lineno}: window minutes must be "
-                                         f"integers, got {text!r}") from None
+                                         f"integers, got {token!r}") from None
                 start, end = minutes
                 if not (0 <= start < MINUTES_PER_DAY and 0 <= end < MINUTES_PER_DAY):
                     raise ValueError(f"line {lineno}: window minutes out of range")

@@ -305,7 +305,8 @@ def update_credentials(ops: PrimitiveOps, creds: Credentials, new_password: byte
     k_new = ops.xor(ops.xor(k_old, pwd_old), pwd_new)
     e_new = ops.xor(k_new, ops.hash(pwd_new + b_new))
     f_new = ops.hash(ops.xor(ops.xor(pwd_new, k_new), b_new))
-    return card._replace(e_i=e_new, f_i=f_new, tau=tau_new)
+    return SmartCard(e_new, f_new, card.eid_i, card.r_hms, card.hid_hms, card.ax_ui,
+                     tau_new, card.card_uid)
 
 
 # --- hospital server ---------------------------------------------------------------
@@ -427,8 +428,8 @@ class HospitalServer:
         ax_new = ops.xor(t_g, ops.hash(d_new + self.id_hms))
         eid_new = ops.xor(d_new, self._h_s)
         hid_new = ops.xor(self._h_pair, d_new)
-        self.ledger.put_card(card._replace(eid_i=eid_new, ax_ui=ax_new,
-                                           hid_hms=hid_new, r_hms=r2))
+        self.ledger.put_card(SmartCard(card.e_i, card.f_i, eid_new, r2, hid_new, ax_new,
+                                       card.tau, card.card_uid))
         self.ledger.replace_index(h_dtid, ops.hash(d_new), user_id)
 
         transcript = AuthTranscript(c_i=c_i, w1=w1, m1=msg1.m1, m2=m2, m3=m3,
@@ -463,7 +464,9 @@ class HospitalServer:
         self.ledger.append(TokenRecord(x=x_new, y=ops.enc(self.s_hms, t_g_new)))
         self.token_roles[x_new] = role
 
-        self.ledger.put_card(card._replace(ax_ui=ops.xor(t_g_new, mask)))
+        self.ledger.put_card(SmartCard(card.e_i, card.f_i, card.eid_i, card.r_hms,
+                                       card.hid_hms, ops.xor(t_g_new, mask), card.tau,
+                                       card.card_uid))
         return Token(t_g=t_g_new, role=role)
 
 

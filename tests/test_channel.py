@@ -6,8 +6,8 @@ from dataclasses import replace
 import pytest
 
 from l2ai.channel import (
-    Channel, ChannelError, DEFAULT_DELAY, ParseError, Scenario, UnknownSeq,
-    parse_scenario,
+    Channel, ChannelError, DEFAULT_DELAY, ParseError, Scenario, TRACE_CHUNK,
+    UnknownSeq, parse_scenario,
 )
 from l2ai.permissions import Role
 from l2ai.primitives import SimClock
@@ -120,6 +120,47 @@ def test_owner_rides_on_replayed_copies_and_stays_out_of_equality():
     assert unowned == sent and hash(unowned) == hash(sent)
     assert replace(replayed, owner=None) == replayed
     assert len({sent, unowned, replayed}) == 2
+
+
+def test_delivered_pairs_each_envelope_with_its_outcome_in_delivery_order():
+    ch = Channel(SimClock(), base_delay=10)
+    ch.script_drop("a", "b", 2)
+    ch.script_replay(1, 500)
+    returned = []
+
+    def numbered(env):
+        if env.seq == 1:
+            ch.send("b", "a", b"reply")
+        returned.append(f"took seq={env.seq} at={env.deliver_time}")
+        return returned[-1]
+
+    sent = [ch.send("a", "b", b"one"), ch.send("a", "b", b"two")]
+    ch.run({"a": numbered, "b": numbered})
+    assert [env.seq for env, _ in ch.delivered] == [1, 3, -1]
+    assert ch.delivered == [(env, env.outcome) for env in ch.deliveries]
+    assert [outcome for _, outcome in ch.delivered] == returned
+    # each stored outcome is the one its OUTCOME line names
+    traced = [line.split(" ", 3)[2:] for line in ch.log if " OUTCOME " in line]
+    assert traced == [[f"seq={env.seq}", env.outcome] for env in ch.deliveries]
+    # the dropped send was never delivered, so it has no outcome
+    assert ch.dropped == {2} and sent[1].outcome is None
+    assert sent[0] is ch.deliveries[0]
+    # a read-only view: each read builds a fresh list
+    ch.delivered.clear()
+    assert len(ch.delivered) == 3
+    with pytest.raises(AttributeError):
+        ch.delivered = []
+
+
+def test_outcome_stays_out_of_equality_and_hash():
+    ch = Channel(SimClock())
+    sent = ch.send("a", "b", b"x")
+    undelivered = replace(sent)
+    ch.run({"b": lambda env: "accepted"})
+    assert sent.outcome == "accepted" and undelivered.outcome is None
+    assert undelivered == sent and hash(undelivered) == hash(sent)
+    assert replace(sent, outcome="rejected BadMac") == sent
+    assert len({sent, undelivered}) == 1
 
 
 def test_replay_before_send_time_is_a_scripting_error():
@@ -251,10 +292,29 @@ def test_trace_is_kept_as_one_chunk_per_drain():
         ch.send("a", "b", b"ping")
         ch.run({"a": lambda env: "ok", "b": echo})
     ch.send("a", "b", b"undrained")
-    # six lines per round trip, stored as one text chunk per run
+    # six lines per round trip; a run adds at most one chunk, since it joins
+    # its lines onto the last chunk until that one holds TRACE_CHUNK characters
     assert len(ch._chunks) + len(ch._pending) <= runs + 1
     assert len(ch.log) == 6 * runs + 1
     assert ch.trace == "\n".join(ch.log)
+
+
+def test_long_trace_chunk_count_follows_its_length_not_its_drains():
+    ch = Channel(SimClock(), base_delay=10)
+
+    def echo(env):
+        ch.send("b", "a", b"pong")
+        return "ok"
+
+    runs = 2000
+    for _ in range(runs):
+        ch.send("a", "b", b"ping")
+        ch.run({"a": lambda env: "ok", "b": echo})
+    log, trace = ch.log, ch.trace
+    assert len(log) == 6 * runs and trace == "\n".join(log)
+    chunks = ch._chunks
+    assert len(chunks) <= len(trace) // TRACE_CHUNK + 1 < runs // 10
+    assert all(len(chunk) >= TRACE_CHUNK for chunk in chunks[:-1])
 
 
 def test_trace_keeps_lines_not_yet_drained_and_lines_before_an_error():

@@ -449,6 +449,55 @@ def test_update_authorization_swaps_token_and_index():
         server.update_authorization(PrimitiveOps(8).rand_digest(), Role.NURSE)
 
 
+# --- new record versions -------------------------------------------------------------
+
+def test_new_card_and_token_versions_equal_their_replace_form():
+    """Each flow builds the new card or token version from its fields. It
+    must equal `_replace` of the fields the flow changes, with the values
+    the reference derives, field by field and as serialized bytes."""
+    clock, ledger, server = make_world()
+    creds = make_creds()
+    gateway, token = registered_user(clock, ledger, server, creds=creds)
+
+    def check(old, new, **changed):
+        replaced = old._replace(**changed)
+        assert type(new) is type(old)
+        assert new._asdict() == replaced._asdict()
+        assert new.serialize() == replaced.serialize()
+
+    old = gateway.current_card()
+    msg1 = gateway.start_login()
+    msg2, transcript = server.authenticate(msg1, SCOPE)
+    gateway.accept_server_reply(msg2)
+    new = gateway.current_card()
+    ref = oracle.server_auth_fields(
+        server.s_hms, server.id_hms, creds.user_id, msg1.eid, msg1.ax, msg1.t1,
+        transcript.n_s, transcript.t2, new.r_hms)
+    check(old, new, eid_i=ref["eid_new"], r_hms=new.r_hms, hid_hms=ref["hid_new"],
+          ax_ui=ref["ax_new"])
+
+    old = gateway.current_card()
+    new_password, new_bio = b"battery-staple", PrimitiveOps(404).rand_template()
+    b_old = oracle.h(gateway.ops.fe_rep(creds.bio, old.tau))
+    pwd_old = oracle.h(creds.password + b_old)
+    k_old = oracle.x20(old.e_i, oracle.h(pwd_old + b_old))
+    gateway.change_credentials(new_password, new_bio)
+    new = gateway.current_card()
+    b_new = oracle.h(gateway.ops.fe_rep(new_bio, new.tau))
+    pwd_new = oracle.h(new_password + b_new)
+    ref = oracle.finalize_fields(oracle.x20(oracle.x20(k_old, pwd_old), pwd_new),
+                                 pwd_new, b_new)
+    check(old, new, e_i=ref["e"], f_i=ref["f"], tau=new.tau)
+
+    old, x = gateway.current_card(), oracle.h(token.t_g)
+    old_token = ledger.get_token(x)
+    new_token = server.update_authorization(creds.user_id, Role.PATIENT)
+    d_tid = oracle.x20(old.eid_i, oracle.h(server.s_hms))
+    check(old, gateway.current_card(),
+          ax_ui=oracle.x20(new_token.t_g, oracle.hpair(d_tid, server.id_hms)))
+    check(old_token, ledger.get_token(x), revoked=True)
+
+
 # --- permission matrix ----------------------------------------------------------------
 
 def test_authorize_matches_table_exactly():

@@ -1,5 +1,5 @@
 """Record contract: the per-message records are immutable, hashable
-NamedTuples whose new versions come from `_replace`, and every wire or
+NamedTuples whose new versions are new records, and every wire or
 ledger record decodes back from its own bytes. The chain links and every
 protocol value a run keeps are raw 20-byte bytes."""
 
