@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .permissions import DEFAULT_SCOPE, Role, ascii_int
 from .primitives import SimClock
@@ -250,10 +250,10 @@ class Channel:
 # --- scenario scripts -----------------------------------------------------------
 
 HONEST_PHASES = ("register", "auth", "update-creds", "update-auth")
+_ROLES = {role.value: role for role in Role}     # script token -> Role
 
 
-@dataclass(frozen=True, slots=True)
-class HonestStep:
+class HonestStep(NamedTuple):
     """One scripted honest action. `register` issues a token and enrolls the
     user (optional role, default D); `auth` runs a login/key-exchange round
     trip over the channel (optional requested scope); `update-creds` swaps
@@ -266,8 +266,7 @@ class HonestStep:
     scope: str = DEFAULT_SCOPE
 
 
-@dataclass(frozen=True, slots=True)
-class Scenario:
+class Scenario(NamedTuple):
     base_delay: int
     steps: tuple[HonestStep, ...]
     eavesdrops: tuple[int, ...]
@@ -310,15 +309,15 @@ def _honest_step(line_no: int, args: list[str]) -> HonestStep:
         raise ParseError(line_no, f"unknown phase {phase!r}; "
                                   f"one of {', '.join(HONEST_PHASES)}")
     if not extra:
-        return HonestStep(phase=phase, user=user)
+        return HonestStep(phase, user)
     if phase == "auth":                      # third token is the scope
-        return HonestStep(phase=phase, user=user, scope=extra[0])
+        return HonestStep(phase, user, scope=extra[0])
     if phase not in ("register", "update-auth"):
         raise ParseError(line_no, f"{phase} takes no third argument")
-    try:
-        return HonestStep(phase=phase, user=user, role=Role(extra[0]))
-    except ValueError:
-        raise ParseError(line_no, f"unknown role {extra[0]!r}") from None
+    role = _ROLES.get(extra[0])
+    if role is None:
+        raise ParseError(line_no, f"unknown role {extra[0]!r}")
+    return HonestStep(phase, user, role)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -373,6 +372,5 @@ def parse_scenario(text: str) -> Scenario:
         else:
             raise ParseError(line_no, f"unknown directive {verb!r}")
 
-    return Scenario(base_delay=base_delay, steps=tuple(steps),
-                    eavesdrops=tuple(eavesdrops), drops=tuple(drops),
-                    modifies=tuple(modifies), replays=tuple(replays))
+    return Scenario(base_delay, tuple(steps), tuple(eavesdrops), tuple(drops),
+                    tuple(modifies), tuple(replays))

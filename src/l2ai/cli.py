@@ -23,7 +23,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .channel import ChannelError, ParseError, parse_scenario
+from .channel import Channel, ChannelError, ParseError, parse_scenario
 from .harness import SUITES, World, run_scenario
 from .permissions import PermissionTable
 from .protocol import DEFAULT_DELTA_T
@@ -39,9 +39,10 @@ def _add_world_args(parser: argparse.ArgumentParser) -> None:
                         help="permission table file (default: built-in table)")
 
 
-def _run_scenario_file(args: argparse.Namespace) -> tuple[str, str, bool]:
+def _run_scenario_file(args: argparse.Namespace) -> tuple[str, Channel, bool]:
     """Run the scenario file in a world built from the options; returns the
-    report text, the trace text and whether the run held up."""
+    report text, the channel whose trace a caller may write, and whether the
+    run held up."""
     scenario = parse_scenario(args.scenario.read_text())
     table = None
     if args.perm_table is not None:
@@ -49,27 +50,27 @@ def _run_scenario_file(args: argparse.Namespace) -> tuple[str, str, bool]:
     world = World(seed=args.seed, delta_t=args.delta_t, perm_table=table)
     result = run_scenario(world, scenario)
     report = "\n".join(result.report_lines()) + "\n"
-    return report, world.channel.trace + "\n", result.ok
+    return report, world.channel, result.ok
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    report, trace, ok = _run_scenario_file(args)
+    report, channel, ok = _run_scenario_file(args)
     # files first: a path that cannot be written exits 2 with stdout empty
     if args.report is not None:
         args.report.write_text(report)
     if args.trace is not None:
-        args.trace.write_text(trace)
+        args.trace.write_text(channel.trace + "\n")
     sys.stdout.write(report)
     return 0 if ok else 1
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    report, trace, ok = _run_scenario_file(args)
+    report, channel, ok = _run_scenario_file(args)
     args.out.mkdir(parents=True, exist_ok=True)
     report_path = args.out / "report.txt"
     trace_path = args.out / "trace.txt"
     report_path.write_text(report)
-    trace_path.write_text(trace)
+    trace_path.write_text(channel.trace + "\n")
     print(f"wrote {report_path} and {trace_path}")
     return 0 if ok else 1
 

@@ -44,7 +44,9 @@ from dataclasses import dataclass, replace
 from .channel import Channel, Envelope, Scenario, parse_scenario
 from .ledger import Ledger
 from .permissions import DEFAULT_SCOPE, PermissionTable, Role, SCOPE_CATALOG
-from .primitives import OP_KEYS, PrimitiveOps, SimClock, sha256_160
+from .primitives import (
+    BIO_WIDTH, OP_KEYS, WIDTH, BioTemplate, PrimitiveOps, Rng, SimClock, sha256_160,
+)
 from .protocol import (
     DEFAULT_DELTA_T, MSG1_WIDTH, MSG2_WIDTH, PROVISIONAL_WIDTH,
     REG_REQUEST_WIDTH, Credentials, HospitalServer, Msg1, Msg2,
@@ -54,6 +56,8 @@ from .protocol import (
 SERVER = "hms"
 
 CHAIN_VIOLATION = "ledger chain verification failed"
+
+AUTH_WIDTHS = (MSG1_WIDTH, MSG2_WIDTH)   # the authentication wire messages
 
 WIRE_KINDS = {
     MSG1_WIDTH: "auth-request",
@@ -117,7 +121,7 @@ class World:
         self.phase_ops: dict[tuple[str, str], dict[str, int]] = {}
         self.phase_calls: dict[tuple[str, str], int] = {}
         self.width_counts: Counter = Counter()
-        self._cred_draw: dict[str, PrimitiveOps] = {}
+        self._cred_draw: dict[str, Rng] = {}
 
     # --- entities ------------------------------------------------------------
 
@@ -130,10 +134,10 @@ class World:
             if name == SERVER:      # its handler would replace the server's
                 raise ValueError(f"{SERVER!r} names the server, not a user")
             seed = self._user_seed(name)
-            draw = PrimitiveOps(seed ^ 0x5EED)
-            creds = Credentials(user_id=draw.rand_digest(),
+            draw = Rng(seed ^ 0x5EED)
+            creds = Credentials(user_id=draw.randbytes(WIDTH),
                                 password=f"pw-{name}".encode(),
-                                bio=draw.rand_template())
+                                bio=BioTemplate(draw.randbytes(BIO_WIDTH)))
             self.users[name] = UserGateway(seed, self.clock, self.ledger, creds,
                                            delta_t=self.server.delta_t)
             self._cred_draw[name] = draw
@@ -200,7 +204,7 @@ class World:
         gateway = self.get_user(name)
         serial = self.phase_calls.get(("user", "update-creds"), 0) + 1
         new_password = f"pw-{name}-v{serial}".encode()
-        new_bio = self._cred_draw[name].rand_template()
+        new_bio = BioTemplate(self._cred_draw[name].randbytes(BIO_WIDTH))
         _, rejected = self._metered("user", "update-creds", gateway.ops,
                                     gateway.change_credentials, new_password, new_bio)
         self.step_notes.append(f"step kind=update-creds user={name} "
@@ -296,8 +300,12 @@ class World:
         check_invariants."""
         ch = self.channel
         sends = ch._next_seq - 1
-        replays = sum(1 for env in ch.deliveries if env.replay_of is not None)
-        tampered = sum(1 for env in ch.deliveries if env.tampered)
+        replays = tampered = 0
+        for env in ch.deliveries:
+            if env.replay_of is not None:
+                replays += 1
+            if env.tampered:
+                tampered += 1
 
         lines = [
             "l2ai-report v=1",
@@ -306,18 +314,27 @@ class World:
             "algo hash=sha256-160 cipher=sha256-stream+mac160 "
             "sketch=repetition-5x keywidth=160",
         ]
+        verified = pending = local = 0
         for session in self.sessions:
-            seq = session.msg1_env.seq if session.msg1_env else "-"
-            t1 = session.msg1_env.send_time if session.msg1_env else "-"
+            env, outcome = session.msg1_env, session.outcome
+            if env is None:
+                seq = t1 = "-"
+                local += 1
+            else:
+                seq, t1 = env.seq, env.send_time
+                if outcome == "verified":
+                    verified += 1
+                elif outcome == "pending":
+                    pending += 1
             sk = session.sk_user.hex()[:8] if session.sk_user else "-"
             lines.append(f"session user={session.user} scope={session.scope} "
-                         f"msg1-seq={seq} t1={t1} outcome={session.outcome} sk={sk}")
+                         f"msg1-seq={seq} t1={t1} outcome={outcome} sk={sk}")
         lines.extend(self.step_notes)
-        for (side, phase) in sorted(self.phase_ops):
-            ops = self.phase_ops[(side, phase)]
-            calls = self.phase_calls[(side, phase)]
-            counts = " ".join(f"{k}={ops[k]}" for k in OP_KEYS)
-            lines.append(f"ops side={side} phase={phase} calls={calls} {counts}")
+        phase_calls = self.phase_calls
+        for key, ops in sorted(self.phase_ops.items()):
+            lines.append(f"ops side={key[0]} phase={key[1]} calls={phase_calls[key]} "
+                         f"hash={ops['hash']} xor={ops['xor']} enc={ops['enc']} "
+                         f"dec={ops['dec']} fe={ops['fe']}")
         for width in sorted(self.width_counts):
             kind = WIRE_KINDS.get(width, "other")
             lines.append(f"wire kind={kind} width={width} "
@@ -325,10 +342,6 @@ class World:
         for text in violations:
             lines.append(f"violation {text}")
 
-        outcomes = Counter(s.outcome for s in self.sessions)
-        verified = outcomes.pop("verified", 0)
-        pending = outcomes.pop("pending", 0)
-        local = sum(1 for s in self.sessions if s.local_reject)
         rejected = len(self.sessions) - verified - pending - local
         digest = sha256_160(ch.trace.encode()).hex()
         lines.extend([
@@ -368,35 +381,36 @@ def check_invariants(world: World) -> list[str]:
     if not world.ledger.verify_chain():
         violations.append(CHAIN_VIOLATION)
 
-    accepted_per_origin: Counter = Counter()
+    accepted_per_origin: dict[int, int] = {}
     for env in world.channel.deliveries:
-        accepted = not env.outcome.startswith("rejected")
-        auth_wire = len(env.payload) in (MSG1_WIDTH, MSG2_WIDTH)
-        if accepted and env.tampered and auth_wire:
-            violations.append(f"tampered delivery seq={env.seq} accepted: {env.outcome}")
-        if accepted and auth_wire:
-            accepted_per_origin[env.origin] += 1
+        if len(env.payload) in AUTH_WIDTHS and not env.outcome.startswith("rejected"):
+            if env.tampered:
+                violations.append(f"tampered delivery seq={env.seq} accepted: {env.outcome}")
+            origin = env.origin
+            accepted_per_origin[origin] = accepted_per_origin.get(origin, 0) + 1
     for origin, count in sorted(accepted_per_origin.items()):
         if count > 1:
             violations.append(f"message seq={origin} accepted {count} times "
                               "(replay got through)")
 
-    def touched(env: Envelope | None) -> bool:
-        return env is not None and (env.tampered or env.seq in world.channel.dropped)
-
+    # one pass: incomplete untouched sessions, then key mismatches, in order
+    dropped, tainted = world.channel.dropped, world.tainted
+    mismatched: list[str] = []
     for session in world.sessions:
-        if session.local_reject or session.user in world.tainted:
+        sk_user, sk_server = session.sk_user, session.sk_server
+        if sk_user is not None and sk_server is not None and sk_user != sk_server:
+            mismatched.append(f"session keys differ for user={session.user}")
+        env, reply = session.msg1_env, session.reply_env
+        if env is None or session.user in tainted:
+            continue            # rejected locally, or its user's enrollment was hit
+        if env.tampered or env.seq in dropped:
             continue
-        env = session.msg1_env
-        if touched(env) or touched(session.reply_env):
+        if reply is not None and (reply.tampered or reply.seq in dropped):
             continue
-        if session.sk_user is None or session.sk_user != session.sk_server:
+        if sk_user is None or sk_user != sk_server:
             violations.append(f"untouched session (user={session.user} "
                               f"seq={env.seq}) did not complete: {session.outcome}")
-    for session in world.sessions:
-        if session.sk_user is not None and session.sk_server is not None \
-                and session.sk_user != session.sk_server:
-            violations.append(f"session keys differ for user={session.user}")
+    violations.extend(mismatched)
     return violations
 
 

@@ -144,6 +144,7 @@ _PREV = slice(_HEIGHT.size, _HEIGHT.size + WIDTH)
 _PAYLOAD = slice(_PREV.stop, -WIDTH)
 _DIGEST = slice(-WIDTH, None)
 _COVERED = slice(None, -WIDTH)      # what the block digest covers
+_MIN_RECORD = _PREV.stop + WIDTH    # height, link and digest around an empty payload
 
 
 class LedgerBlock(NamedTuple):
@@ -270,11 +271,13 @@ class Ledger:
     # --- integrity and transport -------------------------------------------------
 
     def verify_chain(self) -> bool:
-        """True iff every record holds its own height, the previous record's
-        digest, and the digest of everything before its last 20 bytes."""
+        """True iff every record is long enough to hold its height, a link
+        and a digest, and holds its own height, the previous record's digest,
+        and the digest of everything before its last 20 bytes."""
         prev = _GENESIS
         for height, record in enumerate(self.blocks):
-            if _HEIGHT.unpack_from(record)[0] != height or record[_PREV] != prev:
+            if len(record) < _MIN_RECORD or _HEIGHT.unpack_from(record)[0] != height \
+                    or record[_PREV] != prev:
                 return False
             prev = sha256_160(record[_COVERED])
             if record[_DIGEST] != prev:

@@ -5,7 +5,7 @@ Width conventions used across the package:
 
 * protocol values are 160-bit (20-byte) digests, held as plain ``bytes``:
   hash outputs, XORs, sketch keys and random draws are the 20 bytes that
-  ``sha256_160`` or ``rng.randbytes`` return, and XOR is defined only
+  ``sha256_160`` or ``Rng.randbytes`` return, and XOR is defined only
   between equal widths
 * timestamps are integer milliseconds of simulated time, packed as 8-byte
   big-endian when they enter a hash or a wire message
@@ -30,9 +30,9 @@ itself makes, and would be meaningless if implementation details leaked in.
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import hmac
-import random
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -239,6 +239,19 @@ def recover_key(bio: BioTemplate, helper: HelperData) -> bytes:
 OP_KEYS = ("hash", "xor", "enc", "dec", "fe")
 
 
+class Rng(_random.Random):
+    """Seeded generator for one entity: the Mersenne Twister that
+    ``random.Random`` is built on, without its Python-level ``__init__`` and
+    ``seed`` or the instance dict that only holds ``gauss_next``. Seeded from
+    an int, it draws the same stream as ``random.Random(seed)``."""
+
+    __slots__ = ()
+
+    def randbytes(self, n: int) -> bytes:
+        """n random bytes, as ``random.Random.randbytes`` draws them."""
+        return self.getrandbits(n * 8).to_bytes(n, "little")
+
+
 class PrimitiveOps:
     """Counted primitive operations plus seeded randomness for one entity.
 
@@ -250,7 +263,7 @@ class PrimitiveOps:
     """
 
     def __init__(self, seed: int):
-        self.rng = random.Random(seed)
+        self.rng = Rng(seed)
         self.counts: dict[str, int] = dict.fromkeys(OP_KEYS, 0)
 
     # counted operations

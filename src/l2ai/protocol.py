@@ -97,16 +97,14 @@ class Credentials:
     bio: BioTemplate
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     """Access token as handed to the user out of band."""
 
     t_g: bytes
     role: Role
 
 
-@dataclass(frozen=True, slots=True)
-class UserScratch:
+class UserScratch(NamedTuple):
     """Gateway-held values alive only between the registration request and
     card finalization; dropped once the card is built. The gateway never
     keeps the token itself."""

@@ -9,7 +9,7 @@ from l2ai.channel import (
     Channel, ChannelError, DEFAULT_DELAY, ParseError, Scenario, TRACE_CHUNK,
     UnknownSeq, parse_scenario,
 )
-from l2ai.permissions import Role
+from l2ai.permissions import DEFAULT_SCOPE, Role
 from l2ai.primitives import SimClock
 
 
@@ -371,6 +371,20 @@ def test_parse_auth_scope_argument():
     sc = parse_scenario("honest auth alice read-own-records\n")
     assert sc.steps[0].scope == "read-own-records"
     assert sc.steps[0].role == Role.DOCTOR
+
+
+def test_parsed_honest_step_defaults_and_immutability():
+    text = "honest register alice\nhonest auth alice\nhonest update-auth alice P\n"
+    sc = parse_scenario(text)
+    register, auth, update = sc.steps
+    assert (register.role, register.scope) == (Role.DOCTOR, DEFAULT_SCOPE)
+    assert (auth.role, auth.scope) == (Role.DOCTOR, DEFAULT_SCOPE)
+    assert update.role is Role.PATIENT
+    with pytest.raises(AttributeError):
+        register.role = Role.NURSE
+    with pytest.raises(AttributeError):
+        sc.base_delay = 1
+    assert parse_scenario(text) == sc
 
 
 @pytest.mark.parametrize("line, fragment", [

@@ -82,6 +82,16 @@ def test_resigned_block_with_a_wrong_height_or_link_fails_verification(index, fi
     assert not ledger.verify_chain()
 
 
+@pytest.mark.parametrize("length", [0, 2, 7, 8, 47])
+def test_record_too_short_for_height_link_and_digest_fails_verification(length):
+    # 48 bytes hold the height, the link and the digest around an empty payload
+    world = World(seed=42)
+    run_scenario(world, parse_scenario(HONEST_SCENARIO))
+    assert world.ledger.verify_chain()
+    world.ledger.blocks[3] = world.ledger.blocks[3][:length]
+    assert not world.ledger.verify_chain()
+
+
 def test_token_revocation_is_append_only():
     ops, ledger = make_ops(2), Ledger()
     token = sample_token(ops)

@@ -1,6 +1,8 @@
 """Primitive-layer tests: frozen hash vectors, cipher authentication,
 sketch tolerance, clock and counter behavior."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -35,6 +37,28 @@ def test_hash_truncation_vectors(data, expected):
     assert sha256_160(data).hex() == expected
     ops = PrimitiveOps(seed=0)
     assert ops.hash(data).hex() == expected
+
+
+def test_rng_matches_the_stdlib_generator():
+    for seed in range(200):
+        for s in (seed, seed ^ 0x5EED):     # an entity's seed, and its credential draw's
+            ours, ref = PrimitiveOps(s).rng, random.Random(s)
+            for _ in range(2):
+                assert ours.randbytes(16) == ref.randbytes(16)
+                assert ours.randbytes(20) == ref.randbytes(20)
+                assert ours.randbytes(32) == ref.randbytes(32)
+                assert ours.getrandbits(FE_BLOCKS) == ref.getrandbits(FE_BLOCKS)
+
+
+def test_rng_has_no_instance_dict_and_restores_its_state():
+    rng = PrimitiveOps(7).rng
+    assert not hasattr(rng, "__dict__")
+    with pytest.raises(AttributeError):
+        rng.gauss_next = None
+    state = rng.getstate()
+    first = (rng.randbytes(20), rng.getrandbits(FE_BLOCKS))
+    rng.setstate(state)
+    assert (rng.randbytes(20), rng.getrandbits(FE_BLOCKS)) == first
 
 
 @given(st.binary(max_size=200))
