@@ -37,6 +37,11 @@ Block payloads are serialized as a kind-tag byte followed by fixed-width
 fields in declaration order; the one variable-width field (a token's sealed
 payload) is self-delimiting and placed last. Block digests go through the
 uncounted hash core (chain maintenance is not a protocol operation).
+Every block comes from one builder, ``Ledger._link``, which links a payload
+to the record last on the chain as it stands. ``append`` indexes any record
+through the generic ``_index`` first, as import does; the typed writers
+(``put_card``, ``replace_index``, ``revoke_token``) run their own checks and
+then update just the lookups their records touch.
 """
 
 from __future__ import annotations
@@ -52,6 +57,13 @@ IDENT_TAG = 0x02
 CARD_TAG = 0x03
 
 _KIND_NAMES = {TOKEN_TAG: "token", IDENT_TAG: "ident", CARD_TAG: "card"}
+
+# the leading bytes of each payload kind, and the flag byte of a boolean field
+_TOKEN_BYTE = bytes([TOKEN_TAG])
+_IDENT_BYTE = bytes([IDENT_TAG])
+_CARD_BYTE = bytes([CARD_TAG])
+_FLAG_BYTES = (b"\x00", b"\x01")
+_LIVE_MARKER = b"\x00" + bytes(WIDTH)      # flag and zero marker of a live index
 
 
 class SmartCard(NamedTuple):
@@ -74,8 +86,8 @@ class SmartCard(NamedTuple):
     card_uid: bytes
 
     def to_bytes(self) -> bytes:
-        return (self.e_i + self.f_i + self.eid_i + self.r_hms + self.hid_hms +
-                self.ax_ui + self.tau.to_bytes() + self.card_uid)
+        e_i, f_i, eid_i, r_hms, hid_hms, ax_ui, (offset, check), card_uid = self
+        return b"".join((e_i, f_i, eid_i, r_hms, hid_hms, ax_ui, offset, check, card_uid))
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "SmartCard":
@@ -86,7 +98,9 @@ class SmartCard(NamedTuple):
         return cls(*fields, tau, raw[6 * WIDTH + 52:])
 
     def serialize(self) -> bytes:
-        return bytes([CARD_TAG]) + self.to_bytes()
+        e_i, f_i, eid_i, r_hms, hid_hms, ax_ui, (offset, check), card_uid = self
+        return b"".join((_CARD_BYTE, e_i, f_i, eid_i, r_hms, hid_hms, ax_ui, offset, check,
+                         card_uid))
 
 
 class TokenRecord(NamedTuple):
@@ -97,7 +111,7 @@ class TokenRecord(NamedTuple):
     revoked: bool = False
 
     def serialize(self) -> bytes:
-        return bytes([TOKEN_TAG]) + self.x + bytes([self.revoked]) + self.y.to_bytes()
+        return b"".join((_TOKEN_BYTE, self.x, _FLAG_BYTES[self.revoked], self.y.to_bytes()))
 
 
 class IdentityIndex(NamedTuple):
@@ -108,9 +122,14 @@ class IdentityIndex(NamedTuple):
     superseded_by: bytes | None = None
 
     def serialize(self) -> bytes:
-        marker = bytes(WIDTH) if self.superseded_by is None else self.superseded_by
-        return (bytes([IDENT_TAG]) + self.h_dtid + self.user_id +
-                bytes([self.superseded_by is not None]) + marker)
+        return _ident_payload(self.h_dtid, self.user_id, self.superseded_by)
+
+
+def _ident_payload(h_dtid: bytes, user_id: bytes, superseded_by: bytes | None) -> bytes:
+    """The payload of `IdentityIndex(h_dtid, user_id, superseded_by)`."""
+    if superseded_by is None:
+        return b"".join((_IDENT_BYTE, h_dtid, user_id, _LIVE_MARKER))
+    return b"".join((_IDENT_BYTE, h_dtid, user_id, b"\x01", superseded_by))
 
 
 def parse_record(payload: bytes):
@@ -193,19 +212,24 @@ class Ledger:
 
     # --- writes ---------------------------------------------------------------
 
+    def _link(self, payload: bytes) -> int:
+        """Append the block holding `payload`, linked to the last record on
+        the chain; returns its height. Every block is built here."""
+        blocks = self.blocks
+        height = len(blocks)
+        preimage = b"".join((_HEIGHT.pack(height),
+                             blocks[-1][_DIGEST] if blocks else _GENESIS, payload))
+        blocks.append(preimage + sha256_160(preimage))
+        return height
+
     def append(self, record) -> int:
         """Index and append one record; returns the height of its block."""
         payload = record.serialize()
         self._index(record)         # may refuse; nothing appended in that case
-        blocks = self.blocks
-        height = len(blocks)
-        preimage = (_HEIGHT.pack(height) + (blocks[-1][_DIGEST] if blocks else _GENESIS)
-                    + payload)
-        blocks.append(preimage + sha256_160(preimage))
-        return height
+        return self._link(payload)
 
     def _index(self, record) -> None:
-        if isinstance(record, SmartCard):            # every login writes one
+        if isinstance(record, SmartCard):
             self._cards[record.card_uid] = record
         elif isinstance(record, TokenRecord):
             self._tokens[record.x] = record
@@ -226,22 +250,37 @@ class Ledger:
 
     def put_card(self, card: SmartCard) -> int:
         """Publish a card version; returns the height of its block."""
-        return self.append(card)
+        payload = card.serialize()
+        self._cards[card.card_uid] = card
+        return self._link(payload)
 
     def replace_index(self, old_h: bytes, new_h: bytes, user_id: bytes) -> None:
-        if self._idents.get(old_h) != user_id:
+        """Supersede the user's live index `old_h` by `new_h` (which may be
+        `old_h` itself): two blocks, the superseded marker and the new live
+        index. Once these checks pass, the writes `_index` would check
+        cannot be refused, so the lookups are updated directly."""
+        idents = self._idents
+        if idents.get(old_h) != user_id:
             raise ValueError("no live identity index for the given digest")
-        if new_h != old_h and new_h in self._idents:
+        if new_h != old_h and new_h in idents:
             raise ValueError("identity index digest is live for another user")
-        self.append(IdentityIndex(h_dtid=old_h, user_id=user_id, superseded_by=new_h))
-        self.append(IdentityIndex(h_dtid=new_h, user_id=user_id))
+        superseded = _ident_payload(old_h, user_id, new_h)
+        live = _ident_payload(new_h, user_id, None)
+        del idents[old_h]
+        idents[new_h] = user_id
+        self._live_by_user[user_id] = new_h     # was old_h, the user's one live index
+        self._link(superseded)
+        self._link(live)
 
     def revoke_token(self, x: bytes) -> None:
         current = self._tokens.get(x)
         if current is None:
             raise ValueError("no token record for the given digest")
         if not current.revoked:
-            self.append(TokenRecord(current.x, current.y, True))
+            tombstone = TokenRecord(x, current.y, True)
+            payload = tombstone.serialize()
+            self._tokens[x] = tombstone
+            self._link(payload)
 
     # --- queries ---------------------------------------------------------------
 

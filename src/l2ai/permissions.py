@@ -99,13 +99,22 @@ class RoleGrant:
         return minute >= start or minute < end   # wraps past midnight
 
 
+# Iterating the Role enum runs Python code on each call; these sets are
+# compared in C.
+_ROLES = frozenset(Role)
+_ROLE_TYPE = {Role}
+
+
 class PermissionTable:
     def __init__(self, grants: dict[Role, RoleGrant]):
-        missing = [r.value for r in Role if r not in grants]
-        if missing:
-            raise ValueError(f"permission table missing roles: {missing}")
-        extra = [r for r in grants if not isinstance(r, Role)]
-        if extra:
+        # A role's plain value equals its member, so the keys must also all
+        # be Roles. The named lists are built only for the refusal.
+        if grants.keys() != _ROLES or set(map(type, grants)) != _ROLE_TYPE:
+            missing = [r.value for r in Role if r not in grants]
+            if missing:
+                raise ValueError(f"permission table missing roles: {missing}")
+            # no role missing: a key that is no Role makes the difference
+            extra = [r for r in grants if not isinstance(r, Role)]
             raise ValueError(f"permission table has unknown roles: {extra}")
         self.grants = grants
 

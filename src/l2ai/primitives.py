@@ -102,20 +102,24 @@ class BioTemplate:
 # The envelope carries the nonce in the clear; decryption verifies the tag
 # before releasing any plaintext.
 
+_BODY_LEN = struct.Struct(">I")     # the body-length field of a ciphertext envelope
+
+
 class Ciphertext(NamedTuple):
     nonce: bytes
     body: bytes
     tag: bytes
 
     def to_bytes(self) -> bytes:
-        return self.nonce + struct.pack(">I", len(self.body)) + self.body + self.tag
+        nonce, body, tag = self
+        return b"".join((nonce, _BODY_LEN.pack(len(body)), body, tag))
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Ciphertext":
         if len(raw) < NONCE_WIDTH + 4 + WIDTH:
             raise ValueError("ciphertext envelope too short")
         nonce = raw[:NONCE_WIDTH]
-        (length,) = struct.unpack(">I", raw[NONCE_WIDTH:NONCE_WIDTH + 4])
+        (length,) = _BODY_LEN.unpack_from(raw, NONCE_WIDTH)
         body_end = NONCE_WIDTH + 4 + length
         if len(raw) != body_end + WIDTH:
             raise ValueError("ciphertext envelope length mismatch")

@@ -236,10 +236,8 @@ def finalize_card(ops: PrimitiveOps, provisional: ProvisionalCard,
     _d_tid = ops.xor(scratch.user_id, provisional.r_hms)
     e_i = ops.xor(provisional.k_i, ops.hash(scratch.pwd_i + scratch.b_i))
     f_i = ops.hash(ops.xor(ops.xor(scratch.pwd_i, provisional.k_i), scratch.b_i))
-    return SmartCard(e_i=e_i, f_i=f_i, eid_i=provisional.eid_i,
-                     r_hms=provisional.r_hms, hid_hms=provisional.hid_hms,
-                     ax_ui=provisional.ax_ui, tau=scratch.tau,
-                     card_uid=scratch.user_id)
+    return SmartCard(e_i, f_i, provisional.eid_i, provisional.r_hms, provisional.hid_hms,
+                     provisional.ax_ui, scratch.tau, scratch.user_id)
 
 
 def login(ops: PrimitiveOps, clock: SimClock, creds: Credentials,
@@ -263,8 +261,7 @@ def login(ops: PrimitiveOps, clock: SimClock, creds: Credentials,
     w1 = ops.hash(d_tid + server_pair)
     t1 = clock.now()
     m1 = ops.hash(c_i + pack_ts(t1) + w1)
-    return (Msg1(t1=t1, m1=m1, eid=card.eid_i, ax=card.ax_ui),
-            UserSession(c_i=c_i, w1=w1, t1=t1))
+    return Msg1(t1, m1, card.eid_i, card.ax_ui), UserSession(c_i, w1, t1)
 
 
 def verify_server(ops: PrimitiveOps, clock: SimClock, delta_t: int,
@@ -346,7 +343,7 @@ class HospitalServer:
         t_g = ops.rand_digest()
         x = ops.hash(t_g)
         y = ops.enc(self.s_hms, t_g)
-        self.ledger.append(TokenRecord(x=x, y=y))
+        self.ledger.append(TokenRecord(x, y))
         self.token_roles[x] = role
         return Token(t_g=t_g, role=role)
 
@@ -373,8 +370,7 @@ class HospitalServer:
         eid = ops.xor(d_tid, self._h_s)
         hid = ops.xor(self._h_pair, d_tid)
 
-        self.ledger.append(IdentityIndex(h_dtid=ops.hash(d_tid),
-                                         user_id=user_id))
+        self.ledger.append(IdentityIndex(ops.hash(d_tid), user_id))
         return ProvisionalCard(k_i=k_i, eid_i=eid, hid_hms=hid, r_hms=r1, ax_ui=ax)
 
     # --- authentication and key exchange ----------------------------------------------
@@ -430,9 +426,8 @@ class HospitalServer:
                                        card.tau, card.card_uid))
         self.ledger.replace_index(h_dtid, ops.hash(d_new), user_id)
 
-        transcript = AuthTranscript(c_i=c_i, w1=w1, m1=msg1.m1, m2=m2, m3=m3,
-                                    sk=sk, n_s=n_s, t1=msg1.t1, t2=t2)
-        return Msg2(m3=m3, m2=m2, t2=t2), transcript
+        return (Msg2(m3, m2, t2),
+                AuthTranscript(c_i, w1, msg1.m1, m2, m3, sk, n_s, msg1.t1, t2))
 
     # --- authorization ----------------------------------------------------------------
 
@@ -459,7 +454,7 @@ class HospitalServer:
 
         t_g_new = ops.rand_digest()
         x_new = ops.hash(t_g_new)
-        self.ledger.append(TokenRecord(x=x_new, y=ops.enc(self.s_hms, t_g_new)))
+        self.ledger.append(TokenRecord(x_new, ops.enc(self.s_hms, t_g_new)))
         self.token_roles[x_new] = role
 
         self.ledger.put_card(SmartCard(card.e_i, card.f_i, card.eid_i, card.r_hms,

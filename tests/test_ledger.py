@@ -486,6 +486,74 @@ def test_replace_index_onto_another_users_digest_appends_nothing():
     assert ledger.live_index_for(bob) == h_bob
 
 
+@pytest.mark.parametrize("same", [False, True], ids=["new-digest", "same-digest"])
+def test_replace_index_writes_the_two_canonical_identity_records(same):
+    ops, ledger = make_ops(14), Ledger()
+    user, old = ops.rand_digest(), ops.rand_digest()
+    new = old if same else ops.rand_digest()
+    ledger.append(IdentityIndex(old, user))
+    ledger.replace_index(old, new, user)
+    payloads = [LedgerBlock.from_record(record).payload for record in ledger.blocks[1:]]
+    records = [parse_record(payload) for payload in payloads]
+    assert records == [IdentityIndex(old, user, new), IdentityIndex(new, user, None)]
+    assert [record.serialize() for record in records] == payloads
+    assert ledger.verify_chain()
+    assert ledger.get_identity(new) == user and ledger.live_index_for(user) == new
+    assert ledger.get_identity(old) == (user if same else None)
+
+
+def test_writes_link_to_the_last_record_as_it_stands():
+    # a write links to the digest of the record now last on the chain, even
+    # one replaced in place since the previous write
+    ops, ledger = make_ops(18), Ledger()
+    token, user, h = sample_token(ops), ops.rand_digest(), ops.rand_digest()
+    ledger.append(token)
+    ledger.append(IdentityIndex(h, user))
+    writes = [lambda: ledger.put_card(sample_card(ops)),
+              lambda: ledger.replace_index(h, h, user),
+              lambda: ledger.revoke_token(token.x),
+              lambda: ledger.append(sample_token(ops))]
+    for write in writes:
+        last = LedgerBlock.from_record(ledger.blocks[-1])
+        forged = last._replace(block_digest=ops.rand_digest()).to_record()
+        ledger.blocks[-1] = forged
+        before = len(ledger.blocks)
+        write()
+        for record in ledger.blocks[before:]:
+            block = LedgerBlock.from_record(record)
+            assert block.prev_digest == forged[-WIDTH:]
+            forged = record
+        assert len(ledger.blocks) > before
+
+
+def test_typed_writes_and_import_give_the_same_lookups():
+    # put_card, replace_index and revoke_token update the lookups themselves;
+    # import replays every block through the generic index instead
+    world = World(seed=5)
+    extra = "honest update-creds bob\nhonest update-auth alice P\nhonest auth alice read-own-records\n"
+    assert run_scenario(world, parse_scenario(HONEST_SCENARIO + extra)).ok
+    live = world.ledger
+    rebuilt = Ledger.from_lines(live.export_lines())
+    records = [parse_record(LedgerBlock.from_record(record).payload)
+               for record in live.blocks]
+    cards = [r for r in records if isinstance(r, SmartCard)]
+    tokens = [r for r in records if isinstance(r, TokenRecord)]
+    idents = [r for r in records if isinstance(r, IdentityIndex)]
+    assert sum(t.revoked for t in tokens) == 2                 # two role updates
+    assert len(cards) > 2 * len({c.card_uid for c in cards})   # re-keyed cards
+    users = {c.card_uid for c in cards} | {i.user_id for i in idents}
+    digests = {t.x for t in tokens} | {i.h_dtid for i in idents} \
+        | {i.superseded_by for i in idents if i.superseded_by is not None}
+    assert len(users) == 2
+    for user in users:
+        assert rebuilt.get_card(user) == live.get_card(user) is not None
+        assert rebuilt.live_index_for(user) == live.live_index_for(user) is not None
+    for digest in digests | {bytes(WIDTH)}:
+        assert rebuilt.get_identity(digest) == live.get_identity(digest)
+        assert rebuilt.get_token(digest) == live.get_token(digest)
+        assert rebuilt.any_digest(digest) == live.any_digest(digest)
+
+
 # --- the ledger against a dict model --------------------------------------------
 
 # Small pools, so that digests repeat: tokens and identity indexes share the

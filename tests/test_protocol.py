@@ -562,6 +562,27 @@ def test_permission_table_parse_errors():
         PermissionTable.parse(DEFAULT_TABLE_TEXT.replace("SA  *", "SA  * -5 10"))
 
 
+def test_permission_table_refusal_texts():
+    grants = PermissionTable.default().grants
+
+    def refusal(table) -> str:
+        with pytest.raises(ValueError) as err:
+            PermissionTable(table)
+        return str(err.value)
+
+    # missing roles are named in Role order, whatever the dict's order
+    partial = [(r, g) for r, g in grants.items() if r not in (Role.DOCTOR, Role.LABORATORY)]
+    assert refusal(dict(reversed(partial))) == "permission table missing roles: ['D', 'L']"
+    # a missing role is named before an unknown key
+    assert refusal({**dict(partial), "X": grants[Role.DOCTOR]}) == \
+        "permission table missing roles: ['D', 'L']"
+    assert refusal({**grants, "X": grants[Role.DOCTOR], 7: grants[Role.NURSE]}) == \
+        "permission table has unknown roles: ['X', 7]"
+    # a role's plain value equals its member and hashes alike, but is no Role
+    plain = {("D" if r is Role.DOCTOR else r): g for r, g in grants.items()}
+    assert refusal(plain) == "permission table has unknown roles: ['D']"
+
+
 def test_default_table_is_the_parsed_builtin_text():
     # parsed once at import; each call still returns its own grants dict
     assert PermissionTable.default().grants == \
