@@ -6,10 +6,10 @@ Outcome strings, not exceptions, cross the harness boundary. Every protocol
 call goes through World._metered, which charges the call's counted operations
 to its (side, phase), also when it is rejected part way, and turns a Reject or
 ValueError into "rejected <Class>"; so an attack scenario runs to completion.
-A delivery handler decodes the payload before the metered call, since its
+The delivery handler decodes the payload before the metered call, since its
 width dispatch has already checked the one thing a decoder checks.
 Each send carries its owner on its envelope (a Session for msg1 and server
-replies, a user name for enrollment traffic), replayed copies included, so a
+replies, a user name for enrollment traffic), replayed copies included, so the
 delivery handler records its result on the envelope's owner. The channel
 decides each drop when the message is sent, so a dropped enrollment send
 taints its user right there. Call check_invariants after the final drain;
@@ -114,14 +114,13 @@ class World:
                                      delta_t)
         self.channel = Channel(self.clock)
         self.users: dict[str, UserGateway] = {}
-        self.handlers = {SERVER: self._server_handler}
+        self.handlers = {SERVER: self._deliver}
         self.sessions: list[Session] = []
         self.step_notes: list[str] = []
         self.tainted: set[str] = set()
         self.phase_ops: dict[tuple[str, str], dict[str, int]] = {}
         self.phase_calls: dict[tuple[str, str], int] = {}
         self.width_counts: Counter = Counter()
-        self._cred_draw: dict[str, Rng] = {}
 
     # --- entities ------------------------------------------------------------
 
@@ -131,7 +130,7 @@ class World:
 
     def get_user(self, name: str) -> UserGateway:
         if name not in self.users:
-            if name == SERVER:      # its handler would replace the server's
+            if name == SERVER:      # its deliveries would go to the server
                 raise ValueError(f"{SERVER!r} names the server, not a user")
             seed = self._user_seed(name)
             draw = Rng(seed ^ 0x5EED)
@@ -140,8 +139,7 @@ class World:
                                 bio=BioTemplate(draw.randbytes(BIO_WIDTH)))
             self.users[name] = UserGateway(seed, self.clock, self.ledger, creds,
                                            delta_t=self.server.delta_t)
-            self._cred_draw[name] = draw
-            self.handlers[name] = self._user_handler
+            self.handlers[name] = self._deliver
         return self.users[name]
 
     # --- instrumentation -------------------------------------------------------
@@ -204,7 +202,7 @@ class World:
         gateway = self.get_user(name)
         serial = self.phase_calls.get(("user", "update-creds"), 0) + 1
         new_password = f"pw-{name}-v{serial}".encode()
-        new_bio = BioTemplate(self._cred_draw[name].randbytes(BIO_WIDTH))
+        new_bio = gateway.ops.rand_template()
         _, rejected = self._metered("user", "update-creds", gateway.ops,
                                     gateway.change_credentials, new_password, new_bio)
         self.step_notes.append(f"step kind=update-creds user={name} "
@@ -221,68 +219,59 @@ class World:
     def drain(self, strict: bool = False) -> None:
         self.channel.run(self.handlers, strict=strict)
 
-    # --- delivery handlers ------------------------------------------------------
+    # --- delivery handler -------------------------------------------------------
 
-    def _server_handler(self, env: Envelope) -> str:
-        width = len(env.payload)
-        if width == REG_REQUEST_WIDTH:
-            user = env.owner
-            if env.touched and user is not None:
-                self.tainted.add(user)
-            provisional, rejected = self._metered(
-                "server", "register", self.server.ops, self.server.register,
-                RegRequest.from_bytes(env.payload))
-            if rejected:
-                return rejected
-            self._send(SERVER, env.src, provisional.to_bytes(), user)
-            return "provisional-issued"
-
-        if width == MSG1_WIDTH:
-            session = env.owner
-            scope = session.scope if session is not None else DEFAULT_SCOPE
-            result, rejected = self._metered(
-                "server", "auth", self.server.ops, self.server.authenticate,
-                Msg1.from_bytes(env.payload), scope)
-            if rejected:
-                # only the original's rejection counts; a verified reply outranks it
-                if session is not None and env.seq > 0 and session.outcome != "verified":
-                    session.outcome = rejected
-                return rejected
-            msg2, transcript = result
-            reply = self._send(SERVER, env.src, msg2.to_bytes(), session)
-            if session is not None:
-                session.sk_server = transcript.sk
-                session.reply_env = reply
-            return f"accepted sk={transcript.sk.hex()[:8]}"
-
-        return f"rejected UnexpectedMessage ({width}B to server)"
-
-    def _user_handler(self, env: Envelope) -> str:
-        gateway = self.users[env.dst]
-        width = len(env.payload)
-        if width == PROVISIONAL_WIDTH:
-            if env.touched and env.owner is not None:
-                self.tainted.add(env.owner)
-            _, rejected = self._metered(
-                "user", "finalize", gateway.ops, gateway.accept_provisional,
-                ProvisionalCard.from_bytes(env.payload))
-            return rejected or "registered"
-
-        if width == MSG2_WIDTH:
-            session = env.owner
-            sk, rejected = self._metered(
-                "user", "verify", gateway.ops, gateway.accept_server_reply,
-                Msg2.from_bytes(env.payload))
-            if rejected:
-                # an original reply's rejection ranks below every other verdict
-                if session is not None and env.seq > 0 and session.outcome == "pending":
-                    session.outcome = rejected
-                return rejected
-            if session is not None:
-                session.sk_user = sk
-                session.outcome = "verified"
-            return f"verified sk={sk.hex()[:8]}"
-
+    def _deliver(self, env: Envelope) -> str:
+        """The delivery handler of every party: the receiver and the payload
+        width choose the step."""
+        width, owner = len(env.payload), env.owner
+        if isinstance(owner, str) and env.touched:
+            self.tainted.add(owner)         # its user's enrollment was hit
+        if env.dst == SERVER:
+            if width == REG_REQUEST_WIDTH:
+                provisional, rejected = self._metered(
+                    "server", "register", self.server.ops, self.server.register,
+                    RegRequest.from_bytes(env.payload))
+                if rejected:
+                    return rejected
+                self._send(SERVER, env.src, provisional.to_bytes(), owner)
+                return "provisional-issued"
+            if width == MSG1_WIDTH:
+                scope = owner.scope if owner is not None else DEFAULT_SCOPE
+                result, rejected = self._metered(
+                    "server", "auth", self.server.ops, self.server.authenticate,
+                    Msg1.from_bytes(env.payload), scope)
+                if rejected:
+                    # only the original's rejection counts; a verified reply outranks it
+                    if owner is not None and env.seq > 0 and owner.outcome != "verified":
+                        owner.outcome = rejected
+                    return rejected
+                msg2, transcript = result
+                reply = self._send(SERVER, env.src, msg2.to_bytes(), owner)
+                if owner is not None:
+                    owner.sk_server = transcript.sk
+                    owner.reply_env = reply
+                return f"accepted sk={transcript.sk.hex()[:8]}"
+        else:
+            gateway = self.users[env.dst]
+            if width == PROVISIONAL_WIDTH:
+                _, rejected = self._metered(
+                    "user", "finalize", gateway.ops, gateway.accept_provisional,
+                    ProvisionalCard.from_bytes(env.payload))
+                return rejected or "registered"
+            if width == MSG2_WIDTH:
+                sk, rejected = self._metered(
+                    "user", "verify", gateway.ops, gateway.accept_server_reply,
+                    Msg2.from_bytes(env.payload))
+                if rejected:
+                    # an original reply's rejection ranks below every other verdict
+                    if owner is not None and env.seq > 0 and owner.outcome == "pending":
+                        owner.outcome = rejected
+                    return rejected
+                if owner is not None:
+                    owner.sk_user = sk
+                    owner.outcome = "verified"
+                return f"verified sk={sk.hex()[:8]}"
         return f"rejected UnexpectedMessage ({width}B to {env.dst})"
 
     # --- post-run resolution ------------------------------------------------------

@@ -85,10 +85,6 @@ class SmartCard(NamedTuple):
     tau: HelperData
     card_uid: bytes
 
-    def to_bytes(self) -> bytes:
-        e_i, f_i, eid_i, r_hms, hid_hms, ax_ui, (offset, check), card_uid = self
-        return b"".join((e_i, f_i, eid_i, r_hms, hid_hms, ax_ui, offset, check, card_uid))
-
     @classmethod
     def from_bytes(cls, raw: bytes) -> "SmartCard":
         if len(raw) != 6 * WIDTH + 52 + WIDTH:

@@ -129,6 +129,33 @@ def test_enrollment_disturbance_taints_its_user(attack):
     assert result.ok, result.violations
 
 
+# authentication traffic belongs to a Session, so disturbing it taints nobody
+@pytest.mark.parametrize("attack", [
+    "modify 3 10 ff", "replay 3 120", "modify 4 5 80", "replay 4 210",
+])
+def test_auth_disturbance_taints_nobody(attack):
+    world, _ = run_text(f"honest register alice\nhonest auth alice\n{attack}\n")
+    assert world.tainted == set()
+
+
+def test_unexpected_width_is_rejected_without_a_protocol_call():
+    # a reply width sent to the server and a request width sent to a user
+    world, result = run_text("honest register alice\nhonest auth alice\n")
+    assert result.ok, result.violations
+    calls = dict(world.phase_calls)
+    sessions = [replace(session) for session in world.sessions]
+    world.channel.send("alice", SERVER, bytes(48))
+    world.channel.send(SERVER, "alice", bytes(68))
+    world.drain()
+    assert [env.outcome for env in world.channel.deliveries[-2:]] == [
+        "rejected UnexpectedMessage (48B to hms)",
+        "rejected UnexpectedMessage (68B to alice)",
+    ]
+    assert world.phase_calls == calls
+    assert world.tainted == set()
+    assert world.sessions == sessions
+
+
 @pytest.mark.parametrize("attack, outcome", [
     # a verified reply outranks the server's rejection of the original msg1
     ("replay 3 120", "verified"),

@@ -1,8 +1,9 @@
 """Ledger tests: append-only behavior, latest-wins supersession,
-tamper evidence, and export/import."""
+tamper evidence, export/import, and the frozen seed-42 ledger golden."""
 
 import gc
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,8 @@ from l2ai.ledger import (
 )
 from l2ai.permissions import Role
 from l2ai.primitives import WIDTH, PrimitiveOps, seal, sha256_160
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def make_ops(seed=0):
@@ -298,7 +301,14 @@ def seed42_export() -> list[str]:
     return world.ledger.export_lines()
 
 
-SEED42_EXPORT = seed42_export()
+SEED42_EXPORT = (GOLDEN / "honest-seed42-ledger.txt").read_text().splitlines()
+
+
+def test_export_matches_golden():
+    assert seed42_export() == SEED42_EXPORT
+    rebuilt = Ledger.from_lines(SEED42_EXPORT)
+    assert rebuilt.export_lines() == SEED42_EXPORT
+    assert rebuilt.verify_chain()
 
 
 def with_field(line: str, index: int, edit) -> str:
