@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from l2ai import cli
 from l2ai.channel import HONEST_PHASES, ChannelError, parse_scenario
 from l2ai.cli import main as cli_main
 from l2ai.harness import (
@@ -544,11 +545,12 @@ def test_cli_main_called_repeatedly_in_one_process(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
-def run_module(*args: str, cwd: Path) -> subprocess.CompletedProcess:
-    """`python -m l2ai ...` in a fresh interpreter, as a user runs it."""
+def run_module(*args: str, cwd: Path, flags: tuple[str, ...] = ()
+               ) -> subprocess.CompletedProcess:
+    """`python [flags] -m l2ai ...` in a fresh interpreter, as a user runs it."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
-    return subprocess.run([sys.executable, "-m", "l2ai", *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *flags, "-m", "l2ai", *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=60)
 
 
 def test_module_entry_point_runs_in_a_fresh_interpreter(tmp_path):
@@ -561,6 +563,104 @@ def test_module_entry_point_runs_in_a_fresh_interpreter(tmp_path):
     helped = run_module("--help", cwd=tmp_path)
     assert helped.returncode == 0
     assert helped.stdout.startswith("usage: l2ai [-h] {run,suite,export} ...\n")
+
+
+def test_cli_file_io_does_not_depend_on_the_locale(tmp_path):
+    # every file the CLI reads or writes names its encoding, so a run where
+    # a locale-default encoding is an error still succeeds
+    scn = tmp_path / "honest.scn"
+    scn.write_bytes(HONEST_SCENARIO.encode())
+    table = tmp_path / "perm.txt"
+    table.write_bytes(DEFAULT_TABLE_TEXT.encode())
+    strict = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    run = run_module("run", str(scn), "--perm-table", str(table),
+                     "--report", str(tmp_path / "r.txt"),
+                     "--trace", str(tmp_path / "t.txt"), cwd=tmp_path, flags=strict)
+    assert (run.returncode, run.stderr) == (0, "")
+    exported = run_module("export", str(scn), "--perm-table", str(table),
+                          "--out", str(tmp_path / "out"), cwd=tmp_path, flags=strict)
+    assert (exported.returncode, exported.stderr) == (0, "")
+    report = (GOLDEN / "honest-seed42-report.txt").read_bytes()
+    assert (tmp_path / "r.txt").read_bytes() == report
+    assert (tmp_path / "out" / "report.txt").read_bytes() == report
+    assert (tmp_path / "out" / "trace.txt").read_bytes() \
+        == (tmp_path / "t.txt").read_bytes()
+
+
+def call_captured(call, argv: list[str]):
+    """(exit code or return value, stdout, stderr) of one call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "x", "--bogus"], ["run", "x", "extra"], ["run"],
+    ["run", "x", "--seed", "q"], ["run", "--help"], ["export", "x"],
+    ["suite", "nope"], ["--help"], [], ["jump"], ["--", "run", "x"],
+], ids=" ".join)
+def test_cli_routing_matches_the_top_level_parser(argv):
+    # main hands a command's words straight to that command's parser; every
+    # usage error and help text is still the one the top-level parser gives
+    routed = call_captured(cli.main, argv)
+    assert routed == call_captured(cli._PARSER.parse_args, argv)
+    if argv == ["run", "x", "--bogus"]:
+        assert routed == (2, "", "usage: l2ai [-h] {run,suite,export} ...\n"
+                                 "l2ai: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "s.scn"],
+    ["run", "s.scn", "--seed", "7", "--delta-t", "10", "--perm-table", "p",
+     "--report", "r", "--trace", "t"],
+    ["suite", "fuzz", "--seed", "3"],
+    ["export", "--out", "d", "s.scn", "--perm-table", "p"],
+], ids=" ".join)
+def test_cli_routing_parses_what_the_top_level_parser_parses(argv):
+    assert cli._parse(argv) == cli._PARSER.parse_args(argv)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_cli_inputs_take_any_line_ending(tmp_path, capsys, newline):
+    # bob's role loses read-lab-results, so the table changes the report
+    # (his granted-scope auth now fails, a violation: exit 1)
+    table = DEFAULT_TABLE_TEXT.replace(
+        "N   read-patient-vitals,read-other-patient-vitals,read-lab-results,",
+        "N   read-patient-vitals,")
+    assert table != DEFAULT_TABLE_TEXT
+    results = []
+    for ending in ("\n", newline):
+        scn = tmp_path / "s.scn"
+        scn.write_bytes(HONEST_SCENARIO.replace("\n", ending).encode())
+        perm = tmp_path / "perm.txt"
+        perm.write_bytes(table.replace("\n", ending).encode())
+        plain = cli_main(["run", str(scn)]), capsys.readouterr()
+        tabled = cli_main(["run", str(scn), "--perm-table", str(perm)]), \
+            capsys.readouterr()
+        results.append((plain, tabled))
+    assert results[0] == results[1]
+    (plain_rc, plain), (tabled_rc, tabled) = results[0]
+    assert (plain_rc, tabled_rc, plain.err, tabled.err) == (0, 1, "", "")
+    assert plain.out == (GOLDEN / "honest-seed42-report.txt").read_text(encoding="utf-8")
+    assert tabled.out != plain.out
+
+
+@pytest.mark.parametrize("bad", ["scenario", "table"])
+def test_cli_input_that_is_not_utf8_exits_2(tmp_path, capsys, bad):
+    scn = tmp_path / "s.scn"
+    perm = tmp_path / "perm.txt"
+    scn.write_bytes(b"honest register a\n")
+    perm.write_bytes(DEFAULT_TABLE_TEXT.encode())
+    (scn if bad == "scenario" else perm).write_bytes(b"honest \xff\n")
+    assert cli_main(["run", str(scn), "--perm-table", str(perm)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("l2ai: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 # --- generated scenarios ------------------------------------------------------------
