@@ -24,7 +24,10 @@ each send pops its own entry, so a matched action leaves nothing behind; an
 armed seq that never occurs is a scripting mistake and fails the run
 loudly. A dropped send's seq goes into `dropped` when it is sent; every
 other send is delivered by the next run, so after a drain "not delivered"
-means exactly "dropped".
+means exactly "dropped". A parsed `Scenario` keeps its directives as one
+tuple in script order and arms them in that order. The order cannot change a
+run: only a second drop on one seq fails when armed, `send` applies one
+seq's actions in a fixed order, and the leftover check sorts its seqs.
 
 Delivery handlers return an outcome string and must not raise; the caller
 wraps protocol rejections into outcomes. The outcome is stored on its
@@ -62,11 +65,10 @@ class UnknownSeq(ChannelError):
 
 
 class ParseError(ValueError):
-    """Scenario text rejected; carries the 1-based line number."""
+    """Scenario text rejected; the message starts with the 1-based line number."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -267,23 +269,18 @@ class HonestStep(NamedTuple):
 
 
 class Scenario(NamedTuple):
+    """A parsed script. `actions` holds the adversary directives in script
+    order, each as the name of the `Channel.script_*` method that arms it and
+    that method's arguments."""
+
     base_delay: int
     steps: tuple[HonestStep, ...]
-    eavesdrops: tuple[int, ...]
-    drops: tuple[tuple[str, str, int], ...]
-    modifies: tuple[tuple[int, int, bytes], ...]
-    replays: tuple[tuple[int, int], ...]
+    actions: tuple[tuple[str, tuple], ...]
 
     def arm(self, channel: Channel) -> None:
         channel.base_delay = self.base_delay
-        for seq in self.eavesdrops:
-            channel.script_eavesdrop(seq)
-        for src, dst, seq in self.drops:
-            channel.script_drop(src, dst, seq)
-        for seq, offset, mask in self.modifies:
-            channel.script_modify(seq, offset, mask)
-        for seq, at in self.replays:
-            channel.script_replay(seq, at)
+        for name, args in self.actions:
+            getattr(channel, name)(*args)
 
 
 def _need(line_no: int, args: list[str], n: int, usage: str) -> None:
@@ -333,10 +330,7 @@ def parse_scenario(text: str) -> Scenario:
     """
     base_delay = DEFAULT_DELAY
     steps: list[HonestStep] = []
-    eavesdrops: list[int] = []
-    drops: list[tuple[str, str, int]] = []
-    modifies: list[tuple[int, int, bytes]] = []
-    replays: list[tuple[int, int]] = []
+    actions: list[tuple[str, tuple]] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -351,10 +345,12 @@ def parse_scenario(text: str) -> Scenario:
             base_delay = _num(line_no, args[0], "delay")
         elif verb == "eavesdrop":
             _need(line_no, args, 1, "eavesdrop <seq>")
-            eavesdrops.append(_num(line_no, args[0], "seq", minimum=1))
+            actions.append(("script_eavesdrop",
+                            (_num(line_no, args[0], "seq", minimum=1),)))
         elif verb == "drop":
             _need(line_no, args, 3, "drop <from> <to> <seq>")
-            drops.append((args[0], args[1], _num(line_no, args[2], "seq", minimum=1)))
+            actions.append(("script_drop", (args[0], args[1],
+                                            _num(line_no, args[2], "seq", minimum=1))))
         elif verb == "modify":
             _need(line_no, args, 3, "modify <seq> <offset> <mask-hex>")
             try:
@@ -363,14 +359,13 @@ def parse_scenario(text: str) -> Scenario:
                 raise ParseError(line_no, f"mask must be hex, got {args[2]!r}") from None
             if not mask:
                 raise ParseError(line_no, "mask must not be empty")
-            modifies.append((_num(line_no, args[0], "seq", minimum=1),
-                             _num(line_no, args[1], "offset"), mask))
+            actions.append(("script_modify", (_num(line_no, args[0], "seq", minimum=1),
+                                              _num(line_no, args[1], "offset"), mask)))
         elif verb == "replay":
             _need(line_no, args, 2, "replay <seq> <at-ms>")
-            replays.append((_num(line_no, args[0], "seq", minimum=1),
-                            _num(line_no, args[1], "at-ms")))
+            actions.append(("script_replay", (_num(line_no, args[0], "seq", minimum=1),
+                                              _num(line_no, args[1], "at-ms"))))
         else:
             raise ParseError(line_no, f"unknown directive {verb!r}")
 
-    return Scenario(base_delay, tuple(steps), tuple(eavesdrops), tuple(drops),
-                    tuple(modifies), tuple(replays))
+    return Scenario(base_delay, tuple(steps), tuple(actions))

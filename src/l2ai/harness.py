@@ -433,10 +433,10 @@ honest auth bob read-own-records
 """
 
 
-def suite_honest(seed: int = 42, rounds: int = 20, emit=print) -> bool:
+def suite_honest(seed: int = 42, emit=print) -> bool:
     scenario = parse_scenario(HONEST_SCENARIO)
     ok = True
-    for i in range(rounds):
+    for i in range(20):
         world = World(seed=seed + i)
         result = run_scenario(world, scenario)
         verified = sum(1 for s in world.sessions if s.outcome == "verified")

@@ -9,7 +9,8 @@ line-oriented text format so deployments can swap their own:
     D  read-patient-vitals,write-prescription
     L  read-lab-orders,write-lab-results  360 1200
 
-A window given as start > end wraps past midnight.
+A window given as start > end wraps past midnight. `SCOPE_CATALOG`, every
+scope the default deployment knows, is derived from the default table.
 """
 
 from __future__ import annotations
@@ -57,30 +58,6 @@ SA  *
 E   read-patient-vitals,read-other-patient-vitals,emergency-override,admit-patient
 L   read-lab-orders,write-lab-results
 """
-
-# Every scope the default deployment knows about. "manage-users" is granted
-# to nobody except the administrator's wildcard, which keeps at least one
-# (role, scope) pair false for every non-admin row.
-SCOPE_CATALOG = (
-    "admit-patient",
-    "dispense-medication",
-    "emergency-override",
-    "manage-beds",
-    "manage-inventory",
-    "manage-users",
-    "read-admissions",
-    "read-lab-orders",
-    "read-lab-results",
-    "read-other-patient-vitals",
-    "read-own-records",
-    "read-own-vitals",
-    "read-patient-vitals",
-    "read-prescriptions",
-    "record-vitals",
-    "write-lab-results",
-    "write-prescription",
-)
-
 
 @dataclass(frozen=True)
 class RoleGrant:
@@ -166,3 +143,10 @@ class PermissionTable:
 
 
 _DEFAULT_GRANTS = PermissionTable.parse(DEFAULT_TABLE_TEXT).grants
+
+# Every scope the default deployment knows about: the scopes the default table
+# names, plus "manage-users", which it grants to nobody except the
+# administrator's wildcard, so every non-admin row has at least one scope false.
+SCOPE_CATALOG = tuple(sorted({scope for grant in _DEFAULT_GRANTS.values()
+                              if grant.scopes is not None for scope in grant.scopes}
+                             | {"manage-users"}))

@@ -120,7 +120,6 @@ class UserSession(NamedTuple):
 
     c_i: bytes
     w1: bytes
-    t1: int
 
 
 class AuthTranscript(NamedTuple):
@@ -128,12 +127,8 @@ class AuthTranscript(NamedTuple):
 
     c_i: bytes
     w1: bytes
-    m1: bytes
-    m2: bytes
-    m3: bytes
     sk: bytes
     n_s: bytes
-    t1: int
     t2: int
 
 
@@ -261,7 +256,7 @@ def login(ops: PrimitiveOps, clock: SimClock, creds: Credentials,
     w1 = ops.hash(d_tid + server_pair)
     t1 = clock.now()
     m1 = ops.hash(c_i + pack_ts(t1) + w1)
-    return Msg1(t1, m1, card.eid_i, card.ax_ui), UserSession(c_i, w1, t1)
+    return Msg1(t1, m1, card.eid_i, card.ax_ui), UserSession(c_i, w1)
 
 
 def verify_server(ops: PrimitiveOps, clock: SimClock, delta_t: int,
@@ -427,7 +422,7 @@ class HospitalServer:
         self.ledger.replace_index(h_dtid, ops.hash(d_new), user_id)
 
         return (Msg2(m3, m2, t2),
-                AuthTranscript(c_i, w1, msg1.m1, m2, m3, sk, n_s, msg1.t1, t2))
+                AuthTranscript(c_i, w1, sk, n_s, t2))
 
     # --- authorization ----------------------------------------------------------------
 

@@ -391,6 +391,9 @@ def test_criterion_10_authorization_matrix_and_revocation():
     # full role-by-scope matrix through real authentications, then 20
     # authorization swaps: the old card index is unknown afterwards and the
     # new role's scopes take effect immediately
+    # the catalog is derived from the default table; pin it to the transcription
+    assert set(SCOPE_CATALOG) == set().union(
+        *(EXPECTED_GRANTS[r] for r in Role if r is not Role.ADMIN), {"manage-users"})
     clock, ledger = SimClock(), Ledger()
     server = HospitalServer(7, clock, ledger)
     granted = denied = 0

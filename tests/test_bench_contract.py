@@ -57,6 +57,6 @@ def test_shrunken_workload_rounds_pass_their_checks(tmp_path, capsys, monkeypatc
         script, problems = workloads.make_script(3, i)
         assert problems == [], i
         path = tmp_path / f"script-{i}.txt"
-        path.write_text(script.text)
+        path.write_text(script.text, encoding="utf-8")
         assert cli_main(["run", str(path), "--seed", str(script.seed)]) == 0
         assert capsys.readouterr().out == script.report

@@ -55,13 +55,13 @@ def test_same_seed_same_world_digest():
 
 def test_report_matches_golden():
     world, result = run_text(HONEST_SCENARIO, seed=42)
-    expected = (GOLDEN / "honest-seed42-report.txt").read_text().splitlines()
+    expected = (GOLDEN / "honest-seed42-report.txt").read_text(encoding="utf-8").splitlines()
     assert result.report_lines() == expected
 
 
 def test_trace_matches_golden():
     world, result = run_text(HONEST_SCENARIO, seed=42)
-    expected = (GOLDEN / "honest-seed42-trace.txt").read_text().splitlines()
+    expected = (GOLDEN / "honest-seed42-trace.txt").read_text(encoding="utf-8").splitlines()
     assert world.channel.log == expected
 
 
@@ -250,18 +250,20 @@ def test_registration_with_a_wrong_width_sealed_token_is_rejected(size):
 
 def test_second_registration_of_a_live_identity_is_already_registered(tmp_path, capsys):
     scn = tmp_path / "s.scn"
-    scn.write_text("honest register a\nhonest register a\n")
+    scn.write_text("honest register a\nhonest register a\n", encoding="utf-8")
     trace = tmp_path / "trace.txt"
     assert cli_main(["run", str(scn), "--trace", str(trace)]) == 0
     capsys.readouterr()
-    assert trace.read_text().endswith("OUTCOME seq=3 rejected AlreadyRegistered\n")
+    assert trace.read_text(encoding="utf-8").endswith(
+        "OUTCOME seq=3 rejected AlreadyRegistered\n")
 
 
 def test_update_auth_on_tainted_card_is_a_rejection(tmp_path, capsys):
     # a tampered provisional card points at no known token: the role update
     # is rejected like any other, instead of a ledger miss escaping the run
     scn = tmp_path / "s.scn"
-    scn.write_text("honest register alice\nmodify 2 25 ff\nhonest update-auth alice P\n")
+    scn.write_text("honest register alice\nmodify 2 25 ff\nhonest update-auth alice P\n",
+                   encoding="utf-8")
     assert cli_main(["run", str(scn)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "step kind=update-auth user=alice result=rejected UnknownPrincipal" in out
@@ -286,9 +288,9 @@ RACE_SCENARIOS = {
 @pytest.mark.parametrize("name", sorted(RACE_SCENARIOS))
 def test_race_report_is_pinned(name, tmp_path, capsys):
     scn = tmp_path / "s.scn"
-    scn.write_text("honest register alice\n" + RACE_SCENARIOS[name])
+    scn.write_text("honest register alice\n" + RACE_SCENARIOS[name], encoding="utf-8")
     assert cli_main(["run", str(scn)]) == 0
-    assert capsys.readouterr().out == (RACES / f"{name}.txt").read_text()
+    assert capsys.readouterr().out == (RACES / f"{name}.txt").read_text(encoding="utf-8")
 
 
 def test_wrong_password_never_reaches_wire():
@@ -374,20 +376,20 @@ def test_worlds_do_not_share_a_permission_table():
 
 def test_cli_run_writes_report_and_trace(tmp_path, capsys):
     scn = tmp_path / "s.scn"
-    scn.write_text("honest register a\nhonest auth a\n")
+    scn.write_text("honest register a\nhonest auth a\n", encoding="utf-8")
     report = tmp_path / "report.txt"
     trace = tmp_path / "trace.txt"
     rc = cli_main(["run", str(scn), "--report", str(report), "--trace", str(trace)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "summary violations=0" in out
-    assert report.read_text() == out
-    assert trace.read_text().startswith("00000000 SEND seq=1")
+    assert report.read_text(encoding="utf-8") == out
+    assert trace.read_text(encoding="utf-8").startswith("00000000 SEND seq=1")
 
 
 def test_cli_empty_scenario_trace_is_one_newline(tmp_path, capsys):
     scn = tmp_path / "empty.scn"
-    scn.write_text("")
+    scn.write_text("", encoding="utf-8")
     trace = tmp_path / "trace.txt"
     assert cli_main(["run", str(scn), "--trace", str(trace)]) == 0
     assert trace.read_bytes() == b"\n"
@@ -400,7 +402,7 @@ def test_cli_empty_scenario_trace_is_one_newline(tmp_path, capsys):
 ], ids=["honest", "attacked"])
 def test_cli_export_trace_equals_run_trace(tmp_path, capsys, script):
     scn = tmp_path / "s.scn"
-    scn.write_text(script)
+    scn.write_text(script, encoding="utf-8")
     trace = tmp_path / "trace.txt"
     out = tmp_path / "exported"
     run_rc = cli_main(["run", str(scn), "--trace", str(trace)])
@@ -410,13 +412,60 @@ def test_cli_export_trace_equals_run_trace(tmp_path, capsys, script):
     assert (out / "trace.txt").read_bytes() == trace.read_bytes()
 
 
+# Adversary lines interleaved with each other and with honest steps, several
+# on one seq, with the exit code each run ends in. Only a second drop on one
+# seq fails when armed; everything else fails or acts at send time.
+INTERLEAVED = [
+    ("one-seq-pile-up", "honest register alice\nhonest auth alice\nreplay 3 180\n"
+     "modify 3 0 01\neavesdrop 4\nmodify 3 2 ff\nreplay 3 400\ndrop hms alice 4\n"
+     "eavesdrop 3\nhonest auth alice\n", 0),
+    ("armed-between-steps", "modify 4 1 0f\nhonest register alice\nreplay 4 300\n"
+     "eavesdrop 1\nhonest auth alice\ndrop alice hms 3\nmodify 1 0 ff\n"
+     "replay 1 250\nhonest auth alice\n", 0),
+    ("double-drop", "honest register alice\nmodify 1 0 ff\ndrop alice hms 1\n"
+     "replay 1 200\ndrop alice hms 1\n", 2),
+    ("modify-past-payload", "honest register alice\nreplay 2 300\nmodify 2 0 ff\n"
+     "eavesdrop 2\nmodify 2 9999 ff\n", 2),
+    ("leftovers", "honest register alice\neavesdrop 9\nreplay 7 100\nmodify 8 0 ff\n"
+     "honest auth alice\n", 2),
+]
+
+
+def _kind_order(script: str) -> str:
+    """The script with its adversary lines regrouped as every eavesdrop, drop,
+    modify, then replay, each kind in script order, after the other lines."""
+    kinds = ("eavesdrop", "drop", "modify", "replay")
+    lines = script.splitlines()
+    regrouped = [line for line in lines if line.split()[0] not in kinds]
+    for kind in kinds:
+        regrouped += [line for line in lines if line.split()[0] == kind]
+    return "\n".join(regrouped) + "\n"
+
+
+@pytest.mark.parametrize("script, rc", [case[1:] for case in INTERLEAVED],
+                         ids=[case[0] for case in INTERLEAVED])
+def test_arming_order_cannot_change_a_run(tmp_path, capsys, script, rc):
+    assert _kind_order(script) != script
+    runs = []
+    for name, text in (("script", script), ("regrouped", _kind_order(script))):
+        scn = tmp_path / f"{name}.scn"
+        scn.write_text(text, encoding="utf-8")
+        trace = tmp_path / f"{name}.trace"
+        code = cli_main(["run", str(scn), "--trace", str(trace)])
+        captured = capsys.readouterr()
+        runs.append((code, captured.out, captured.err,
+                     trace.read_text(encoding="utf-8") if trace.exists() else None))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == rc
+
+
 @pytest.mark.parametrize("flag", ["--report", "--trace"])
 def test_cli_unwritable_output_leaves_stdout_empty(tmp_path, capsys, flag):
     # the run itself ends in a violation (exit 1); an output file that
     # cannot be written is an input error, and no report reaches stdout
     scn = tmp_path / "s.scn"
     scn.write_text("honest register bob N\nhonest update-auth bob P\n"
-                   "honest auth bob\n")
+                   "honest auth bob\n", encoding="utf-8")
     assert cli_main(["run", str(scn)]) == 1
     capsys.readouterr()
     rc = cli_main(["run", str(scn), flag, str(tmp_path / "missing" / "out.txt")])
@@ -428,7 +477,7 @@ def test_cli_unwritable_output_leaves_stdout_empty(tmp_path, capsys, flag):
 
 def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
-    bad.write_text("jump 4\n")
+    bad.write_text("jump 4\n", encoding="utf-8")
     assert cli_main(["run", str(bad)]) == 2
     assert "line 1" in capsys.readouterr().err
 
@@ -436,14 +485,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli_main(["run", str(missing)]) == 2
 
     violating = tmp_path / "v.scn"
-    violating.write_text("honest register p P\nhonest auth p\n")
+    violating.write_text("honest register p P\nhonest auth p\n", encoding="utf-8")
     assert cli_main(["run", str(violating)]) == 1
     capsys.readouterr()
 
     table = tmp_path / "perm.txt"
-    table.write_text("D *\n")                     # seven roles missing
+    table.write_text("D *\n", encoding="utf-8")    # seven roles missing
     ok_scn = tmp_path / "ok.scn"
-    ok_scn.write_text("honest register a\n")
+    ok_scn.write_text("honest register a\n", encoding="utf-8")
     assert cli_main(["run", str(ok_scn), "--perm-table", str(table)]) == 2
     capsys.readouterr()
 
@@ -451,7 +500,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_cli_rejects_a_user_named_like_the_server(tmp_path, capsys):
     # a gateway named after the server would take over the server's handler
     scn = tmp_path / "s.scn"
-    scn.write_text(f"honest register {SERVER}\nhonest auth {SERVER}\n")
+    scn.write_text(f"honest register {SERVER}\nhonest auth {SERVER}\n", encoding="utf-8")
     assert cli_main(["run", str(scn)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -460,7 +509,7 @@ def test_cli_rejects_a_user_named_like_the_server(tmp_path, capsys):
 
 def test_cli_export_and_suite(tmp_path, capsys):
     scn = tmp_path / "s.scn"
-    scn.write_text("honest register a\nhonest auth a\n")
+    scn.write_text("honest register a\nhonest auth a\n", encoding="utf-8")
     out = tmp_path / "exported"
     assert cli_main(["export", str(scn), "--out", str(out)]) == 0
     assert (out / "report.txt").exists() and (out / "trace.txt").exists()
@@ -472,7 +521,7 @@ def test_cli_export_and_suite(tmp_path, capsys):
 def test_cli_custom_delta_t(tmp_path, capsys):
     scn = tmp_path / "s.scn"
     # zero freshness window: the 50ms flight time alone makes Msg1 stale
-    scn.write_text("honest register a\nhonest auth a\n")
+    scn.write_text("honest register a\nhonest auth a\n", encoding="utf-8")
     rc = cli_main(["run", str(scn), "--delta-t", "0"])
     out = capsys.readouterr().out
     assert rc == 1                                # untouched session rejected
@@ -483,7 +532,7 @@ def test_cli_negative_delta_t_is_an_input_error(tmp_path, capsys):
     # no timestamp is ever within a negative window, so every session would
     # fail; that is a bad option, not a run that broke an invariant
     scn = tmp_path / "s.scn"
-    scn.write_text("honest register a\nhonest auth a\n")
+    scn.write_text("honest register a\nhonest auth a\n", encoding="utf-8")
     rc = cli_main(["run", str(scn), "--delta-t", "-1"])
     captured = capsys.readouterr()
     assert rc == 2
@@ -502,7 +551,7 @@ def test_cli_negative_delta_t_is_an_input_error(tmp_path, capsys):
 def test_cli_time_past_the_wire_timestamp_is_an_input_error(tmp_path, capsys, script):
     # a timestamp is 8 bytes on the wire; simulated time may not outgrow it
     scn = tmp_path / "s.scn"
-    scn.write_text(script)
+    scn.write_text(script, encoding="utf-8")
     rc = cli_main(["run", str(scn)])
     captured = capsys.readouterr()
     assert rc == 2
@@ -515,16 +564,16 @@ def test_cli_main_called_repeatedly_in_one_process(tmp_path, capsys):
     # the parser is built once per process; a call must not leak options,
     # files or output into the next one
     scn = tmp_path / "s.scn"
-    scn.write_text(HONEST_SCENARIO)
+    scn.write_text(HONEST_SCENARIO, encoding="utf-8")
     outputs = tmp_path / "outputs"
     outputs.mkdir()
     assert cli_main(["run", str(scn), "--report", str(outputs / "report.txt"),
                      "--trace", str(outputs / "trace.txt")]) == 0
     first = capsys.readouterr().out
-    assert first == (GOLDEN / "honest-seed42-report.txt").read_text()
-    assert (outputs / "report.txt").read_text() == first
-    assert (outputs / "trace.txt").read_text() == \
-        (GOLDEN / "honest-seed42-trace.txt").read_text()
+    assert first == (GOLDEN / "honest-seed42-report.txt").read_text(encoding="utf-8")
+    assert (outputs / "report.txt").read_text(encoding="utf-8") == first
+    assert (outputs / "trace.txt").read_text(encoding="utf-8") == \
+        (GOLDEN / "honest-seed42-trace.txt").read_text(encoding="utf-8")
     for path in outputs.iterdir():
         path.unlink()
 
@@ -550,15 +599,16 @@ def run_module(*args: str, cwd: Path, flags: tuple[str, ...] = ()
     """`python [flags] -m l2ai ...` in a fresh interpreter, as a user runs it."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
     return subprocess.run([sys.executable, *flags, "-m", "l2ai", *args], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=env, capture_output=True, text=True, encoding="utf-8",
+                          timeout=60)
 
 
 def test_module_entry_point_runs_in_a_fresh_interpreter(tmp_path):
     scn = tmp_path / "honest.scn"
-    scn.write_text(HONEST_SCENARIO)
+    scn.write_text(HONEST_SCENARIO, encoding="utf-8")
     run = run_module("run", str(scn), "--seed", "42", cwd=tmp_path)
     assert (run.returncode, run.stderr) == (0, "")
-    assert run.stdout == (GOLDEN / "honest-seed42-report.txt").read_text()
+    assert run.stdout == (GOLDEN / "honest-seed42-report.txt").read_text(encoding="utf-8")
 
     helped = run_module("--help", cwd=tmp_path)
     assert helped.returncode == 0
@@ -715,7 +765,7 @@ def test_generated_scenarios_end_in_a_defined_result(tmp_path_factory, steps,
     # any script in the grammar ends in a report (0), a violation (1) or an
     # input error (2), never an exception, and a seed fixes the report
     path = tmp_path_factory.mktemp("scenario") / "s.scn"
-    path.write_text("\n".join(steps + attacks) + "\n")
+    path.write_text("\n".join(steps + attacks) + "\n", encoding="utf-8")
     code, out = run_cli(path, seed)
     assert code in (0, 1, 2)
     assert run_cli(path, seed) == (code, out)

@@ -301,7 +301,7 @@ def seed42_export() -> list[str]:
     return world.ledger.export_lines()
 
 
-SEED42_EXPORT = (GOLDEN / "honest-seed42-ledger.txt").read_text().splitlines()
+SEED42_EXPORT = (GOLDEN / "honest-seed42-ledger.txt").read_text(encoding="utf-8").splitlines()
 
 
 def test_export_matches_golden():
