@@ -24,10 +24,10 @@ each send pops its own entry, so a matched action leaves nothing behind; an
 armed seq that never occurs is a scripting mistake and fails the run
 loudly. A dropped send's seq goes into `dropped` when it is sent; every
 other send is delivered by the next run, so after a drain "not delivered"
-means exactly "dropped". A parsed `Scenario` keeps its directives as one
-tuple in script order and arms them in that order. The order cannot change a
-run: only a second drop on one seq fails when armed, `send` applies one
-seq's actions in a fixed order, and the leftover check sorts its seqs.
+means exactly "dropped". A parsed `Scenario` keeps its steps and directives
+as calls in script order and arms the directives in that order. The order
+cannot change a run: only a second drop on one seq fails when armed, `send`
+applies a seq's actions in a fixed order, and leftover seqs are sorted.
 
 Delivery handlers return an outcome string and must not raise; the caller
 wraps protocol rejections into outcomes. The outcome is stored on its
@@ -251,30 +251,25 @@ class Channel:
 
 # --- scenario scripts -----------------------------------------------------------
 
-HONEST_PHASES = ("register", "auth", "update-creds", "update-auth")
+# phase -> (World method, default third token: a Role, a scope, or None for none).
+# Names stay literals: one built per call would live on in the type attribute cache.
+_PHASES = {
+    "register": ("register_user", Role.DOCTOR),
+    "auth": ("auth_attempt", DEFAULT_SCOPE),
+    "update-creds": ("update_user_credentials", None),
+    "update-auth": ("update_authorization", Role.DOCTOR),
+}
+HONEST_PHASES = tuple(_PHASES)
 _ROLES = {role.value: role for role in Role}     # script token -> Role
 
 
-class HonestStep(NamedTuple):
-    """One scripted honest action. `register` issues a token and enrolls the
-    user (optional role, default D); `auth` runs a login/key-exchange round
-    trip over the channel (optional requested scope); `update-creds` swaps
-    password+biometric locally; `update-auth` swaps the user's token for one
-    with the given role."""
-
-    phase: str
-    user: str
-    role: Role = Role.DOCTOR
-    scope: str = DEFAULT_SCOPE
-
-
 class Scenario(NamedTuple):
-    """A parsed script. `actions` holds the adversary directives in script
-    order, each as the name of the `Channel.script_*` method that arms it and
-    that method's arguments."""
+    """A parsed script: `steps` call `World` methods and `actions` the
+    `Channel.script_*` methods that arm the adversary, each a (method name,
+    args) pair in script order."""
 
     base_delay: int
-    steps: tuple[HonestStep, ...]
+    steps: tuple[tuple[str, tuple], ...]
     actions: tuple[tuple[str, tuple], ...]
 
     def arm(self, channel: Channel) -> None:
@@ -298,30 +293,29 @@ def _num(line_no: int, token: str, what: str, minimum: int = 0) -> int:
     return value
 
 
-def _honest_step(line_no: int, args: list[str]) -> HonestStep:
+def _honest_step(line_no: int, args: list[str]) -> tuple[str, tuple]:
     if len(args) not in (2, 3):
         raise ParseError(line_no, "usage: honest <phase> <user> [role|scope]")
     phase, user, *extra = args
-    if phase not in HONEST_PHASES:
+    if phase not in _PHASES:
         raise ParseError(line_no, f"unknown phase {phase!r}; "
                                   f"one of {', '.join(HONEST_PHASES)}")
+    method, default = _PHASES[phase]
     if not extra:
-        return HonestStep(phase, user)
-    if phase == "auth":                      # third token is the scope
-        return HonestStep(phase, user, scope=extra[0])
-    if phase not in ("register", "update-auth"):
+        return method, (user,) if default is None else (user, default)
+    if default is None:
         raise ParseError(line_no, f"{phase} takes no third argument")
-    role = _ROLES.get(extra[0])
-    if role is None:
+    third = _ROLES.get(extra[0]) if isinstance(default, Role) else extra[0]
+    if third is None:
         raise ParseError(line_no, f"unknown role {extra[0]!r}")
-    return HonestStep(phase, user, role)
+    return method, (user, third)
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse a scenario script. Grammar, one directive per line ('#' starts
     a comment):
 
-        honest <phase> <user> [role]
+        honest <phase> <user> [role|scope]
         delay <ms>
         eavesdrop <seq>
         drop <from> <to> <seq>
@@ -329,7 +323,7 @@ def parse_scenario(text: str) -> Scenario:
         replay <seq> <at-ms>
     """
     base_delay = DEFAULT_DELAY
-    steps: list[HonestStep] = []
+    steps: list[tuple[str, tuple]] = []
     actions: list[tuple[str, tuple]] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):

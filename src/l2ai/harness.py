@@ -223,7 +223,7 @@ class World:
 
     def _deliver(self, env: Envelope) -> str:
         """The delivery handler of every party: the receiver and the payload
-        width choose the step."""
+        width choose the step; an auth-width delivery carries its Session."""
         width, owner = len(env.payload), env.owner
         if isinstance(owner, str) and env.touched:
             self.tainted.add(owner)         # its user's enrollment was hit
@@ -237,20 +237,17 @@ class World:
                 self._send(SERVER, env.src, provisional.to_bytes(), owner)
                 return "provisional-issued"
             if width == MSG1_WIDTH:
-                scope = owner.scope if owner is not None else DEFAULT_SCOPE
                 result, rejected = self._metered(
                     "server", "auth", self.server.ops, self.server.authenticate,
-                    Msg1.from_bytes(env.payload), scope)
+                    Msg1.from_bytes(env.payload), owner.scope)
                 if rejected:
                     # only the original's rejection counts; a verified reply outranks it
-                    if owner is not None and env.seq > 0 and owner.outcome != "verified":
+                    if env.seq > 0 and owner.outcome != "verified":
                         owner.outcome = rejected
                     return rejected
                 msg2, transcript = result
-                reply = self._send(SERVER, env.src, msg2.to_bytes(), owner)
-                if owner is not None:
-                    owner.sk_server = transcript.sk
-                    owner.reply_env = reply
+                owner.reply_env = self._send(SERVER, env.src, msg2.to_bytes(), owner)
+                owner.sk_server = transcript.sk
                 return f"accepted sk={transcript.sk.hex()[:8]}"
         else:
             gateway = self.users[env.dst]
@@ -265,12 +262,11 @@ class World:
                     Msg2.from_bytes(env.payload))
                 if rejected:
                     # an original reply's rejection ranks below every other verdict
-                    if owner is not None and env.seq > 0 and owner.outcome == "pending":
+                    if env.seq > 0 and owner.outcome == "pending":
                         owner.outcome = rejected
                     return rejected
-                if owner is not None:
-                    owner.sk_user = sk
-                    owner.outcome = "verified"
+                owner.sk_user = sk
+                owner.outcome = "verified"
                 return f"verified sk={sk.hex()[:8]}"
         return f"rejected UnexpectedMessage ({width}B to {env.dst})"
 
@@ -405,15 +401,8 @@ def check_invariants(world: World) -> list[str]:
 
 def run_scenario(world: World, scenario: Scenario) -> RunResult:
     scenario.arm(world.channel)
-    for step in scenario.steps:
-        if step.phase == "register":
-            world.register_user(step.user, step.role)
-        elif step.phase == "auth":
-            world.auth_attempt(step.user, step.scope)
-        elif step.phase == "update-creds":
-            world.update_user_credentials(step.user)
-        elif step.phase == "update-auth":
-            world.update_authorization(step.user, step.role)
+    for name, args in scenario.steps:
+        getattr(world, name)(*args)     # looked up per call, so a patched method runs
         world.drain(strict=False)
     world.drain(strict=True)
     return RunResult(world=world, violations=check_invariants(world))

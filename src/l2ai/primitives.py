@@ -14,8 +14,8 @@ Width conventions used across the package:
 
 Widths are checked once, where values enter the system, always with
 ``ValueError``: every wire or ledger ``from_bytes``/``parse_record`` checks
-its exact total width (so fields sliced at fixed offsets need no check of
-their own), ledger import checks each 20-byte chain link, and the server
+its exact total width (so the fixed-width fields it unpacks need no check
+of their own), ledger import checks each 20-byte chain link, and the server
 checks the width of a token it unseals. Values derived inside the package
 have their width by construction and are never checked again; the ledger's
 chain links are the same raw ``bytes``.
@@ -60,12 +60,7 @@ def sha256_160(data: bytes) -> bytes:
 
 
 MAX_TIME = 2**64 - 1     # the latest time an 8-byte wire timestamp holds
-_TS = struct.Struct(">Q")
-pack_ts = _TS.pack       # int -> 8-byte big-endian timestamp
-
-
-def unpack_ts(raw: bytes) -> int:
-    return _TS.unpack(raw)[0]
+pack_ts = struct.Struct(">Q").pack       # int -> 8-byte big-endian timestamp
 
 
 @dataclass(frozen=True)
@@ -310,7 +305,7 @@ class PrimitiveOps:
 class SimClock:
     """Simulated wall clock in integer milliseconds. Only the event loop
     advances it; entities read it for timestamps, so it never passes
-    MAX_TIME, the latest time `pack_ts` can put on the wire."""
+    MAX_TIME, the latest time an 8-byte wire timestamp holds."""
 
     def __init__(self, start: int = 0):
         self._now = start

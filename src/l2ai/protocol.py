@@ -28,6 +28,7 @@ the metrics tests; change them only on purpose.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,15 +36,10 @@ from .ledger import IdentityIndex, Ledger, SmartCard, TokenRecord
 from .permissions import PermissionTable, Role
 from .primitives import (
     WIDTH, BioTemplate, HelperData, PrimitiveOps, RecoveryFailure, SimClock,
-    is_fresh, pack_ts, unpack_ts,
+    is_fresh, pack_ts,
 )
 
 DEFAULT_DELTA_T = 2000  # freshness window, simulated milliseconds
-
-MSG1_WIDTH = 8 + 3 * WIDTH      # 68 bytes
-MSG2_WIDTH = 2 * WIDTH + 8      # 48 bytes
-REG_REQUEST_WIDTH = 3 * WIDTH   # 60 bytes
-PROVISIONAL_WIDTH = 5 * WIDTH   # 100 bytes
 
 
 class Reject(Exception):
@@ -129,10 +125,19 @@ class AuthTranscript(NamedTuple):
     w1: bytes
     sk: bytes
     n_s: bytes
-    t2: int
 
 
 # --- wire messages ---------------------------------------------------------------
+# One `struct` layout per message, which the codec packs and unpacks and whose
+# size is the width; `20s` pads a short field, but every field is 20 bytes.
+
+_REG_REQUEST = struct.Struct("20s20s20s")          # 60 bytes
+_PROVISIONAL = struct.Struct("20s20s20s20s20s")    # 100 bytes
+_MSG1 = struct.Struct(">Q20s20s20s")               # 68 bytes
+_MSG2 = struct.Struct(">20s20sQ")                  # 48 bytes
+REG_REQUEST_WIDTH, PROVISIONAL_WIDTH, MSG1_WIDTH, MSG2_WIDTH = (
+    _REG_REQUEST.size, _PROVISIONAL.size, _MSG1.size, _MSG2.size)
+
 
 class RegRequest(NamedTuple):
     """Registration request: token digest, masked identity, password digest."""
@@ -142,13 +147,13 @@ class RegRequest(NamedTuple):
     pwd: bytes
 
     def to_bytes(self) -> bytes:
-        return self.x + self.did + self.pwd
+        return _REG_REQUEST.pack(*self)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "RegRequest":
         if len(raw) != REG_REQUEST_WIDTH:
             raise ValueError(f"registration request must be {REG_REQUEST_WIDTH} bytes")
-        return cls(raw[:WIDTH], raw[WIDTH:2 * WIDTH], raw[2 * WIDTH:])
+        return cls._make(_REG_REQUEST.unpack(raw))
 
 
 class ProvisionalCard(NamedTuple):
@@ -161,14 +166,13 @@ class ProvisionalCard(NamedTuple):
     ax_ui: bytes
 
     def to_bytes(self) -> bytes:
-        return self.k_i + self.eid_i + self.hid_hms + self.r_hms + self.ax_ui
+        return _PROVISIONAL.pack(*self)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "ProvisionalCard":
         if len(raw) != PROVISIONAL_WIDTH:
             raise ValueError(f"provisional card must be {PROVISIONAL_WIDTH} bytes")
-        return cls(raw[:WIDTH], raw[WIDTH:2 * WIDTH], raw[2 * WIDTH:3 * WIDTH],
-                   raw[3 * WIDTH:4 * WIDTH], raw[4 * WIDTH:])
+        return cls._make(_PROVISIONAL.unpack(raw))
 
 
 class Msg1(NamedTuple):
@@ -181,14 +185,13 @@ class Msg1(NamedTuple):
     ax: bytes
 
     def to_bytes(self) -> bytes:
-        return pack_ts(self.t1) + self.m1 + self.eid + self.ax
+        return _MSG1.pack(*self)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Msg1":
         if len(raw) != MSG1_WIDTH:
             raise ValueError(f"authentication request must be {MSG1_WIDTH} bytes")
-        return cls(unpack_ts(raw[:8]), raw[8:8 + WIDTH],
-                   raw[8 + WIDTH:8 + 2 * WIDTH], raw[8 + 2 * WIDTH:])
+        return cls._make(_MSG1.unpack(raw))
 
 
 class Msg2(NamedTuple):
@@ -199,13 +202,13 @@ class Msg2(NamedTuple):
     t2: int
 
     def to_bytes(self) -> bytes:
-        return self.m3 + self.m2 + pack_ts(self.t2)
+        return _MSG2.pack(*self)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Msg2":
         if len(raw) != MSG2_WIDTH:
             raise ValueError(f"server reply must be {MSG2_WIDTH} bytes")
-        return cls(raw[:WIDTH], raw[WIDTH:2 * WIDTH], unpack_ts(raw[2 * WIDTH:]))
+        return cls._make(_MSG2.unpack(raw))
 
 
 # --- user-side flows --------------------------------------------------------------
@@ -421,8 +424,7 @@ class HospitalServer:
                                        card.tau, card.card_uid))
         self.ledger.replace_index(h_dtid, ops.hash(d_new), user_id)
 
-        return (Msg2(m3, m2, t2),
-                AuthTranscript(c_i, w1, sk, n_s, t2))
+        return Msg2(m3, m2, t2), AuthTranscript(c_i, w1, sk, n_s)
 
     # --- authorization ----------------------------------------------------------------
 

@@ -172,3 +172,7 @@ def msg2_bytes(m3: bytes, m2: bytes, t2: int) -> bytes:
 
 def reg_request_bytes(x: bytes, did: bytes, pwd: bytes) -> bytes:
     return x + did + pwd
+
+
+def provisional_bytes(k: bytes, eid: bytes, hid: bytes, r: bytes, ax: bytes) -> bytes:
+    return k + eid + hid + r + ax

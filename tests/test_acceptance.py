@@ -332,7 +332,7 @@ def test_criterion_08_reference_agreement_100_seeds():
         ref_a = oracle.server_auth_fields(
             server.s_hms, server.id_hms, creds.user_id,
             msg1.eid, msg1.ax, msg1.t1,
-            transcript.n_s, transcript.t2, new_card.r_hms)
+            transcript.n_s, msg2.t2, new_card.r_hms)
         assert ref_a["t_g"] == token.t_g
         assert transcript.sk == ref_a["sk"]
         assert msg2.m2 == ref_a["m2"]

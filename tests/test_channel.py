@@ -354,13 +354,13 @@ honest auth alice
 def test_parse_scenario_full_grammar():
     sc = parse_scenario(SCRIPT)
     assert sc.base_delay == 80
-    assert sc.steps[0].phase == "register" and sc.steps[0].role == Role.NURSE
-    assert sc.steps[1].phase == "auth" and sc.steps[1].scope == "read-patient-vitals"
+    assert sc.steps == (("register_user", ("alice", Role.NURSE)),
+                        ("auth_attempt", ("alice", "read-patient-vitals")),
+                        ("auth_attempt", ("alice", "read-patient-vitals")))
     assert sc.actions == (("script_eavesdrop", (3,)),
                           ("script_drop", ("alice", "hms", 4)),
                           ("script_modify", (3, 8, b"\xff\x00\xff")),
                           ("script_replay", (3, 9000)))
-    assert len(sc.steps) == 3
 
     ch = Channel(SimClock())
     sc.arm(ch)
@@ -394,22 +394,26 @@ def test_arming_a_parsed_scenario_keeps_nothing_alive():
 
 def test_parse_auth_scope_argument():
     sc = parse_scenario("honest auth alice read-own-records\n")
-    assert sc.steps[0].scope == "read-own-records"
-    assert sc.steps[0].role == Role.DOCTOR
+    assert sc.steps == (("auth_attempt", ("alice", "read-own-records")),)
 
 
 def test_parsed_honest_step_defaults_and_immutability():
-    text = "honest register alice\nhonest auth alice\nhonest update-auth alice P\n"
+    text = ("honest register alice\nhonest auth alice\nhonest update-creds alice\n"
+            "honest update-auth alice P\n")
     sc = parse_scenario(text)
-    register, auth, update = sc.steps
-    assert (register.role, register.scope) == (Role.DOCTOR, DEFAULT_SCOPE)
-    assert (auth.role, auth.scope) == (Role.DOCTOR, DEFAULT_SCOPE)
-    assert update.role is Role.PATIENT
-    with pytest.raises(AttributeError):
-        register.role = Role.NURSE
+    assert sc.steps == (("register_user", ("alice", Role.DOCTOR)),
+                        ("auth_attempt", ("alice", DEFAULT_SCOPE)),
+                        ("update_user_credentials", ("alice",)),
+                        ("update_authorization", ("alice", Role.PATIENT)))
+    assert sc.steps[3][1][1] is Role.PATIENT
+    with pytest.raises(TypeError):
+        sc.steps[0][1][1] = Role.NURSE
     with pytest.raises(AttributeError):
         sc.base_delay = 1
-    assert parse_scenario(text) == sc
+    again = parse_scenario(text)
+    assert again == sc
+    # the method names are the parser's constants, not strings built per parse
+    assert all(a[0] is b[0] for a, b in zip(again.steps, sc.steps))
 
 
 @pytest.mark.parametrize("line, fragment", [

@@ -16,8 +16,8 @@ from l2ai import cli
 from l2ai.channel import HONEST_PHASES, ChannelError, parse_scenario
 from l2ai.cli import main as cli_main
 from l2ai.harness import (
-    CHAIN_VIOLATION, EXPECTED_OPS, HONEST_SCENARIO, SERVER, SUITES, World,
-    check_invariants, run_scenario,
+    _ATTACK_CASES, AUTH_WIDTHS, CHAIN_VIOLATION, EXPECTED_OPS, HONEST_SCENARIO,
+    SERVER, SUITES, Session, World, check_invariants, run_scenario,
 )
 from l2ai.permissions import (
     DEFAULT_TABLE_TEXT, SCOPE_CATALOG, PermissionTable, Role, RoleGrant,
@@ -130,13 +130,19 @@ def test_enrollment_disturbance_taints_its_user(attack):
     assert result.ok, result.violations
 
 
-# authentication traffic belongs to a Session, so disturbing it taints nobody
-@pytest.mark.parametrize("attack", [
-    "modify 3 10 ff", "replay 3 120", "modify 4 5 80", "replay 4 210",
+# authentication traffic belongs to a Session, so disturbing it taints nobody;
+# every authentication-width delivery carries its Session, replays included
+@pytest.mark.parametrize("script", [
+    *(pytest.param(f"honest register alice\nhonest auth alice\n{attack}\n", id=attack)
+      for attack in ("modify 3 10 ff", "replay 3 120", "modify 4 5 80", "replay 4 210")),
+    pytest.param(HONEST_SCENARIO, id="honest"),
+    *(pytest.param(text, id=name) for name, text, _ in _ATTACK_CASES),
 ])
-def test_auth_disturbance_taints_nobody(attack):
-    world, _ = run_text(f"honest register alice\nhonest auth alice\n{attack}\n")
+def test_auth_disturbance_taints_nobody(script):
+    world, _ = run_text(script)
     assert world.tainted == set()
+    auth = [env for env in world.channel.deliveries if len(env.payload) in AUTH_WIDTHS]
+    assert auth and all(isinstance(env.owner, Session) for env in auth)
 
 
 def test_unexpected_width_is_rejected_without_a_protocol_call():

@@ -5,6 +5,7 @@ by a minimal mutation of honest traffic."""
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from l2ai.ledger import Ledger
@@ -214,7 +215,7 @@ def test_key_exchange_fields_match_reference():
     ref = oracle.server_auth_fields(
         server.s_hms, server.id_hms, creds.user_id,
         msg1.eid, msg1.ax, msg1.t1,
-        transcript.n_s, transcript.t2, new_card.r_hms)
+        transcript.n_s, msg2.t2, new_card.r_hms)
     assert ref["t_g"] == token.t_g        # token recovered from the index
     assert transcript.c_i == ref["c"]
     assert transcript.w1 == ref["w1"]
@@ -472,7 +473,7 @@ def test_new_card_and_token_versions_equal_their_replace_form():
     new = gateway.current_card()
     ref = oracle.server_auth_fields(
         server.s_hms, server.id_hms, creds.user_id, msg1.eid, msg1.ax, msg1.t1,
-        transcript.n_s, transcript.t2, new.r_hms)
+        transcript.n_s, msg2.t2, new.r_hms)
     check(old, new, eid_i=ref["eid_new"], r_hms=new.r_hms, hid_hms=ref["hid_new"],
           ax_ui=ref["ax_new"])
 
@@ -592,6 +593,9 @@ def test_default_table_is_the_parsed_builtin_text():
 
 # --- wire codecs -------------------------------------------------------------------
 
+WIRE_WIDTHS = ((Msg1, 68), (Msg2, 48), (RegRequest, 60), (ProvisionalCard, 100))
+
+
 def test_wire_layouts_match_reference():
     clock, ledger, server = make_world()
     gateway, _ = registered_user(clock, ledger, server)
@@ -611,11 +615,30 @@ def test_wire_layouts_match_reference():
     assert len(req.to_bytes()) == 60
     assert RegRequest.from_bytes(req.to_bytes()) == req
 
-    for cls, width in ((Msg1, 68), (Msg2, 48), (RegRequest, 60), (ProvisionalCard, 100)):
+    token = server.issue_token(b"national-code", Role.NURSE)
+    card = server.register(register_request(PrimitiveOps(5), make_creds(9), token)[0])
+    assert card.to_bytes() == oracle.provisional_bytes(card.k_i, card.eid_i, card.hid_hms,
+                                                       card.r_hms, card.ax_ui)
+    assert len(card.to_bytes()) == 100
+    assert ProvisionalCard.from_bytes(card.to_bytes()) == card
+
+    for cls, width in WIRE_WIDTHS:
         with pytest.raises(ValueError):
             cls.from_bytes(b"\x00" * (width - 1))
         with pytest.raises(ValueError):
             cls.from_bytes(b"\x00" * (width + 1))
+
+
+@pytest.mark.parametrize("cls, width", WIRE_WIDTHS, ids=[c.__name__ for c, _ in WIRE_WIDTHS])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_exact_width_bytes_decode_and_encode_to_themselves(cls, width, data):
+    raw = data.draw(st.binary(min_size=width, max_size=width))
+    msg = cls.from_bytes(raw)
+    assert msg.to_bytes() == raw
+    # the encoder is the plain concatenation of the fields, timestamps as
+    # 8-byte big-endian
+    assert raw == b"".join(oracle.ts(f) if isinstance(f, int) else f for f in msg)
 
 
 # --- operation counts ----------------------------------------------------------------

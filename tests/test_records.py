@@ -30,7 +30,7 @@ RECORDS = {
     "IdentityIndex": (IdentityIndex(_d(), _d()), "superseded_by", _d()),
     "HelperData": (_CARD.tau, "check", _d()),
     "UserSession": (UserSession(_d(), _d()), "w1", _d()),
-    "AuthTranscript": (AuthTranscript(_d(), _d(), _d(), _d(), 150), "sk", _d()),
+    "AuthTranscript": (AuthTranscript(_d(), _d(), _d(), _d()), "sk", _d()),
     "RegRequest": (RegRequest(_d(), _d(), _d()), "pwd", _d()),
     "ProvisionalCard": (ProvisionalCard(_d(), _d(), _d(), _d(), _d()), "k_i", _d()),
     "Msg1": (Msg1(100, _d(), _d(), _d()), "m1", _d()),
