@@ -284,7 +284,7 @@ class World:
         """The report of a finished run, rendering the given verdict of
         check_invariants."""
         ch = self.channel
-        sends = ch._next_seq - 1
+        sends = sum(self.width_counts.values())
         replays = tampered = 0
         for env in ch.deliveries:
             if env.replay_of is not None:

@@ -18,11 +18,9 @@ demand, for export and inspection. The lookups hold the live answers
 and answer None on a miss: an unknown digest or card is an ordinary answer
 of dynamic indexing, not an error.
 Every digest, in the payloads, the lookups and the chain links, is the raw
-20-byte ``bytes`` of the hash core; the payload decoders check each
-payload's total width, so the fields they slice out need no check of their
-own. The payload records are immutable ``typing.NamedTuple``s (a card
-block holds the ``SmartCard`` itself); a new version is built directly
-from its fields, which is cheaper than ``_replace``.
+20-byte ``bytes`` of the hash core. The payload records are immutable
+``typing.NamedTuple``s (a card block holds the ``SmartCard`` itself); a new
+version is built directly from its fields, which is cheaper than ``_replace``.
 A digest is live for one user at a time and a user has one live digest; a
 write that would break either, that revokes an unknown token, or that
 replaces an index not live for its user is refused with ValueError before
@@ -33,10 +31,12 @@ hold, a record that does not parse or is not in canonical form, or one
 that the ledger refuses. It keeps each height, link and digest as written,
 so ``verify_chain`` judges a tampered export.
 
-Block payloads are serialized as a kind-tag byte followed by fixed-width
-fields in declaration order; the one variable-width field (a token's sealed
-payload) is self-delimiting and placed last. Block digests go through the
-uncounted hash core (chain maintenance is not a protocol operation).
+Each payload kind is one ``struct`` layout, a kind-tag byte and then its
+fields in declaration order, which its writers pack and ``parse_record``
+unpacks; a token's self-delimiting sealed token follows its layout.
+``parse_record`` checks the exact width of every identity and card payload,
+so the fields it unpacks need no check of their own. Block digests go
+through the uncounted hash core (chain maintenance is not a protocol operation).
 Every block comes from one builder, ``Ledger._link``, which links a payload
 to the record last on the chain as it stands. ``append`` indexes any record
 through the generic ``_index`` first, as import does; the typed writers
@@ -58,12 +58,13 @@ CARD_TAG = 0x03
 
 _KIND_NAMES = {TOKEN_TAG: "token", IDENT_TAG: "ident", CARD_TAG: "card"}
 
-# the leading bytes of each payload kind, and the flag byte of a boolean field
-_TOKEN_BYTE = bytes([TOKEN_TAG])
-_IDENT_BYTE = bytes([IDENT_TAG])
-_CARD_BYTE = bytes([CARD_TAG])
-_FLAG_BYTES = (b"\x00", b"\x01")
-_LIVE_MARKER = b"\x00" + bytes(WIDTH)      # flag and zero marker of a live index
+# `20s` pads a short field and truncates a long one, but every field is 20
+# bytes by construction (a live index packs its marker from b"", as 20 zero
+# bytes). `?` unpacks any non-zero byte as True; import's canonical check
+# refuses a flag byte other than 0 or 1.
+_TOKEN = struct.Struct("B20s?")                 # 22 bytes, then the sealed token
+_IDENT = struct.Struct("B20s20s?20s")           # 62 bytes: flag, then marker
+_CARD = struct.Struct("B20s20s20s20s20s20s32s20s20s")  # 193 bytes: tau is 32s20s
 
 
 class SmartCard(NamedTuple):
@@ -85,18 +86,10 @@ class SmartCard(NamedTuple):
     tau: HelperData
     card_uid: bytes
 
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "SmartCard":
-        if len(raw) != 6 * WIDTH + 52 + WIDTH:
-            raise ValueError("smart card record must be 192 bytes")
-        fields = [raw[i * WIDTH:(i + 1) * WIDTH] for i in range(6)]
-        tau = HelperData.from_bytes(raw[6 * WIDTH:6 * WIDTH + 52])
-        return cls(*fields, tau, raw[6 * WIDTH + 52:])
-
     def serialize(self) -> bytes:
         e_i, f_i, eid_i, r_hms, hid_hms, ax_ui, (offset, check), card_uid = self
-        return b"".join((_CARD_BYTE, e_i, f_i, eid_i, r_hms, hid_hms, ax_ui, offset, check,
-                         card_uid))
+        return _CARD.pack(CARD_TAG, e_i, f_i, eid_i, r_hms, hid_hms, ax_ui, offset, check,
+                          card_uid)
 
 
 class TokenRecord(NamedTuple):
@@ -107,7 +100,7 @@ class TokenRecord(NamedTuple):
     revoked: bool = False
 
     def serialize(self) -> bytes:
-        return b"".join((_TOKEN_BYTE, self.x, _FLAG_BYTES[self.revoked], self.y.to_bytes()))
+        return _TOKEN.pack(TOKEN_TAG, self.x, self.revoked) + self.y.to_bytes()
 
 
 class IdentityIndex(NamedTuple):
@@ -118,35 +111,29 @@ class IdentityIndex(NamedTuple):
     superseded_by: bytes | None = None
 
     def serialize(self) -> bytes:
-        return _ident_payload(self.h_dtid, self.user_id, self.superseded_by)
-
-
-def _ident_payload(h_dtid: bytes, user_id: bytes, superseded_by: bytes | None) -> bytes:
-    """The payload of `IdentityIndex(h_dtid, user_id, superseded_by)`."""
-    if superseded_by is None:
-        return b"".join((_IDENT_BYTE, h_dtid, user_id, _LIVE_MARKER))
-    return b"".join((_IDENT_BYTE, h_dtid, user_id, b"\x01", superseded_by))
+        h_dtid, user_id, marker = self
+        return _IDENT.pack(IDENT_TAG, h_dtid, user_id, marker is not None, marker or b"")
 
 
 def parse_record(payload: bytes):
     if not payload:
         raise ValueError("empty record payload")
     tag = payload[0]
-    body = payload[1:]
     if tag == TOKEN_TAG:
-        if len(body) <= WIDTH:
+        if len(payload) < _TOKEN.size:
             raise ValueError("token record too short")
-        return TokenRecord(x=body[:WIDTH], revoked=bool(body[WIDTH]),
-                           y=Ciphertext.from_bytes(body[WIDTH + 1:]))
+        _, x, revoked = _TOKEN.unpack_from(payload)
+        return TokenRecord(x, Ciphertext.from_bytes(payload[_TOKEN.size:]), revoked)
     if tag == IDENT_TAG:
-        if len(body) < 3 * WIDTH + 1:
-            raise ValueError("identity record too short")
-        has_marker = bool(body[2 * WIDTH])
-        return IdentityIndex(h_dtid=body[:WIDTH], user_id=body[WIDTH:2 * WIDTH],
-                             superseded_by=body[2 * WIDTH + 1:3 * WIDTH + 1]
-                             if has_marker else None)
+        if len(payload) != _IDENT.size:
+            raise ValueError(f"identity record must be {_IDENT.size} bytes")
+        _, h_dtid, user_id, superseded, marker = _IDENT.unpack(payload)
+        return IdentityIndex(h_dtid, user_id, marker if superseded else None)
     if tag == CARD_TAG:
-        return SmartCard.from_bytes(body)
+        if len(payload) != _CARD.size:
+            raise ValueError(f"smart card record must be {_CARD.size} bytes")
+        _, e_i, f_i, eid_i, r_hms, hid_hms, ax_ui, offset, check, uid = _CARD.unpack(payload)
+        return SmartCard(e_i, f_i, eid_i, r_hms, hid_hms, ax_ui, HelperData(offset, check), uid)
     raise ValueError(f"unknown record tag {tag:#x}")
 
 
@@ -260,8 +247,8 @@ class Ledger:
             raise ValueError("no live identity index for the given digest")
         if new_h != old_h and new_h in idents:
             raise ValueError("identity index digest is live for another user")
-        superseded = _ident_payload(old_h, user_id, new_h)
-        live = _ident_payload(new_h, user_id, None)
+        superseded = _IDENT.pack(IDENT_TAG, old_h, user_id, True, new_h)
+        live = _IDENT.pack(IDENT_TAG, new_h, user_id, False, b"")
         del idents[old_h]
         idents[new_h] = user_id
         self._live_by_user[user_id] = new_h     # was old_h, the user's one live index

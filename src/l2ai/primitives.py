@@ -97,7 +97,9 @@ class BioTemplate:
 # The envelope carries the nonce in the clear; decryption verifies the tag
 # before releasing any plaintext.
 
-_BODY_LEN = struct.Struct(">I")     # the body-length field of a ciphertext envelope
+# the envelope's fixed head, nonce and body length; `16s` pads a short field,
+# but `seal` refuses any nonce that is not 16 bytes
+_HEAD = struct.Struct(">16sI")
 
 
 class Ciphertext(NamedTuple):
@@ -107,18 +109,17 @@ class Ciphertext(NamedTuple):
 
     def to_bytes(self) -> bytes:
         nonce, body, tag = self
-        return b"".join((nonce, _BODY_LEN.pack(len(body)), body, tag))
+        return b"".join((_HEAD.pack(nonce, len(body)), body, tag))
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Ciphertext":
-        if len(raw) < NONCE_WIDTH + 4 + WIDTH:
+        if len(raw) < _HEAD.size + WIDTH:
             raise ValueError("ciphertext envelope too short")
-        nonce = raw[:NONCE_WIDTH]
-        (length,) = _BODY_LEN.unpack_from(raw, NONCE_WIDTH)
-        body_end = NONCE_WIDTH + 4 + length
+        nonce, length = _HEAD.unpack_from(raw)
+        body_end = _HEAD.size + length
         if len(raw) != body_end + WIDTH:
             raise ValueError("ciphertext envelope length mismatch")
-        return cls(nonce, raw[NONCE_WIDTH + 4:body_end], raw[body_end:])
+        return cls(nonce, raw[_HEAD.size:body_end], raw[body_end:])
 
 
 def _keystream(k_enc: bytes, nonce: bytes, length: int) -> bytes:
@@ -174,15 +175,6 @@ class HelperData(NamedTuple):
 
     offset: bytes
     check: bytes
-
-    def to_bytes(self) -> bytes:
-        return self.offset + self.check
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "HelperData":
-        if len(raw) != BIO_WIDTH + WIDTH:
-            raise ValueError("helper data must be 52 bytes")
-        return cls(offset=raw[:BIO_WIDTH], check=raw[BIO_WIDTH:])
 
 
 def repetition_encode(message: int) -> int:

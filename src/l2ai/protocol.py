@@ -464,8 +464,8 @@ class HospitalServer:
 
 class UserGateway:
     """The user's terminal: holds the factors, drives the user-side flows,
-    and keeps the id of the card it finalised, by which it reads the
-    card's latest version from the ledger."""
+    and reads its card's latest version from the ledger by the user id,
+    which is the card's id."""
 
     def __init__(self, seed: int, clock: SimClock, ledger: Ledger,
                  creds: Credentials, delta_t: int = DEFAULT_DELTA_T):
@@ -474,7 +474,6 @@ class UserGateway:
         self.ledger = ledger
         self.creds = creds
         self.delta_t = delta_t
-        self._card_uid: bytes | None = None
         self._scratch: UserScratch | None = None
         self._session: UserSession | None = None
 
@@ -490,14 +489,14 @@ class UserGateway:
         card = finalize_card(self.ops, provisional, self._scratch)
         self._scratch = None
         self.ledger.put_card(card)
-        self._card_uid = card.card_uid
 
     # card access
 
     def current_card(self) -> SmartCard:
-        if self._card_uid is None:
+        card = self.ledger.get_card(self.creds.user_id)
+        if card is None:
             raise UnexpectedMessage("gateway holds no card")
-        return self.ledger.get_card(self._card_uid)
+        return card
 
     # login and verification
 

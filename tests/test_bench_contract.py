@@ -40,10 +40,12 @@ def test_recorder_installs_and_uninstalls_on_the_package():
     finally:
         rec.uninstall()
     assert result.ok, result.violations
-    assert {"harness.finalize", "harness.handler", "channel.deliver"} <= set(rec.names)
-    # a name is registered when it is wrapped; these spans were also recorded,
-    # so the run looked the codecs, step methods and handlers up where the
-    # recorder patched them
+    # a name is registered when it is wrapped: every target and the delivery
+    # loop at install, the handlers when the run first delivers to them
+    assert set(rec.names) == ({name for name, _, _ in spans.TARGETS} |
+                              {"harness.handler", "channel.deliver"})
+    # these spans were also recorded, so the run looked the codecs, step
+    # methods and handlers up where the recorder patched them
     recorded = {rec.names[rec.buf[base]] for base in range(0, len(rec.buf), rec.FIELDS)}
     assert {"protocol.codec", "harness.step", "harness.auth_attempt", "harness.handler",
             "channel.deliver"} <= recorded

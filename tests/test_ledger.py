@@ -12,8 +12,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from l2ai.channel import parse_scenario
 from l2ai.harness import HONEST_SCENARIO, World, run_scenario
 from l2ai.ledger import (
-    IdentityIndex, Ledger, LedgerBlock, SmartCard, TokenRecord, _KIND_NAMES,
-    parse_record,
+    CARD_TAG, IDENT_TAG, IdentityIndex, Ledger, LedgerBlock, SmartCard, TokenRecord,
+    _KIND_NAMES, parse_record,
 )
 from l2ai.permissions import Role
 from l2ai.primitives import WIDTH, PrimitiveOps, seal, sha256_160
@@ -280,19 +280,52 @@ _ops = make_ops(15)
 _IDENT = IdentityIndex(h_dtid=_ops.rand_digest(), user_id=_ops.rand_digest())
 _MARKER = _IDENT._replace(superseded_by=_ops.rand_digest())
 _TOKEN = sample_token(_ops)
+_CARD = sample_card(_ops)
 
 
 @pytest.mark.parametrize("payload", [
-    _IDENT.serialize() + bytes(4),
     with_byte(_MARKER.serialize(), 1 + 2 * 20, 0x07),       # the marker flag
     with_byte(_TOKEN.serialize(), 1 + 20, 0x05),            # the revoked byte
-], ids=["ident-trailing-bytes", "marker-flag-07", "token-revoked-05"])
+], ids=["marker-flag-07", "token-revoked-05"])
 def test_import_refuses_non_canonical_records(payload):
     # each parses to a record that serializes to other bytes
     assert parse_record(payload).serialize() != payload
     lines = rechained([sample_token(make_ops(16)).serialize(), payload])
     with pytest.raises(ValueError, match="line 2: record is not in canonical form"):
         Ledger.from_lines(lines)
+
+
+@pytest.mark.parametrize("payload", [
+    _CARD.serialize()[:-1], _CARD.serialize() + bytes(1),
+    _IDENT.serialize()[:-1], _IDENT.serialize() + bytes(1),
+], ids=["card-short", "card-long", "ident-short", "ident-long"])
+def test_import_refuses_wrong_width_payloads(payload):
+    lines = rechained([sample_token(make_ops(16)).serialize(), payload])
+    with pytest.raises(ValueError, match="line 2: (smart card|identity) record must be"):
+        Ledger.from_lines(lines)
+
+
+@given(st.binary(min_size=192, max_size=192))
+def test_any_exact_width_card_payload_parses_and_re_serializes_to_itself(body):
+    payload = bytes([CARD_TAG]) + body
+    record = parse_record(payload)
+    assert type(record) is SmartCard
+    assert record.serialize() == payload
+
+
+@given(st.binary(min_size=2 * WIDTH, max_size=2 * WIDTH),
+       st.one_of(st.sampled_from([0, 1]), st.integers(0, 255)),
+       st.one_of(st.just(bytes(WIDTH)), st.binary(min_size=WIDTH, max_size=WIDTH)))
+def test_any_exact_width_identity_payload_parses_canonical_iff_flag_and_marker_are(
+        digests, flag, marker):
+    # `?` unpacks any non-zero flag as superseded, and a live index drops
+    # its marker, so only flag 0 with a zero marker or flag 1 re-serialize
+    payload = bytes([IDENT_TAG]) + digests + bytes([flag]) + marker
+    assert len(payload) == 62
+    record = parse_record(payload)
+    assert type(record) is IdentityIndex
+    canonical = flag == 1 or (flag == 0 and marker == bytes(WIDTH))
+    assert (record.serialize() == payload) == canonical
 
 
 def seed42_export() -> list[str]:

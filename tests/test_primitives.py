@@ -10,13 +10,13 @@ import oracle
 from l2ai.primitives import (
     WIDTH, BIO_WIDTH, FE_BLOCKS, FE_PAD_BIT, OP_KEYS,
     AuthFailure, RecoveryFailure,
-    BioTemplate, Ciphertext, HelperData,
+    BioTemplate, Ciphertext,
     PrimitiveOps, SimClock,
     gen_sketch, is_fresh, open_sealed, recover_key,
     repetition_decode, repetition_encode, seal, sha256_160,
 )
 from l2ai.ledger import (
-    IdentityIndex, Ledger, SmartCard, TokenRecord, parse_record,
+    CARD_TAG, IDENT_TAG, IdentityIndex, Ledger, SmartCard, TokenRecord, parse_record,
 )
 from l2ai.protocol import (
     MSG1_WIDTH, MSG2_WIDTH, PROVISIONAL_WIDTH, REG_REQUEST_WIDTH,
@@ -91,13 +91,13 @@ def test_hash_output_bit_balance():
 
 def test_digest_width_enforced():
     # a 19- or 21-byte digest is refused where it enters: as the key check
-    # of a helper record, and as a chain link of an imported ledger
+    # of a card's helper data, and as a chain link of an imported ledger
     ops, ledger = PrimitiveOps(seed=32), Ledger()
     ledger.append(TokenRecord(x=ops.rand_digest(), y=ops.enc(ops.rand_digest(), b"t")))
     height, prev_hex, rest = ledger.export_lines()[0].split(" ", 2)
     for size in (WIDTH - 1, WIDTH + 1):
         with pytest.raises(ValueError):
-            HelperData.from_bytes(bytes(BIO_WIDTH + size))
+            parse_card(bytes(6 * WIDTH + BIO_WIDTH + size + WIDTH))
         with pytest.raises(ValueError, match="chain link must be 20 bytes"):
             Ledger.from_lines([f"{height} {bytes(size).hex()} {rest}"])
 
@@ -123,13 +123,23 @@ def test_xor_algebra(a, b, c):
 
 # --- widths are checked where values enter -------------------------------------
 
+def parse_card(body: bytes) -> SmartCard:
+    """`parse_record` on the card payload whose fields after the tag are `body`."""
+    return parse_record(bytes([CARD_TAG]) + body)
+
+
+def parse_identity(body: bytes) -> IdentityIndex:
+    """`parse_record` on the identity payload whose fields after the tag are `body`."""
+    return parse_record(bytes([IDENT_TAG]) + body)
+
+
 WIRE_DECODERS = [
     (RegRequest.from_bytes, REG_REQUEST_WIDTH),
     (ProvisionalCard.from_bytes, PROVISIONAL_WIDTH),
     (Msg1.from_bytes, MSG1_WIDTH),
     (Msg2.from_bytes, MSG2_WIDTH),
-    (HelperData.from_bytes, BIO_WIDTH + WIDTH),
-    (SmartCard.from_bytes, 6 * WIDTH + (BIO_WIDTH + WIDTH) + WIDTH),   # + helper, card id
+    (parse_identity, 3 * WIDTH + 1),                        # two digests, flag, marker
+    (parse_card, 6 * WIDTH + (BIO_WIDTH + WIDTH) + WIDTH),   # + helper, card id
 ]
 
 
@@ -375,9 +385,11 @@ def test_repetition_encode_matches_per_block_loop(message):
 
 
 def test_helper_data_serialization_roundtrip():
+    # the helper data is serialized as two fields of its card's payload
     ops = PrimitiveOps(seed=15)
     _, helper = ops.fe_gen(ops.rand_template())
-    assert HelperData.from_bytes(helper.to_bytes()) == helper
+    card = SmartCard(*(ops.rand_digest() for _ in range(6)), helper, ops.rand_digest())
+    assert parse_record(card.serialize()).tau == helper
 
 
 # --- clock, freshness, counters ----------------------------------------------------

@@ -11,7 +11,7 @@ from l2ai.ledger import (
     IdentityIndex, Ledger, LedgerBlock, SmartCard, TokenRecord,
     parse_record,
 )
-from l2ai.primitives import WIDTH, Ciphertext, HelperData, PrimitiveOps, seal
+from l2ai.primitives import WIDTH, Ciphertext, PrimitiveOps, seal
 from l2ai.protocol import (
     AuthTranscript, Msg1, Msg2, ProvisionalCard, RegRequest, UserSession,
 )
@@ -43,7 +43,6 @@ DECODERS = {
     "SmartCard": (SmartCard.serialize, parse_record),
     "TokenRecord": (TokenRecord.serialize, parse_record),
     "IdentityIndex": (IdentityIndex.serialize, parse_record),
-    "HelperData": (HelperData.to_bytes, HelperData.from_bytes),
     "RegRequest": (RegRequest.to_bytes, RegRequest.from_bytes),
     "ProvisionalCard": (ProvisionalCard.to_bytes, ProvisionalCard.from_bytes),
     "Msg1": (Msg1.to_bytes, Msg1.from_bytes),
@@ -121,7 +120,7 @@ def test_every_kept_protocol_value_is_raw_20_bytes():
         "token lookup keys": list(ledger._tokens),
         "token x": [token.x for token in ledger._tokens.values()],
         "session keys": [sk for s in world.sessions for sk in (s.sk_user, s.sk_server)],
-        "gateway card ids": [gateway._card_uid for gateway in world.users.values()],
+        "gateway card ids": [gateway.creds.user_id for gateway in world.users.values()],
     }
     for name, values in groups.items():
         assert values, name
