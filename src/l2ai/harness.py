@@ -185,6 +185,7 @@ class World:
                                  rejects=())
         req, _ = self._metered("user", "register", gateway.ops,
                                gateway.build_registration, token, rejects=())
+        gateway.ops.release()       # a gateway draws again only to update
         self._send(name, SERVER, req.to_bytes(), name)
 
     def auth_attempt(self, name: str, scope: str = DEFAULT_SCOPE,
@@ -205,6 +206,7 @@ class World:
         new_bio = gateway.ops.rand_template()
         _, rejected = self._metered("user", "update-creds", gateway.ops,
                                     gateway.change_credentials, new_password, new_bio)
+        gateway.ops.release()
         self.step_notes.append(f"step kind=update-creds user={name} "
                                f"result={rejected or 'ok'}")
 
@@ -265,7 +267,8 @@ class World:
                     if env.seq > 0 and owner.outcome == "pending":
                         owner.outcome = rejected
                     return rejected
-                owner.sk_user = sk
+                # the agreed key is kept once, as the server's object
+                owner.sk_user = owner.sk_server if sk == owner.sk_server else sk
                 owner.outcome = "verified"
                 return f"verified sk={sk.hex()[:8]}"
         return f"rejected UnexpectedMessage ({width}B to {env.dst})"

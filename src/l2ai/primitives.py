@@ -251,11 +251,34 @@ class PrimitiveOps:
     harness charges a call to a side and a phase by pointing ``counts`` at
     that phase's bucket for the length of the call. Both are plain dicts
     pre-filled with every OP_KEYS name, so a count is one dict item store.
+
+    Random values are drawn only through the methods below, which take them
+    from the one stream of ``Rng(seed)`` and count the 32-bit words taken in
+    ``drawn``. ``release`` drops the generator, 2.5 KB of Mersenne Twister
+    state, between the flows that draw from it; the next draw rebuilds it
+    from the seed and skips the ``drawn`` words already taken, so a released
+    entity draws the same values as one that never releases.
     """
 
+    __slots__ = ("seed", "drawn", "rng", "counts")
+
     def __init__(self, seed: int):
-        self.rng = Rng(seed)
+        self.seed = seed
+        self.drawn = 0
+        self.rng: Rng | None = Rng(seed)
         self.counts: dict[str, int] = dict.fromkeys(OP_KEYS, 0)
+
+    def release(self) -> None:
+        """Drop the generator until the next draw rebuilds it."""
+        self.rng = None
+
+    def _draw(self, bits: int) -> int:
+        rng = self.rng
+        if rng is None:
+            rng = self.rng = Rng(self.seed)
+            rng.getrandbits(32 * self.drawn)    # takes exactly `drawn` words
+        self.drawn += (bits + 31) >> 5
+        return rng.getrandbits(bits)
 
     # counted operations
 
@@ -269,7 +292,8 @@ class PrimitiveOps:
 
     def enc(self, key: bytes, plaintext: bytes) -> Ciphertext:
         self.counts["enc"] += 1
-        return seal(key, plaintext, nonce=self.rng.randbytes(NONCE_WIDTH))
+        nonce = self._draw(8 * NONCE_WIDTH).to_bytes(NONCE_WIDTH, "little")
+        return seal(key, plaintext, nonce=nonce)
 
     def dec(self, key: bytes, ct: Ciphertext) -> bytes:
         self.counts["dec"] += 1
@@ -277,19 +301,19 @@ class PrimitiveOps:
 
     def fe_gen(self, bio: BioTemplate) -> tuple[bytes, HelperData]:
         self.counts["fe"] += 1
-        return gen_sketch(bio, self.rng.getrandbits(FE_BLOCKS))
+        return gen_sketch(bio, self._draw(FE_BLOCKS))
 
     def fe_rep(self, bio: BioTemplate, helper: HelperData) -> bytes:
         self.counts["fe"] += 1
         return recover_key(bio, helper)
 
-    # uncounted seeded draws
+    # uncounted seeded draws, byte strings as Rng.randbytes makes them
 
     def rand_digest(self) -> bytes:
-        return self.rng.randbytes(WIDTH)
+        return self._draw(8 * WIDTH).to_bytes(WIDTH, "little")
 
     def rand_template(self) -> BioTemplate:
-        return BioTemplate(self.rng.randbytes(BIO_WIDTH))
+        return BioTemplate(self._draw(8 * BIO_WIDTH).to_bytes(BIO_WIDTH, "little"))
 
 
 # --- simulated time --------------------------------------------------------------

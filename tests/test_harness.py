@@ -2,10 +2,12 @@
 codes, and the frozen seed-42 report/trace goldens."""
 
 import contextlib
+import gc
 import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,7 +42,7 @@ def test_honest_scenario_all_sessions_verified():
     world, result = run_text(HONEST_SCENARIO)
     assert result.ok, result.violations
     assert [s.outcome for s in world.sessions] == ["verified"] * 4
-    assert all(s.sk_user == s.sk_server for s in world.sessions)
+    assert all(s.sk_user is s.sk_server for s in world.sessions)   # stored once
     assert len({s.sk_user for s in world.sessions}) == 4
     assert world.ledger.verify_chain()
 
@@ -365,6 +367,43 @@ def test_counts_land_where_the_call_was_metered():
     ops.hash(b"y")
     assert world.phase_ops == {("server", "probe"): probe}
     assert own == {"hash": 3, "xor": 0, "enc": 0, "dec": 0, "fe": 0}
+
+
+def test_gateways_hold_no_generator_between_flows():
+    world = World(seed=5)
+    world.register_user("alice")
+    world.register_user("bob")
+    world.drain()
+    assert [g.ops.rng for g in world.users.values()] == [None, None]
+    world.auth_attempt("alice")
+    world.update_user_credentials("alice")
+    world.update_user_credentials("carol")      # no card: rejected, still released
+    world.drain()
+    assert world.step_notes[-1].endswith("result=rejected UnexpectedMessage")
+    assert [s.outcome for s in world.sessions] == ["verified"]
+    assert [g.ops.rng for g in world.users.values()] == [None, None, None]
+    assert world.server.ops.rng is not None
+
+
+def test_an_enrolled_user_keeps_no_generator():
+    # an enrolled user costs its gateway, card, ledger records and log lines:
+    # about 4.2 KB, and 6.8 KB while each gateway kept its 2.5 KB generator
+    world, extra = World(seed=3), 8
+    for i in range(4):
+        world.register_user(f"user{i}")
+    world.drain()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(4, 4 + extra):
+            world.register_user(f"user{i}")
+            world.drain()
+        gc.collect()
+        kept = (tracemalloc.get_traced_memory()[0] - before) / extra
+    finally:
+        tracemalloc.stop()
+    assert kept < 5400, f"{kept:.0f} B retained per enrolled user"
 
 
 def test_worlds_do_not_share_a_permission_table():

@@ -61,6 +61,31 @@ def test_rng_has_no_instance_dict_and_restores_its_state():
     assert (rng.randbytes(20), rng.getrandbits(FE_BLOCKS)) == first
 
 
+_DRAWS = ("rand_digest", "rand_template", "fe_gen", "enc", "release")
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(st.sampled_from(_DRAWS), max_size=24))
+@example(0, ["release", "rand_digest", "release", "release", "enc", "fe_gen"])
+def test_a_released_generator_replays_its_stream(seed, steps):
+    kept, released = PrimitiveOps(seed), PrimitiveOps(seed)
+    bio, key = BioTemplate(bytes(BIO_WIDTH)), bytes(WIDTH)
+
+    def draw(ops, step):
+        if step == "fe_gen":
+            return ops.fe_gen(bio)
+        if step == "enc":
+            return ops.enc(key, b"token bytes")     # the nonce decides it
+        return getattr(ops, step)()
+
+    for step in steps:
+        if step == "release":
+            released.release()
+        else:
+            assert draw(released, step) == draw(kept, step)
+    assert (released.counts, released.drawn) == (kept.counts, kept.drawn)
+    assert PrimitiveOps(seed).rand_digest() == random.Random(seed).randbytes(WIDTH)
+
+
 @given(st.binary(max_size=200))
 def test_hash_width_and_determinism(data):
     a = sha256_160(data)
