@@ -351,8 +351,6 @@ def parse_scenario(text: str) -> Scenario:
                 mask = bytes.fromhex(args[2])
             except ValueError:
                 raise ParseError(line_no, f"mask must be hex, got {args[2]!r}") from None
-            if not mask:
-                raise ParseError(line_no, "mask must not be empty")
             actions.append(("script_modify", (_num(line_no, args[0], "seq", minimum=1),
                                               _num(line_no, args[1], "offset"), mask)))
         elif verb == "replay":

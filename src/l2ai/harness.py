@@ -139,7 +139,7 @@ class World:
                                 bio=BioTemplate(draw.randbytes(BIO_WIDTH)))
             self.users[name] = UserGateway(seed, self.clock, self.ledger, creds,
                                            delta_t=self.server.delta_t)
-            self.handlers[name] = self._deliver
+            self.handlers[name] = self.handlers[SERVER]     # one shared handler
         return self.users[name]
 
     # --- instrumentation -------------------------------------------------------
@@ -403,11 +403,18 @@ def check_invariants(world: World) -> list[str]:
 
 
 def run_scenario(world: World, scenario: Scenario) -> RunResult:
+    """Run the scenario's steps on the world, each followed by a drain, then
+    a strict final drain and the invariant check. The run ends by releasing
+    every party's random generator; a World driven further rebuilds each one
+    at the point of its stream where it stopped, so it draws the same bytes."""
     scenario.arm(world.channel)
     for name, args in scenario.steps:
         getattr(world, name)(*args)     # looked up per call, so a patched method runs
         world.drain(strict=False)
     world.drain(strict=True)
+    world.server.ops.release()
+    for gateway in world.users.values():
+        gateway.ops.release()
     return RunResult(world=world, violations=check_invariants(world))
 
 

@@ -63,7 +63,7 @@ MAX_TIME = 2**64 - 1     # the latest time an 8-byte wire timestamp holds
 pack_ts = struct.Struct(">Q").pack       # int -> 8-byte big-endian timestamp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BioTemplate:
     """A 256-bit biometric template."""
 

@@ -237,6 +237,8 @@ def test_a_second_drop_and_a_bad_modify_are_refused_and_arm_nothing():
         ch.script_drop("a", "c", 3)
     with pytest.raises(ChannelError, match="non-negative offset"):
         ch.script_modify(6, -1, b"\x01")
+    with pytest.raises(ChannelError, match="non-empty mask"):
+        ch.script_modify(3, 0, b"")
     assert sorted(ch._armed) == [3] and ch._armed[3].drop == ("a", "b")
 
 
@@ -432,6 +434,7 @@ def test_parsed_honest_step_defaults_and_immutability():
     ("drop a b", "usage"),
     ("modify 1 2", "usage"),
     ("modify 1 2 zz", "hex"),
+    ("modify 1 2 f", "hex"),
     ("modify 1 2 ", "usage"),
     ("replay 1", "usage"),
     ("honest fly alice", "unknown phase"),

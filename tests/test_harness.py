@@ -382,7 +382,7 @@ def test_gateways_hold_no_generator_between_flows():
     assert world.step_notes[-1].endswith("result=rejected UnexpectedMessage")
     assert [s.outcome for s in world.sessions] == ["verified"]
     assert [g.ops.rng for g in world.users.values()] == [None, None, None]
-    assert world.server.ops.rng is not None
+    assert world.server.ops.rng is not None     # only the end of a run releases it
 
 
 def test_an_enrolled_user_keeps_no_generator():
@@ -404,6 +404,40 @@ def test_an_enrolled_user_keeps_no_generator():
     finally:
         tracemalloc.stop()
     assert kept < 5400, f"{kept:.0f} B retained per enrolled user"
+
+
+def test_a_finished_run_holds_no_generator():
+    # bob only tries to log in, so nothing released his gateway's generator
+    world, _ = run_text("honest register alice\nhonest auth alice\nhonest auth bob\n")
+    assert world.sessions[-1].local_reject is not None
+    assert world.server.ops.rng is None
+    assert [g.ops.rng for g in world.users.values()] == [None, None]
+
+
+def test_a_world_continued_after_a_run_draws_like_an_unreleased_twin():
+    scenario = parse_scenario(HONEST_SCENARIO)
+    ran, twin = World(seed=9), World(seed=9)
+    run_scenario(ran, scenario)
+    scenario.arm(twin.channel)
+    for name, args in scenario.steps:
+        getattr(twin, name)(*args)
+        twin.drain()
+    twin.drain(strict=True)
+    assert twin.server.ops.rng is not None
+    for world in (ran, twin):
+        world.auth_attempt("alice")
+        world.drain(strict=True)
+    assert ran.sessions[-1].outcome == twin.sessions[-1].outcome == "verified"
+    assert ran.sessions[-1].sk_user == twin.sessions[-1].sk_user
+    assert ran.server.ops.drawn == twin.server.ops.drawn
+    assert ran.channel.trace == twin.channel.trace
+
+
+def test_every_party_shares_one_delivery_handler():
+    world, _ = run_text(HONEST_SCENARIO)
+    handler = world.handlers[SERVER]
+    assert sorted(world.handlers) == sorted([SERVER, *world.users])
+    assert all(h is handler for h in world.handlers.values())
 
 
 def test_worlds_do_not_share_a_permission_table():
@@ -561,6 +595,32 @@ def test_cli_export_and_suite(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["suite", "metrics"]) == 0
     assert "ok metrics headline" in capsys.readouterr().out
+
+
+def test_cli_stale_replay_of_a_dropped_request_leaves_it_pending(tmp_path, capsys):
+    # only the original's rejection is the session's outcome, and the original
+    # was dropped, so the replay's rejection leaves it pending
+    scn = tmp_path / "s.scn"
+    scn.write_text("honest register alice\nhonest auth alice\n"
+                   "drop alice hms 3\nreplay 3 2200\n", encoding="utf-8")
+    assert cli_main(["run", str(scn)]) == 0
+    report = capsys.readouterr().out
+    assert " outcome=pending " in report
+    assert " replay-deliveries=1 " in report
+    assert report.endswith("summary violations=0\n")
+
+
+def test_cli_export_of_a_violating_run_still_writes_both_files(tmp_path, capsys):
+    scn = tmp_path / "s.scn"
+    scn.write_text("honest register carol P\nhonest auth carol write-prescription\n",
+                   encoding="utf-8")
+    out = tmp_path / "exported"
+    assert cli_main(["export", str(scn), "--out", str(out)]) == 1
+    capsys.readouterr()
+    report = (out / "report.txt").read_text(encoding="utf-8")
+    assert "outcome=rejected Unauthorized" in report
+    assert report.endswith("summary violations=1\n")
+    assert (out / "trace.txt").read_text(encoding="utf-8").endswith("\n")
 
 
 def test_cli_custom_delta_t(tmp_path, capsys):

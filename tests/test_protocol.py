@@ -541,6 +541,15 @@ def test_time_window_enforcement():
     assert wrapped.allows(Role.LABORATORY, "read-lab-orders", 60 * ms)
     assert not wrapped.allows(Role.LABORATORY, "read-lab-orders", 600 * ms)
 
+    # a window may start at minute 0, and a wrapped one may end there
+    from_midnight = PermissionTable.parse(text.replace("360 1200", "0 60"))
+    assert from_midnight.allows(Role.LABORATORY, "read-lab-orders", 0)
+    assert from_midnight.allows(Role.LABORATORY, "read-lab-orders", 59 * ms)
+    assert not from_midnight.allows(Role.LABORATORY, "read-lab-orders", 60 * ms)
+    to_midnight = PermissionTable.parse(text.replace("360 1200", "1380 0"))
+    assert to_midnight.allows(Role.LABORATORY, "read-lab-orders", 1439 * ms)
+    assert not to_midnight.allows(Role.LABORATORY, "read-lab-orders", 0)
+
 
 def test_permission_table_parse_errors():
     with pytest.raises(ValueError):
