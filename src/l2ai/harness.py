@@ -247,10 +247,10 @@ class World:
                     if env.seq > 0 and owner.outcome != "verified":
                         owner.outcome = rejected
                     return rejected
-                msg2, transcript = result
+                msg2, sk = result
                 owner.reply_env = self._send(SERVER, env.src, msg2.to_bytes(), owner)
-                owner.sk_server = transcript.sk
-                return f"accepted sk={transcript.sk.hex()[:8]}"
+                owner.sk_server = sk
+                return f"accepted sk={sk.hex()[:8]}"
         else:
             gateway = self.users[env.dst]
             if width == PROVISIONAL_WIDTH:
@@ -376,10 +376,10 @@ def check_invariants(world: World) -> list[str]:
                 violations.append(f"tampered delivery seq={env.seq} accepted: {env.outcome}")
             origin = env.origin
             accepted_per_origin[origin] = accepted_per_origin.get(origin, 0) + 1
-    for origin, count in sorted(accepted_per_origin.items()):
-        if count > 1:
-            violations.append(f"message seq={origin} accepted {count} times "
-                              "(replay got through)")
+    # sort only the replayed origins, not a tuple per accepted message
+    for origin in sorted(o for o, count in accepted_per_origin.items() if count > 1):
+        violations.append(f"message seq={origin} accepted {accepted_per_origin[origin]} "
+                          "times (replay got through)")
 
     # one pass: incomplete untouched sessions, then key mismatches, in order
     dropped, tainted = world.channel.dropped, world.tainted

@@ -33,9 +33,9 @@ so ``verify_chain`` judges a tampered export.
 
 Each payload kind is one ``struct`` layout, a kind-tag byte and then its
 fields in declaration order, which its writers pack and ``parse_record``
-unpacks; a token's self-delimiting sealed token follows its layout.
-``parse_record`` checks the exact width of every identity and card payload,
-so the fields it unpacks need no check of their own. Block digests go
+unpacks; a token's sealed envelope follows its layout, and ``split_sealed``
+checks it. ``parse_record`` checks the exact width of every identity and card
+payload, so the fields it unpacks need no check of their own. Block digests go
 through the uncounted hash core (chain maintenance is not a protocol operation).
 Every block comes from one builder, ``Ledger._link``, which links a payload
 to the record last on the chain as it stands. ``append`` indexes any record
@@ -49,7 +49,7 @@ from __future__ import annotations
 import struct
 from typing import NamedTuple
 
-from .primitives import WIDTH, Ciphertext, HelperData, sha256_160
+from .primitives import WIDTH, HelperData, sha256_160, split_sealed
 
 
 TOKEN_TAG = 0x01
@@ -93,14 +93,14 @@ class SmartCard(NamedTuple):
 
 
 class TokenRecord(NamedTuple):
-    """Token index digest plus the server-sealed token bytes."""
+    """Token index digest plus the server-sealed token's envelope bytes."""
 
     x: bytes
-    y: Ciphertext
+    y: bytes
     revoked: bool = False
 
     def serialize(self) -> bytes:
-        return _TOKEN.pack(TOKEN_TAG, self.x, self.revoked) + self.y.to_bytes()
+        return _TOKEN.pack(TOKEN_TAG, self.x, self.revoked) + self.y
 
 
 class IdentityIndex(NamedTuple):
@@ -123,7 +123,9 @@ def parse_record(payload: bytes):
         if len(payload) < _TOKEN.size:
             raise ValueError("token record too short")
         _, x, revoked = _TOKEN.unpack_from(payload)
-        return TokenRecord(x, Ciphertext.from_bytes(payload[_TOKEN.size:]), revoked)
+        sealed = payload[_TOKEN.size:]
+        split_sealed(sealed)            # refuses a malformed envelope
+        return TokenRecord(x, sealed, revoked)
     if tag == IDENT_TAG:
         if len(payload) != _IDENT.size:
             raise ValueError(f"identity record must be {_IDENT.size} bytes")

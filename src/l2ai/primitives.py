@@ -15,10 +15,11 @@ Width conventions used across the package:
 Widths are checked once, where values enter the system, always with
 ``ValueError``: every wire or ledger ``from_bytes``/``parse_record`` checks
 its exact total width (so the fixed-width fields it unpacks need no check
-of their own), ledger import checks each 20-byte chain link, and the server
-checks the width of a token it unseals. Values derived inside the package
-have their width by construction and are never checked again; the ledger's
-chain links are the same raw ``bytes``.
+of their own), and so does ``split_sealed`` for a sealed envelope, by its
+body length field; ledger import checks each 20-byte chain link, and the
+server checks the width of a token it unseals. Values derived inside the
+package have their width by construction and are never checked again; the
+ledger's chain links are the same raw ``bytes``.
 
 Operation counts track protocol-level invocations only, and a call the
 harness meters charges them directly to its phase. Internal hashing done by
@@ -43,7 +44,7 @@ NONCE_WIDTH = 16
 
 
 class AuthFailure(Exception):
-    """Ciphertext failed authentication (corrupted or wrong key)."""
+    """A sealed envelope failed authentication (corrupted or wrong key)."""
 
 
 class RecoveryFailure(Exception):
@@ -94,32 +95,23 @@ class BioTemplate:
 #   k_enc = SHA256("enc" || key), k_mac = SHA256("mac" || key)
 #   keystream block i = SHA256(k_enc || nonce || i as 8-byte BE)
 #   tag = SHA256(k_mac || nonce || len(body) as 8-byte BE || body)[:20]
-# The envelope carries the nonce in the clear; decryption verifies the tag
-# before releasing any plaintext.
+# A sealed envelope is the bytes nonce ‖ len(body) ‖ body ‖ tag, nonce in the
+# clear; opening it verifies the tag before releasing any plaintext.
 
-# the envelope's fixed head, nonce and body length; `16s` pads a short field,
-# but `seal` refuses any nonce that is not 16 bytes
+# the envelope's fixed head; `16s` pads a short field, but `seal` refuses any
+# nonce that is not 16 bytes
 _HEAD = struct.Struct(">16sI")
 
 
-class Ciphertext(NamedTuple):
-    nonce: bytes
-    body: bytes
-    tag: bytes
-
-    def to_bytes(self) -> bytes:
-        nonce, body, tag = self
-        return b"".join((_HEAD.pack(nonce, len(body)), body, tag))
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Ciphertext":
-        if len(raw) < _HEAD.size + WIDTH:
-            raise ValueError("ciphertext envelope too short")
-        nonce, length = _HEAD.unpack_from(raw)
-        body_end = _HEAD.size + length
-        if len(raw) != body_end + WIDTH:
-            raise ValueError("ciphertext envelope length mismatch")
-        return cls(nonce, raw[_HEAD.size:body_end], raw[body_end:])
+def split_sealed(sealed: bytes) -> tuple[bytes, bytes, bytes]:
+    """Nonce, body and tag of a sealed envelope; ValueError unless well-formed."""
+    if len(sealed) < _HEAD.size + WIDTH:
+        raise ValueError("ciphertext envelope too short")
+    nonce, length = _HEAD.unpack_from(sealed)
+    body_end = _HEAD.size + length
+    if len(sealed) != body_end + WIDTH:
+        raise ValueError("ciphertext envelope length mismatch")
+    return nonce, sealed[_HEAD.size:body_end], sealed[body_end:]
 
 
 def _keystream(k_enc: bytes, nonce: bytes, length: int) -> bytes:
@@ -139,21 +131,22 @@ def _xor_bytes(data: bytes, stream: bytes) -> bytes:
     return (_int_from(data, "big") ^ _int_from(stream, "big")).to_bytes(len(data), "big")
 
 
-def seal(key: bytes, plaintext: bytes, nonce: bytes) -> Ciphertext:
+def seal(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
     if len(nonce) != NONCE_WIDTH:
         raise ValueError(f"nonce must be {NONCE_WIDTH} bytes")
     k_enc = hashlib.sha256(b"enc" + key).digest()
     k_mac = hashlib.sha256(b"mac" + key).digest()
     body = _xor_bytes(plaintext, _keystream(k_enc, nonce, len(plaintext)))
-    return Ciphertext(nonce, body, _tag(k_mac, nonce, body))
+    return b"".join((_HEAD.pack(nonce, len(body)), body, _tag(k_mac, nonce, body)))
 
 
-def open_sealed(key: bytes, ct: Ciphertext) -> bytes:
+def open_sealed(key: bytes, sealed: bytes) -> bytes:
+    nonce, body, tag = split_sealed(sealed)
     k_enc = hashlib.sha256(b"enc" + key).digest()
     k_mac = hashlib.sha256(b"mac" + key).digest()
-    if not hmac.compare_digest(_tag(k_mac, ct.nonce, ct.body), ct.tag):
+    if not hmac.compare_digest(_tag(k_mac, nonce, body), tag):
         raise AuthFailure("ciphertext tag mismatch")
-    return _xor_bytes(ct.body, _keystream(k_enc, ct.nonce, len(ct.body)))
+    return _xor_bytes(body, _keystream(k_enc, nonce, len(body)))
 
 
 # --- biometric sketch -----------------------------------------------------------
@@ -254,10 +247,10 @@ class PrimitiveOps:
 
     Random values are drawn only through the methods below, which take them
     from the one stream of ``Rng(seed)`` and count the 32-bit words taken in
-    ``drawn``. ``release`` drops the generator, 2.5 KB of Mersenne Twister
-    state, between the flows that draw from it; the next draw rebuilds it
-    from the seed and skips the ``drawn`` words already taken, so a released
-    entity draws the same values as one that never releases.
+    ``drawn``. The first draw builds the generator, 2.5 KB of Mersenne
+    Twister state, and ``release`` drops it between the flows that draw from
+    it; a draw rebuilds it from the seed and skips the ``drawn`` words already
+    taken, so a released entity draws the same values as one that never does.
     """
 
     __slots__ = ("seed", "drawn", "rng", "counts")
@@ -265,7 +258,7 @@ class PrimitiveOps:
     def __init__(self, seed: int):
         self.seed = seed
         self.drawn = 0
-        self.rng: Rng | None = Rng(seed)
+        self.rng: Rng | None = None
         self.counts: dict[str, int] = dict.fromkeys(OP_KEYS, 0)
 
     def release(self) -> None:
@@ -290,14 +283,14 @@ class PrimitiveOps:
         self.counts["xor"] += 1
         return (_int_from(a, "big") ^ _int_from(b, "big")).to_bytes(WIDTH, "big")
 
-    def enc(self, key: bytes, plaintext: bytes) -> Ciphertext:
+    def enc(self, key: bytes, plaintext: bytes) -> bytes:
         self.counts["enc"] += 1
         nonce = self._draw(8 * NONCE_WIDTH).to_bytes(NONCE_WIDTH, "little")
         return seal(key, plaintext, nonce=nonce)
 
-    def dec(self, key: bytes, ct: Ciphertext) -> bytes:
+    def dec(self, key: bytes, sealed: bytes) -> bytes:
         self.counts["dec"] += 1
-        return open_sealed(key, ct)
+        return open_sealed(key, sealed)
 
     def fe_gen(self, bio: BioTemplate) -> tuple[bytes, HelperData]:
         self.counts["fe"] += 1

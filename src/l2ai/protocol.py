@@ -93,13 +93,6 @@ class Credentials:
     bio: BioTemplate
 
 
-class Token(NamedTuple):
-    """Access token as handed to the user out of band."""
-
-    t_g: bytes
-    role: Role
-
-
 class UserScratch(NamedTuple):
     """Gateway-held values alive only between the registration request and
     card finalization; dropped once the card is built. The gateway never
@@ -116,15 +109,6 @@ class UserSession(NamedTuple):
 
     c_i: bytes
     w1: bytes
-
-
-class AuthTranscript(NamedTuple):
-    """Server-side record of one accepted key exchange."""
-
-    c_i: bytes
-    w1: bytes
-    sk: bytes
-    n_s: bytes
 
 
 # --- wire messages ---------------------------------------------------------------
@@ -214,13 +198,13 @@ class Msg2(NamedTuple):
 # --- user-side flows --------------------------------------------------------------
 
 def register_request(ops: PrimitiveOps, creds: Credentials,
-                     token: Token) -> tuple[RegRequest, UserScratch]:
+                     t_g: bytes) -> tuple[RegRequest, UserScratch]:
     """Bind the three factors to the token and build the registration request."""
     sigma, tau = ops.fe_gen(creds.bio)
     b_i = ops.hash(sigma)                          # biometric key digest
-    x = ops.hash(token.t_g)                        # token index digest
+    x = ops.hash(t_g)                              # token index digest
     pwd = ops.hash(creds.password + b_i)           # salted password digest
-    did = ops.xor(creds.user_id, ops.hash(x + token.t_g))
+    did = ops.xor(creds.user_id, ops.hash(x + t_g))
     scratch = UserScratch(user_id=creds.user_id, b_i=b_i, pwd_i=pwd, tau=tau)
     return RegRequest(x=x, did=did, pwd=pwd), scratch
 
@@ -330,10 +314,10 @@ class HospitalServer:
 
     # --- token issuance ------------------------------------------------------------
 
-    def issue_token(self, national_code: bytes, role: Role) -> Token:
+    def issue_token(self, national_code: bytes, role: Role) -> bytes:
         """Draw a fresh token for a vetted applicant, seal it under the
-        master secret, and anchor its digest on the ledger. The token itself
-        is returned for out-of-band delivery; the national code is the
+        master secret, and anchor its digest on the ledger. The token's 20
+        bytes are returned for out-of-band delivery; the national code is the
         vetting input and is deliberately not recorded."""
         if role not in self.perm_table:
             raise InvalidRole(f"no permission row for role {role!r}")
@@ -343,7 +327,7 @@ class HospitalServer:
         y = ops.enc(self.s_hms, t_g)
         self.ledger.append(TokenRecord(x, y))
         self.token_roles[x] = role
-        return Token(t_g=t_g, role=role)
+        return t_g
 
     # --- registration ----------------------------------------------------------------
 
@@ -373,10 +357,11 @@ class HospitalServer:
 
     # --- authentication and key exchange ----------------------------------------------
 
-    def authenticate(self, msg1: Msg1, scope: str) -> tuple[Msg2, AuthTranscript]:
-        """Process an authentication request. Checks run in a fixed order —
-        freshness, principal (identity, token, card), authorization, proof — and
-        nothing is drawn or written until all have passed: a rejection leaves no trace."""
+    def authenticate(self, msg1: Msg1, scope: str) -> tuple[Msg2, bytes]:
+        """Answer an authentication request with the reply and the session key.
+        Checks run in a fixed order — freshness, principal (identity, token,
+        card), authorization, proof — and nothing is drawn or written until all
+        have passed: a rejection leaves no trace."""
         ops = self.ops
         now = self.clock.now()
         if not is_fresh(now, msg1.t1, self.delta_t):
@@ -424,14 +409,14 @@ class HospitalServer:
                                        card.tau, card.card_uid))
         self.ledger.replace_index(h_dtid, ops.hash(d_new), user_id)
 
-        return Msg2(m3, m2, t2), AuthTranscript(c_i, w1, sk, n_s)
+        return Msg2(m3, m2, t2), sk
 
     # --- authorization ----------------------------------------------------------------
 
-    def update_authorization(self, user_id: bytes, role: Role) -> Token:
-        """Swap the user's token for one carrying the given role: revoke the
-        old token, anchor the new one, and re-point the card's
-        authorization index. The user's factors and card key stay put."""
+    def update_authorization(self, user_id: bytes, role: Role) -> bytes:
+        """Swap the user's token for a new one carrying the given role and
+        return it: revoke the old token, anchor the new one, and re-point the
+        card's authorization index. The user's factors and card key stay put."""
         if role not in self.perm_table:
             raise InvalidRole(f"no permission row for role {role!r}")
         ops = self.ops
@@ -457,7 +442,7 @@ class HospitalServer:
         self.ledger.put_card(SmartCard(card.e_i, card.f_i, card.eid_i, card.r_hms,
                                        card.hid_hms, ops.xor(t_g_new, mask), card.tau,
                                        card.card_uid))
-        return Token(t_g=t_g_new, role=role)
+        return t_g_new
 
 
 # --- user gateway -----------------------------------------------------------------
@@ -479,8 +464,8 @@ class UserGateway:
 
     # registration
 
-    def build_registration(self, token: Token) -> RegRequest:
-        req, self._scratch = register_request(self.ops, self.creds, token)
+    def build_registration(self, t_g: bytes) -> RegRequest:
+        req, self._scratch = register_request(self.ops, self.creds, t_g)
         return req
 
     def accept_provisional(self, provisional: ProvisionalCard) -> None:

@@ -46,9 +46,9 @@ def fresh_pair(seed=42, delta_t=2000, role=Role.DOCTOR):
     creds = Credentials(user_id=ops.rand_digest(), password=b"pw-acceptance",
                         bio=ops.rand_template())
     gateway = UserGateway(seed + 9, clock, ledger, creds, delta_t=delta_t)
-    token = server.issue_token(b"code-1", role)
-    gateway.accept_provisional(server.register(gateway.build_registration(token)))
-    return clock, server, gateway, token
+    t_g = server.issue_token(b"code-1", role)
+    gateway.accept_provisional(server.register(gateway.build_registration(t_g)))
+    return clock, server, gateway, t_g
 
 
 def enroll(server, ledger, clock, seed, role=Role.DOCTOR):
@@ -57,9 +57,9 @@ def enroll(server, ledger, clock, seed, role=Role.DOCTOR):
                         password=b"pw-%d" % seed, bio=ops.rand_template())
     gateway = UserGateway(seed + 7, clock, ledger, creds,
                           delta_t=server.delta_t)
-    token = server.issue_token(b"code-%d" % seed, role)
-    gateway.accept_provisional(server.register(gateway.build_registration(token)))
-    return gateway, token
+    t_g = server.issue_token(b"code-%d" % seed, role)
+    gateway.accept_provisional(server.register(gateway.build_registration(t_g)))
+    return gateway, t_g
 
 
 def test_criterion_01_honest_runs_agree_on_session_keys():
@@ -103,11 +103,11 @@ def test_criterion_02_every_single_bit_flip_rejected():
         else:
             pytest.fail(f"msg1 bit flip {bit} was accepted")
     assert sum(rejections.values()) == 544
-    msg2, transcript = server.authenticate(Msg1.from_bytes(raw1), SCOPE)
-    assert gateway.accept_server_reply(msg2) == transcript.sk
+    msg2, sk = server.authenticate(Msg1.from_bytes(raw1), SCOPE)
+    assert gateway.accept_server_reply(msg2) == sk
 
     msg1b = gateway.start_login()
-    msg2b, transcript_b = server.authenticate(msg1b, SCOPE)
+    msg2b, sk_b = server.authenticate(msg1b, SCOPE)
     raw2 = msg2b.to_bytes()
     reply_rejections = Counter()
     for bit in range(len(raw2) * 8):
@@ -120,7 +120,7 @@ def test_criterion_02_every_single_bit_flip_rejected():
         else:
             pytest.fail(f"msg2 bit flip {bit} was accepted")
     assert sum(reply_rejections.values()) == 384
-    assert gateway.accept_server_reply(Msg2.from_bytes(raw2)) == transcript_b.sk
+    assert gateway.accept_server_reply(Msg2.from_bytes(raw2)) == sk_b
 
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"bit-flip sweep took {elapsed:.2f}s"
@@ -154,7 +154,7 @@ def test_criterion_04_pseudonyms_and_wire_fields_never_repeat():
     for _ in range(50):
         clock.advance(100)
         msg1 = gateway.start_login()
-        msg2, transcript = server.authenticate(msg1, SCOPE)
+        msg2, _ = server.authenticate(msg1, SCOPE)
         keys.append(gateway.accept_server_reply(msg2))
         firsts.append(msg1)
         replies.append(msg2)
@@ -283,12 +283,12 @@ def test_criterion_08_reference_agreement_100_seeds():
                             password=b"pw-%d" % seed, bio=ops.rand_template())
         gateway = UserGateway(seed + 1, clock, ledger, creds,
                               delta_t=server.delta_t)
-        token = server.issue_token(b"code", Role.DOCTOR)
+        t_g = server.issue_token(b"code", Role.DOCTOR)
 
-        req = gateway.build_registration(token)
+        req = gateway.build_registration(t_g)
         scratch = gateway._scratch
         ref_u = oracle.user_registration_fields(
-            token.t_g, creds.user_id, creds.password,
+            t_g, creds.user_id, creds.password,
             scratch.b_i)
         assert req.x == ref_u["x"]
         assert req.did == ref_u["did"]
@@ -298,7 +298,7 @@ def test_criterion_08_reference_agreement_100_seeds():
 
         provisional = server.register(req)
         ref_s = oracle.server_registration_fields(
-            server.s_hms, server.id_hms, token.t_g,
+            server.s_hms, server.id_hms, t_g,
             req.did, req.pwd, provisional.r_hms)
         assert ref_s["user_id"] == creds.user_id
         assert provisional.k_i == ref_s["k"]
@@ -327,14 +327,18 @@ def test_criterion_08_reference_agreement_100_seeds():
         assert msg1.to_bytes() == oracle.msg1_bytes(
             msg1.t1, msg1.m1, msg1.eid, msg1.ax)
 
-        msg2, transcript = server.authenticate(msg1, SCOPE)
+        # the server's nonce is its next draw: read it off a twin of its stream
+        twin = PrimitiveOps(server.ops.seed)
+        twin.drawn = server.ops.drawn
+        n_s = twin.rand_digest()
+        msg2, sk_server = server.authenticate(msg1, SCOPE)
         new_card = gateway.current_card()
         ref_a = oracle.server_auth_fields(
             server.s_hms, server.id_hms, creds.user_id,
             msg1.eid, msg1.ax, msg1.t1,
-            transcript.n_s, msg2.t2, new_card.r_hms)
-        assert ref_a["t_g"] == token.t_g
-        assert transcript.sk == ref_a["sk"]
+            n_s, msg2.t2, new_card.r_hms)
+        assert ref_a["t_g"] == t_g
+        assert sk_server == ref_a["sk"] == oracle.h(ref_a["w1"] + n_s)
         assert msg2.m2 == ref_a["m2"]
         assert msg2.m3 == ref_a["m3"]
         assert new_card.eid_i == ref_a["eid_new"]
@@ -347,7 +351,7 @@ def test_criterion_08_reference_agreement_100_seeds():
         ref_v = oracle.user_verify_fields(
             session.c_i, session.w1, msg2.m2,
             msg2.m3, msg2.t2)
-        assert ref_v["ok"] and sk == ref_v["sk"] == transcript.sk
+        assert ref_v["ok"] and sk == ref_v["sk"] == sk_server
         fields_checked += 24
     print(f"ACCEPTANCE 08 PASS seeds=100 fields-per-seed=24 "
           f"total-checks={fields_checked}")
@@ -403,8 +407,8 @@ def test_criterion_10_authorization_matrix_and_revocation():
             clock.advance(10)
             msg1 = gateway.start_login()
             if scope in EXPECTED_GRANTS[role]:
-                msg2, transcript = server.authenticate(msg1, scope)
-                assert gateway.accept_server_reply(msg2) == transcript.sk
+                msg2, sk = server.authenticate(msg1, scope)
+                assert gateway.accept_server_reply(msg2) == sk
                 granted += 1
             else:
                 with pytest.raises(Unauthorized):
@@ -418,9 +422,9 @@ def test_criterion_10_authorization_matrix_and_revocation():
         gateway, _ = enroll(server, ledger, clock, seed=900 + i,
                             role=Role.DOCTOR)
         old_card = gateway.current_card()
-        new_token = server.update_authorization(gateway.creds.user_id,
-                                                Role.PATIENT)
-        assert new_token.role == Role.PATIENT
+        new_t_g = server.update_authorization(gateway.creds.user_id,
+                                              Role.PATIENT)
+        assert server.token_roles[oracle.h(new_t_g)] == Role.PATIENT
 
         clock.advance(10)
         stale_msg1, _ = login(gateway.ops, clock, gateway.creds, old_card)
@@ -430,8 +434,8 @@ def test_criterion_10_authorization_matrix_and_revocation():
         msg1 = gateway.start_login()
         with pytest.raises(Unauthorized):
             server.authenticate(msg1, "write-prescription")
-        msg2, transcript = server.authenticate(msg1, "read-own-records")
-        assert gateway.accept_server_reply(msg2) == transcript.sk
+        msg2, sk = server.authenticate(msg1, "read-own-records")
+        assert gateway.accept_server_reply(msg2) == sk
         revoked += 1
     assert revoked == 20
     print(f"ACCEPTANCE 10 PASS matrix-cells=136 granted={granted} "

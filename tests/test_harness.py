@@ -26,7 +26,7 @@ from l2ai.permissions import (
 )
 from l2ai.ledger import LedgerBlock, TokenRecord
 from l2ai.primitives import WIDTH, seal, sha256_160
-from l2ai.protocol import RegRequest
+from l2ai.protocol import HospitalServer, RegRequest, UserGateway
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).parent.parent / "src"
@@ -208,6 +208,15 @@ def test_checker_catches_rigged_acceptances():
     assert "tampered delivery" in text
     assert "accepted 2 times" in text
 
+    # a gateway that keeps a key of its own: both ends verify, keys differ
+    world = World(seed=1)
+    world.register_user("mallory")
+    world.drain()
+    world.users["mallory"].accept_server_reply = lambda msg2: bytes(WIDTH)
+    result = run_scenario(world, parse_scenario("honest auth mallory\n"))
+    assert world.sessions[0].outcome == "verified"
+    assert result.violations[-1] == "session keys differ for user=mallory"
+
 
 def test_tampered_chain_is_reported():
     # the verdict verifies the chain once; the report renders that verdict
@@ -338,6 +347,34 @@ def test_fuzz_suite_scaled_down():
     assert lines[0].startswith("ok fuzz")
 
 
+def test_fuzz_suite_reports_a_wrong_password_that_reached_the_wire(monkeypatch):
+    # a gateway that logs in with its held factors whatever it is given
+    start_login = UserGateway.start_login
+    monkeypatch.setattr(UserGateway, "start_login", lambda self, creds=None: start_login(self))
+    lines = []
+    assert SUITES["fuzz"](seed=42, sessions=80, users=8, emit=lines.append) is False
+    assert lines[0].startswith("FAIL fuzz")
+    problems = [line for line in lines if line.startswith("  problem: wrong password #")]
+    assert problems and any(line.endswith(" reached the wire") for line in problems)
+    assert all("master secret" not in line for line in lines)
+
+
+def test_fuzz_suite_reports_the_master_secret_in_a_ledger_record(monkeypatch):
+    # a server that also files its master secret as a token digest, once
+    issue_token = HospitalServer.issue_token
+
+    def leaky_issue_token(self, national_code, role):
+        t_g = issue_token(self, national_code, role)
+        if self.ledger.get_token(self.s_hms) is None:
+            self.ledger.append(TokenRecord(self.s_hms, seal(self.s_hms, t_g, bytes(16))))
+        return t_g
+
+    monkeypatch.setattr(HospitalServer, "issue_token", leaky_issue_token)
+    lines = []
+    assert SUITES["fuzz"](seed=42, sessions=80, users=8, emit=lines.append) is False
+    assert lines[1:] == ["  problem: master secret bytes appeared in the ledger records"]
+
+
 def test_expected_ops_table_is_exhaustive():
     sides = {side for side, _ in EXPECTED_OPS}
     assert sides == {"user", "server"}
@@ -407,7 +444,7 @@ def test_an_enrolled_user_keeps_no_generator():
 
 
 def test_a_finished_run_holds_no_generator():
-    # bob only tries to log in, so nothing released his gateway's generator
+    # bob only tries to log in, so his gateway never draws or builds a generator
     world, _ = run_text("honest register alice\nhonest auth alice\nhonest auth bob\n")
     assert world.sessions[-1].local_reject is not None
     assert world.server.ops.rng is None

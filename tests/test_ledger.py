@@ -295,13 +295,19 @@ def test_import_refuses_non_canonical_records(payload):
         Ledger.from_lines(lines)
 
 
-@pytest.mark.parametrize("payload", [
-    _CARD.serialize()[:-1], _CARD.serialize() + bytes(1),
-    _IDENT.serialize()[:-1], _IDENT.serialize() + bytes(1),
-], ids=["card-short", "card-long", "ident-short", "ident-long"])
-def test_import_refuses_wrong_width_payloads(payload):
+@pytest.mark.parametrize("payload,refusal", [
+    (_CARD.serialize()[:-1], "smart card record must be"),
+    (_CARD.serialize() + bytes(1), "smart card record must be"),
+    (_IDENT.serialize()[:-1], "identity record must be"),
+    (_IDENT.serialize() + bytes(1), "identity record must be"),
+    (_TOKEN.serialize()[:61], "ciphertext envelope too short"),     # 22-byte head, then
+    (_TOKEN.serialize()[:-1], "ciphertext envelope length mismatch"),   # a 60-byte envelope
+    (_TOKEN.serialize() + bytes(1), "ciphertext envelope length mismatch"),
+], ids=["card-short", "card-long", "ident-short", "ident-long",
+        "envelope-under-40", "envelope-short", "envelope-long"])
+def test_import_refuses_wrong_width_payloads(payload, refusal):
     lines = rechained([sample_token(make_ops(16)).serialize(), payload])
-    with pytest.raises(ValueError, match="line 2: (smart card|identity) record must be"):
+    with pytest.raises(ValueError, match=f"line 2: {refusal}"):
         Ledger.from_lines(lines)
 
 

@@ -10,10 +10,9 @@ import oracle
 from l2ai.primitives import (
     WIDTH, BIO_WIDTH, FE_BLOCKS, FE_PAD_BIT, OP_KEYS,
     AuthFailure, RecoveryFailure,
-    BioTemplate, Ciphertext,
-    PrimitiveOps, SimClock,
+    BioTemplate, PrimitiveOps, Rng, SimClock,
     gen_sketch, is_fresh, open_sealed, recover_key,
-    repetition_decode, repetition_encode, seal, sha256_160,
+    repetition_decode, repetition_encode, seal, sha256_160, split_sealed,
 )
 from l2ai.ledger import (
     CARD_TAG, IDENT_TAG, IdentityIndex, Ledger, SmartCard, TokenRecord, parse_record,
@@ -42,7 +41,7 @@ def test_hash_truncation_vectors(data, expected):
 def test_rng_matches_the_stdlib_generator():
     for seed in range(200):
         for s in (seed, seed ^ 0x5EED):     # an entity's seed, and its credential draw's
-            ours, ref = PrimitiveOps(s).rng, random.Random(s)
+            ours, ref = Rng(s), random.Random(s)
             for _ in range(2):
                 assert ours.randbytes(16) == ref.randbytes(16)
                 assert ours.randbytes(20) == ref.randbytes(20)
@@ -51,7 +50,7 @@ def test_rng_matches_the_stdlib_generator():
 
 
 def test_rng_has_no_instance_dict_and_restores_its_state():
-    rng = PrimitiveOps(7).rng
+    rng = Rng(7)
     assert not hasattr(rng, "__dict__")
     with pytest.raises(AttributeError):
         rng.gauss_next = None
@@ -83,7 +82,9 @@ def test_a_released_generator_replays_its_stream(seed, steps):
         else:
             assert draw(released, step) == draw(kept, step)
     assert (released.counts, released.drawn) == (kept.counts, kept.drawn)
-    assert PrimitiveOps(seed).rand_digest() == random.Random(seed).randbytes(WIDTH)
+    fresh = PrimitiveOps(seed)
+    assert fresh.rng is None                        # its first draw builds it
+    assert fresh.rand_digest() == random.Random(seed).randbytes(WIDTH)
 
 
 @given(st.binary(max_size=200))
@@ -95,8 +96,8 @@ def test_hash_width_and_determinism(data):
 
 def test_hash_distinctness_smoke():
     # 10k distinct random inputs must produce 10k distinct outputs.
-    ops = PrimitiveOps(seed=17)
-    inputs = {ops.rng.randbytes(24) for _ in range(10_000)}
+    rng = Rng(17)
+    inputs = {rng.randbytes(24) for _ in range(10_000)}
     assert len(inputs) == 10_000
     assert len({sha256_160(x) for x in inputs}) == 10_000
 
@@ -104,11 +105,11 @@ def test_hash_distinctness_smoke():
 def test_hash_output_bit_balance():
     # Statistical smoke check: over many random inputs the output bits
     # should sit near 50% ones, within 3 sigma of the binomial expectation.
-    ops = PrimitiveOps(seed=23)
+    rng = Rng(23)
     total_bits = 10_000 * WIDTH * 8
     ones = 0
     for _ in range(10_000):
-        digest = sha256_160(ops.rng.randbytes(16))
+        digest = sha256_160(rng.randbytes(16))
         ones += bin(int.from_bytes(digest, "big")).count("1")
     sigma = 0.5 * total_bits ** 0.5
     assert abs(ones - total_bits / 2) < 3 * sigma
@@ -239,7 +240,7 @@ def test_cipher_fresh_nonce_each_call():
     key = ops.rand_digest()
     c1, c2 = ops.enc(key, b"payload"), ops.enc(key, b"payload")
     assert c1 != c2
-    assert c1.nonce != c2.nonce
+    assert split_sealed(c1)[0] != split_sealed(c2)[0]
 
 
 def test_cipher_rejects_wrong_key():
@@ -252,13 +253,13 @@ def test_cipher_rejects_wrong_key():
 def test_cipher_every_byte_authenticated():
     ops = PrimitiveOps(seed=5)
     key = ops.rand_digest()
-    raw = ops.enc(key, b"twenty byte messages").to_bytes()
+    raw = ops.enc(key, b"twenty byte messages")
     for i in range(len(raw)):
         for bit in range(8):
             broken = bytearray(raw)
             broken[i] ^= 1 << bit
             with pytest.raises((AuthFailure, ValueError)):
-                open_sealed(key, Ciphertext.from_bytes(bytes(broken)))
+                open_sealed(key, bytes(broken))
 
 
 def test_cipher_matches_reference_bytes():
@@ -268,7 +269,7 @@ def test_cipher_matches_reference_bytes():
     key = ops.rand_digest()
     nonce = ops.rng.randbytes(16)
     plaintext = ops.rng.randbytes(20)
-    assert seal(key, plaintext, nonce).to_bytes() == oracle.seal(key, nonce, plaintext)
+    assert seal(key, plaintext, nonce) == oracle.seal(key, nonce, plaintext)
 
 
 # Known-answer envelopes (key bytes 0..19, nonce bytes 100..115), recorded
@@ -286,15 +287,17 @@ SEAL_VECTORS = [
 @pytest.mark.parametrize("plaintext,expected", SEAL_VECTORS)
 def test_cipher_known_answer(plaintext, expected):
     key, nonce = bytes(range(20)), bytes(range(100, 116))
-    ct = seal(key, plaintext, nonce)
-    assert ct.to_bytes().hex() == expected
-    assert open_sealed(key, Ciphertext.from_bytes(bytes.fromhex(expected))) == plaintext
+    assert seal(key, plaintext, nonce).hex() == expected
+    assert open_sealed(key, bytes.fromhex(expected)) == plaintext
 
 
 def test_ciphertext_envelope_roundtrip():
+    # the envelope splits into its three fields and joins back to itself
     ops = PrimitiveOps(seed=7)
-    ct = ops.enc(ops.rand_digest(), b"roundtrip me")
-    assert Ciphertext.from_bytes(ct.to_bytes()) == ct
+    sealed = ops.enc(ops.rand_digest(), b"roundtrip me")
+    nonce, body, tag = split_sealed(sealed)
+    assert (len(nonce), len(body), len(tag)) == (16, 12, WIDTH)
+    assert nonce + len(body).to_bytes(4, "big") + body + tag == sealed
 
 
 # --- biometric sketch -------------------------------------------------------------

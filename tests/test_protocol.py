@@ -12,7 +12,7 @@ from l2ai.ledger import Ledger
 from l2ai.permissions import (
     DEFAULT_TABLE_TEXT, PermissionTable, Role, SCOPE_CATALOG,
 )
-from l2ai.primitives import OP_KEYS, WIDTH, PrimitiveOps, SimClock
+from l2ai.primitives import OP_KEYS, WIDTH, PrimitiveOps, SimClock, split_sealed
 from l2ai.protocol import (
     AlreadyRegistered, BadMac, Credentials, HospitalServer, InvalidRole,
     LocalVerifyFailed, Msg1, Msg2, ProvisionalCard, RegRequest, Stale,
@@ -40,10 +40,18 @@ def registered_user(clock, ledger, server, seed=101, creds=None,
     creds = creds or make_creds(seed * 13 + 5)
     gateway = UserGateway(seed, clock, ledger, creds,
                           delta_t=server.delta_t)
-    token = server.issue_token(b"national-code-9001", role)
-    provisional = server.register(gateway.build_registration(token))
+    t_g = server.issue_token(b"national-code-9001", role)
+    provisional = server.register(gateway.build_registration(t_g))
     gateway.accept_provisional(provisional)
-    return gateway, token
+    return gateway, t_g
+
+
+def next_draw(ops):
+    """The digest `ops` draws next, read from a twin at the same point of the
+    stream, so the draw itself is left to the code under test."""
+    twin = PrimitiveOps(ops.seed)
+    twin.drawn = ops.drawn
+    return twin.rand_digest()
 
 
 # --- setup and token issuance ----------------------------------------------------
@@ -58,13 +66,14 @@ def test_setup_is_seed_deterministic():
 
 def test_issue_token_anchors_ledger_record():
     _, ledger, server = make_world()
-    token = server.issue_token(b"code", Role.NURSE)
-    x = oracle.h(token.t_g)
+    t_g = server.issue_token(b"code", Role.NURSE)
+    assert type(t_g) is bytes and len(t_g) == WIDTH
+    x = oracle.h(t_g)
     assert ledger.any_digest(x)
     record = ledger.get_token(x)
     # sealed token bytes must match the reference cipher byte-for-byte
-    assert record.y.to_bytes() == oracle.seal(server.s_hms,
-                                              record.y.nonce, token.t_g)
+    nonce, _, _ = split_sealed(record.y)
+    assert record.y == oracle.seal(server.s_hms, nonce, t_g)
     assert server.token_roles[x] == Role.NURSE
 
 
@@ -83,11 +92,11 @@ def test_registration_fields_match_reference():
     clock, ledger, server = make_world()
     creds = make_creds()
     gateway = UserGateway(101, clock, ledger, creds)
-    token = server.issue_token(b"code", Role.DOCTOR)
+    t_g = server.issue_token(b"code", Role.DOCTOR)
 
-    req = gateway.build_registration(token)
+    req = gateway.build_registration(t_g)
     scratch = gateway._scratch
-    ref_user = oracle.user_registration_fields(token.t_g, creds.user_id,
+    ref_user = oracle.user_registration_fields(t_g, creds.user_id,
                                                creds.password, scratch.b_i)
     assert req.x == ref_user["x"]
     assert req.pwd == ref_user["pwd"]
@@ -95,7 +104,7 @@ def test_registration_fields_match_reference():
 
     provisional = server.register(req)
     ref_server = oracle.server_registration_fields(
-        server.s_hms, server.id_hms, token.t_g,
+        server.s_hms, server.id_hms, t_g,
         req.did, req.pwd, provisional.r_hms)
     assert ref_server["user_id"] == creds.user_id
     assert provisional.ax_ui == ref_server["ax"]
@@ -123,8 +132,7 @@ def test_register_unknown_or_revoked_token():
     with pytest.raises(UnknownToken):
         server.register(RegRequest(x=ghost, did=ghost, pwd=ghost))
 
-    token = server.issue_token(b"code", Role.DOCTOR)
-    req = gateway.build_registration(token)
+    req = gateway.build_registration(server.issue_token(b"code", Role.DOCTOR))
     ledger.revoke_token(req.x)
     with pytest.raises(UnknownToken):
         server.register(req)
@@ -135,9 +143,9 @@ def test_duplicate_registration_rejected():
     creds = make_creds()
     gateway, _ = registered_user(clock, ledger, server, creds=creds)
     other = UserGateway(202, clock, ledger, creds)
-    token = server.issue_token(b"code", Role.DOCTOR)
+    t_g = server.issue_token(b"code", Role.DOCTOR)
     with pytest.raises(AlreadyRegistered):
-        server.register(other.build_registration(token))
+        server.register(other.build_registration(t_g))
 
 
 # --- login -----------------------------------------------------------------------
@@ -176,9 +184,9 @@ def test_login_tolerates_in_budget_biometric_noise():
     clock, ledger, server = make_world()
     gateway, _ = registered_user(clock, ledger, server)
     noisy = replace(gateway.creds, bio=gateway.creds.bio.with_flips([3, 77, 200]))
-    msg1, _ = login(gateway.ops, clock, noisy, gateway.current_card())
-    msg2, transcript = server.authenticate(msg1, SCOPE)
-    assert transcript.sk is not None
+    msg1, session = login(gateway.ops, clock, noisy, gateway.current_card())
+    msg2, sk = server.authenticate(msg1, SCOPE)
+    assert verify_server(gateway.ops, clock, server.delta_t, session, msg2) == sk
 
 
 def test_login_biometric_beyond_tolerance_fails_locally():
@@ -205,22 +213,21 @@ def test_login_wrong_identity_passes_locally_dies_at_server():
 def test_key_exchange_fields_match_reference():
     clock, ledger, server = make_world()
     creds = make_creds()
-    gateway, token = registered_user(clock, ledger, server, creds=creds)
+    gateway, t_g = registered_user(clock, ledger, server, creds=creds)
     old_card = gateway.current_card()
 
     msg1 = gateway.start_login()
-    msg2, transcript = server.authenticate(msg1, SCOPE)
+    n_s = next_draw(server.ops)             # the server's nonce, its first draw
+    msg2, sk_server = server.authenticate(msg1, SCOPE)
     new_card = gateway.current_card()
 
     ref = oracle.server_auth_fields(
         server.s_hms, server.id_hms, creds.user_id,
         msg1.eid, msg1.ax, msg1.t1,
-        transcript.n_s, msg2.t2, new_card.r_hms)
-    assert ref["t_g"] == token.t_g        # token recovered from the index
-    assert transcript.c_i == ref["c"]
-    assert transcript.w1 == ref["w1"]
+        n_s, msg2.t2, new_card.r_hms)
+    assert ref["t_g"] == t_g              # token recovered from the index
     assert ref["m1"] == msg1.m1
-    assert transcript.sk == ref["sk"]
+    assert sk_server == ref["sk"] == oracle.h(ref["w1"] + n_s)
     assert msg2.m2 == ref["m2"]
     assert msg2.m3 == ref["m3"]
 
@@ -235,11 +242,13 @@ def test_key_exchange_fields_match_reference():
     assert not ledger.any_digest(ref["h_d_tid"])
     assert ledger.get_identity(ref["h_d_new"]) == creds.user_id
 
+    # the reference's c_i and w1 open the reply exactly as the gateway does
+    assert gateway._session == (ref["c"], ref["w1"])
     sk = gateway.accept_server_reply(msg2)
-    ref_user = oracle.user_verify_fields(transcript.c_i, transcript.w1,
+    ref_user = oracle.user_verify_fields(ref["c"], ref["w1"],
                                          msg2.m2, msg2.m3, msg2.t2)
     assert ref_user["ok"]
-    assert sk == ref_user["sk"] == transcript.sk
+    assert sk == ref_user["sk"] == sk_server
 
 
 def test_freshness_boundary_inclusive():
@@ -282,8 +291,8 @@ def test_token_digest_is_not_a_principal(scope):
     # the pseudo-identity unmasks to one live token and the index to a
     # second: both digests are live, but neither names an identity
     clock, ledger, server = make_world()
-    t_g1 = server.issue_token(b"code-1", Role.PATIENT).t_g
-    t_g2 = server.issue_token(b"code-2", Role.PATIENT).t_g
+    t_g1 = server.issue_token(b"code-1", Role.PATIENT)
+    t_g2 = server.issue_token(b"code-2", Role.PATIENT)
     msg1 = Msg1(t1=clock.now(), m1=bytes(WIDTH), eid=oracle.x20(t_g1, server._h_s),
                 ax=oracle.x20(t_g2, server.ops.hash(t_g1 + server.id_hms)))
     with pytest.raises(UnknownPrincipal, match="not live on the ledger"):
@@ -322,8 +331,8 @@ def test_authenticate_rejects_a_card_never_published():
 
 def test_authenticate_rejects_a_live_token_with_no_role():
     clock, ledger, server = make_world()
-    gateway, token = registered_user(clock, ledger, server)
-    del server.token_roles[oracle.h(token.t_g)]
+    gateway, t_g = registered_user(clock, ledger, server)
+    del server.token_roles[oracle.h(t_g)]
     msg1 = gateway.start_login()
     before = len(ledger.blocks)
     with pytest.raises(UnknownPrincipal, match="no registered role"):
@@ -357,9 +366,9 @@ def test_session_keys_fresh_across_sessions():
     for _ in range(5):
         clock.advance(100)
         msg1 = gateway.start_login()
-        msg2, transcript = server.authenticate(msg1, SCOPE)
-        assert gateway.accept_server_reply(msg2) == transcript.sk
-        keys.add(transcript.sk)
+        msg2, sk = server.authenticate(msg1, SCOPE)
+        assert gateway.accept_server_reply(msg2) == sk
+        keys.add(sk)
         wires.update({msg1.eid, msg1.ax, msg1.m1,
                       msg2.m2, msg2.m3})
     assert len(keys) == 5
@@ -400,8 +409,8 @@ def test_update_credentials_preserves_server_binding():
     with pytest.raises(LocalVerifyFailed):
         login(gateway.ops, clock, creds, new_card)
     msg1 = gateway.start_login()
-    msg2, transcript = server.authenticate(msg1, SCOPE)
-    assert gateway.accept_server_reply(msg2) == transcript.sk
+    msg2, sk = server.authenticate(msg1, SCOPE)
+    assert gateway.accept_server_reply(msg2) == sk
 
 
 def test_update_credentials_requires_old_factors():
@@ -413,23 +422,51 @@ def test_update_credentials_requires_old_factors():
                            gateway.current_card())
 
 
+def test_update_credentials_biometric_beyond_tolerance_changes_nothing():
+    clock, ledger, server = make_world()
+    gateway, _ = registered_user(clock, ledger, server)
+    gateway.creds = hopeless = replace(gateway.creds,
+                                       bio=gateway.creds.bio.with_flips([10, 11, 12]))
+    card, blocks, drawn = gateway.current_card(), len(ledger.blocks), gateway.ops.drawn
+    with pytest.raises(LocalVerifyFailed, match="biometric beyond tolerance"):
+        gateway.change_credentials(b"new-password", PrimitiveOps(404).rand_template())
+    assert gateway.current_card() is card
+    assert gateway.creds is hopeless
+    assert len(ledger.blocks) == blocks
+    assert gateway.ops.drawn == drawn               # refused before the new sketch
+
+
 # --- authorization update ------------------------------------------------------------
+
+def test_update_authorization_refuses_a_role_the_table_lacks():
+    clock, ledger = SimClock(), Ledger()
+    table = PermissionTable.default()
+    del table.grants[Role.NURSE]                    # a custom table with no nurse row
+    server = HospitalServer(42, clock, ledger, perm_table=table)
+    gateway, t_g = registered_user(clock, ledger, server)
+    card, blocks, roles = gateway.current_card(), len(ledger.blocks), dict(server.token_roles)
+    with pytest.raises(InvalidRole, match="no permission row"):
+        server.update_authorization(gateway.creds.user_id, Role.NURSE)
+    assert len(ledger.blocks) == blocks
+    assert server.token_roles == roles
+    assert not ledger.get_token(oracle.h(t_g)).revoked
+    assert gateway.current_card() is card
+
 
 def test_update_authorization_swaps_token_and_index():
     clock, ledger, server = make_world()
     creds = make_creds()
-    gateway, old_token = registered_user(clock, ledger, server, creds=creds)
+    gateway, old_t_g = registered_user(clock, ledger, server, creds=creds)
     old_card = gateway.current_card()
 
-    new_token = server.update_authorization(creds.user_id, Role.PATIENT)
-    assert new_token.role == Role.PATIENT
+    new_t_g = server.update_authorization(creds.user_id, Role.PATIENT)
+    old_x, new_x = oracle.h(old_t_g), oracle.h(new_t_g)
+    assert server.token_roles == {new_x: Role.PATIENT}
     new_card = gateway.current_card()
     assert new_card.ax_ui != old_card.ax_ui
     assert (new_card.eid_i, new_card.e_i, new_card.f_i) == \
         (old_card.eid_i, old_card.e_i, old_card.f_i)
 
-    old_x = oracle.h(old_token.t_g)
-    new_x = oracle.h(new_token.t_g)
     assert not ledger.any_digest(old_x)
     assert ledger.any_digest(new_x)
 
@@ -443,8 +480,8 @@ def test_update_authorization_swaps_token_and_index():
     msg1 = gateway.start_login()
     with pytest.raises(Unauthorized):
         server.authenticate(msg1, SCOPE)            # doctor scope, patient token
-    msg2, transcript = server.authenticate(msg1, "read-own-records")
-    assert gateway.accept_server_reply(msg2) == transcript.sk
+    msg2, sk = server.authenticate(msg1, "read-own-records")
+    assert gateway.accept_server_reply(msg2) == sk
 
     with pytest.raises(UnknownPrincipal):
         server.update_authorization(PrimitiveOps(8).rand_digest(), Role.NURSE)
@@ -458,7 +495,7 @@ def test_new_card_and_token_versions_equal_their_replace_form():
     the reference derives, field by field and as serialized bytes."""
     clock, ledger, server = make_world()
     creds = make_creds()
-    gateway, token = registered_user(clock, ledger, server, creds=creds)
+    gateway, t_g = registered_user(clock, ledger, server, creds=creds)
 
     def check(old, new, **changed):
         replaced = old._replace(**changed)
@@ -468,12 +505,13 @@ def test_new_card_and_token_versions_equal_their_replace_form():
 
     old = gateway.current_card()
     msg1 = gateway.start_login()
-    msg2, transcript = server.authenticate(msg1, SCOPE)
+    n_s = next_draw(server.ops)
+    msg2, _ = server.authenticate(msg1, SCOPE)
     gateway.accept_server_reply(msg2)
     new = gateway.current_card()
     ref = oracle.server_auth_fields(
         server.s_hms, server.id_hms, creds.user_id, msg1.eid, msg1.ax, msg1.t1,
-        transcript.n_s, msg2.t2, new.r_hms)
+        n_s, msg2.t2, new.r_hms)
     check(old, new, eid_i=ref["eid_new"], r_hms=new.r_hms, hid_hms=ref["hid_new"],
           ax_ui=ref["ax_new"])
 
@@ -490,12 +528,12 @@ def test_new_card_and_token_versions_equal_their_replace_form():
                                  pwd_new, b_new)
     check(old, new, e_i=ref["e"], f_i=ref["f"], tau=new.tau)
 
-    old, x = gateway.current_card(), oracle.h(token.t_g)
+    old, x = gateway.current_card(), oracle.h(t_g)
     old_token = ledger.get_token(x)
-    new_token = server.update_authorization(creds.user_id, Role.PATIENT)
+    new_t_g = server.update_authorization(creds.user_id, Role.PATIENT)
     d_tid = oracle.x20(old.eid_i, oracle.h(server.s_hms))
     check(old, gateway.current_card(),
-          ax_ui=oracle.x20(new_token.t_g, oracle.hpair(d_tid, server.id_hms)))
+          ax_ui=oracle.x20(new_t_g, oracle.hpair(d_tid, server.id_hms)))
     check(old_token, ledger.get_token(x), revoked=True)
 
 
@@ -624,8 +662,8 @@ def test_wire_layouts_match_reference():
     assert len(req.to_bytes()) == 60
     assert RegRequest.from_bytes(req.to_bytes()) == req
 
-    token = server.issue_token(b"national-code", Role.NURSE)
-    card = server.register(register_request(PrimitiveOps(5), make_creds(9), token)[0])
+    t_g = server.issue_token(b"national-code", Role.NURSE)
+    card = server.register(register_request(PrimitiveOps(5), make_creds(9), t_g)[0])
     assert card.to_bytes() == oracle.provisional_bytes(card.k_i, card.eid_i, card.hid_hms,
                                                        card.r_hms, card.ax_ui)
     assert len(card.to_bytes()) == 100

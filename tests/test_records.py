@@ -1,7 +1,8 @@
 """Record contract: the per-message records are immutable, hashable
 NamedTuples whose new versions are new records, and every wire or
 ledger record decodes back from its own bytes. The chain links and every
-protocol value a run keeps are raw 20-byte bytes."""
+protocol value a run keeps are raw 20-byte bytes; a token record's sealed
+token is its envelope's raw bytes."""
 
 import pytest
 
@@ -11,26 +12,22 @@ from l2ai.ledger import (
     IdentityIndex, Ledger, LedgerBlock, SmartCard, TokenRecord,
     parse_record,
 )
-from l2ai.primitives import WIDTH, Ciphertext, PrimitiveOps, seal
-from l2ai.protocol import (
-    AuthTranscript, Msg1, Msg2, ProvisionalCard, RegRequest, UserSession,
-)
+from l2ai.primitives import WIDTH, PrimitiveOps, seal
+from l2ai.protocol import Msg1, Msg2, ProvisionalCard, RegRequest, UserSession
 
 _ops = PrimitiveOps(seed=40)
 _d = _ops.rand_digest
-_CIPHERTEXT = seal(_d(), b"token bytes", _ops.rng.randbytes(16))
+_SEALED = seal(_d(), b"token bytes", _ops.rng.randbytes(16))
 _CARD = SmartCard(_d(), _d(), _d(), _d(), _d(), _d(),
                   _ops.fe_gen(_ops.rand_template())[1], _d())
 
 # one sample of each record: (record, a field, another value for it)
 RECORDS = {
-    "Ciphertext": (_CIPHERTEXT, "tag", bytes(20)),
     "SmartCard": (_CARD, "ax_ui", _d()),
-    "TokenRecord": (TokenRecord(_d(), _CIPHERTEXT), "revoked", True),
+    "TokenRecord": (TokenRecord(_d(), _SEALED), "revoked", True),
     "IdentityIndex": (IdentityIndex(_d(), _d()), "superseded_by", _d()),
     "HelperData": (_CARD.tau, "check", _d()),
     "UserSession": (UserSession(_d(), _d()), "w1", _d()),
-    "AuthTranscript": (AuthTranscript(_d(), _d(), _d(), _d()), "sk", _d()),
     "RegRequest": (RegRequest(_d(), _d(), _d()), "pwd", _d()),
     "ProvisionalCard": (ProvisionalCard(_d(), _d(), _d(), _d(), _d()), "k_i", _d()),
     "Msg1": (Msg1(100, _d(), _d(), _d()), "m1", _d()),
@@ -39,7 +36,6 @@ RECORDS = {
 
 # how each wire or ledger record is decoded from its own bytes
 DECODERS = {
-    "Ciphertext": (Ciphertext.to_bytes, Ciphertext.from_bytes),
     "SmartCard": (SmartCard.serialize, parse_record),
     "TokenRecord": (TokenRecord.serialize, parse_record),
     "IdentityIndex": (IdentityIndex.serialize, parse_record),
@@ -126,3 +122,6 @@ def test_every_kept_protocol_value_is_raw_20_bytes():
         assert values, name
         assert all(type(v) is bytes and len(v) == WIDTH for v in values), name
     assert all(uid in ledger._cards for uid in groups["gateway card ids"])
+    # each sealed token is one envelope: nonce, length, 20-byte body, tag
+    assert all(type(token.y) is bytes and len(token.y) == 16 + 4 + WIDTH + WIDTH
+               for token in ledger._tokens.values())
