@@ -32,11 +32,12 @@ that the ledger refuses. It keeps each height, link and digest as written,
 so ``verify_chain`` judges a tampered export.
 
 Each payload kind is one ``struct`` layout, a kind-tag byte and then its
-fields in declaration order, which its writers pack and ``parse_record``
-unpacks; a token's sealed envelope follows its layout, and ``split_sealed``
-checks it. ``parse_record`` checks the exact width of every identity and card
-payload, so the fields it unpacks need no check of their own. Block digests go
-through the uncounted hash core (chain maintenance is not a protocol operation).
+fields in declaration order (a card's helper data is one 52-byte field), which
+its writers pack and ``parse_record`` unpacks; a token's sealed envelope
+follows its layout, and ``split_sealed`` checks it. ``parse_record`` checks
+the exact width of every identity and card payload, so the fields it unpacks
+need no check of their own. Block digests go through the uncounted hash core
+(chain maintenance is not a protocol operation).
 Every block comes from one builder, ``Ledger._link``, which links a payload
 to the record last on the chain as it stands. ``append`` indexes any record
 through the generic ``_index`` first, as import does; the typed writers
@@ -49,7 +50,7 @@ from __future__ import annotations
 import struct
 from typing import NamedTuple
 
-from .primitives import WIDTH, HelperData, sha256_160, split_sealed
+from .primitives import WIDTH, sha256_160, split_sealed
 
 
 TOKEN_TAG = 0x01
@@ -58,13 +59,13 @@ CARD_TAG = 0x03
 
 _KIND_NAMES = {TOKEN_TAG: "token", IDENT_TAG: "ident", CARD_TAG: "card"}
 
-# `20s` pads a short field and truncates a long one, but every field is 20
-# bytes by construction (a live index packs its marker from b"", as 20 zero
-# bytes). `?` unpacks any non-zero byte as True; import's canonical check
-# refuses a flag byte other than 0 or 1.
+# `20s` and `52s` pad a short field and truncate a long one, but every field
+# has its width by construction (a live index packs its marker from b"", as
+# 20 zero bytes). `?` unpacks any non-zero byte as True; import's canonical
+# check refuses a flag byte other than 0 or 1.
 _TOKEN = struct.Struct("B20s?")                 # 22 bytes, then the sealed token
 _IDENT = struct.Struct("B20s20s?20s")           # 62 bytes: flag, then marker
-_CARD = struct.Struct("B20s20s20s20s20s20s32s20s20s")  # 193 bytes: tau is 32s20s
+_CARD = struct.Struct("B20s20s20s20s20s20s52s20s")  # 193 bytes: tau is 52s
 
 
 class SmartCard(NamedTuple):
@@ -74,7 +75,7 @@ class SmartCard(NamedTuple):
     Fields: masked long-term key (e_i), card verifier (f_i), masked
     pseudo-identity (eid_i), server re-keying random (r_hms), masked server
     binding (hid_hms), dynamic authorization index (ax_ui), biometric
-    helper data (tau), and the stable card identifier.
+    helper data (tau, 52 bytes), and the stable card identifier.
     """
 
     e_i: bytes
@@ -83,13 +84,11 @@ class SmartCard(NamedTuple):
     r_hms: bytes
     hid_hms: bytes
     ax_ui: bytes
-    tau: HelperData
+    tau: bytes
     card_uid: bytes
 
     def serialize(self) -> bytes:
-        e_i, f_i, eid_i, r_hms, hid_hms, ax_ui, (offset, check), card_uid = self
-        return _CARD.pack(CARD_TAG, e_i, f_i, eid_i, r_hms, hid_hms, ax_ui, offset, check,
-                          card_uid)
+        return _CARD.pack(CARD_TAG, *self)
 
 
 class TokenRecord(NamedTuple):
@@ -134,8 +133,7 @@ def parse_record(payload: bytes):
     if tag == CARD_TAG:
         if len(payload) != _CARD.size:
             raise ValueError(f"smart card record must be {_CARD.size} bytes")
-        _, e_i, f_i, eid_i, r_hms, hid_hms, ax_ui, offset, check, uid = _CARD.unpack(payload)
-        return SmartCard(e_i, f_i, eid_i, r_hms, hid_hms, ax_ui, HelperData(offset, check), uid)
+        return SmartCard._make(_CARD.unpack(payload)[1:])
     raise ValueError(f"unknown record tag {tag:#x}")
 
 

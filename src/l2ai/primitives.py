@@ -9,7 +9,8 @@ Width conventions used across the package:
   between equal widths
 * timestamps are integer milliseconds of simulated time, packed as 8-byte
   big-endian when they enter a hash or a wire message
-* biometric templates are 256-bit (32-byte) strings
+* biometric templates are 256-bit (32-byte) strings, and a sketch's public
+  helper data is 52 bytes: the masked codeword (32), then the key check (20)
 * hash core is SHA-256 truncated to its first 160 bits
 
 Widths are checked once, where values enter the system, always with
@@ -36,7 +37,6 @@ import hashlib
 import hmac
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple
 
 WIDTH = 20          # bytes per protocol digest
 BIO_WIDTH = 32      # bytes per biometric template
@@ -163,13 +163,6 @@ FE_BLOCKS = 51
 FE_PAD_BIT = 255
 
 
-class HelperData(NamedTuple):
-    """Public sketch: the masked codeword plus the key-check digest."""
-
-    offset: bytes
-    check: bytes
-
-
 def repetition_encode(message: int) -> int:
     """Repeat each of the FE_BLOCKS message bits five times: bit j fills
     bits 5j..5j+4 of the codeword. Read as base-32 digits, the message's
@@ -200,19 +193,17 @@ def derive_fe_key(message: int) -> bytes:
     return sha256_160(b"fe-key" + message.to_bytes(7, "big"))
 
 
-def gen_sketch(bio: BioTemplate, message: int) -> tuple[bytes, HelperData]:
-    """Deterministic sketch for a given message; key derivation included."""
+def gen_sketch(bio: BioTemplate, message: int) -> tuple[bytes, bytes]:
+    """Key and helper data (offset ‖ check) for a given message."""
     sigma = derive_fe_key(message)
     offset = _int_from(bio.value, "big") ^ repetition_encode(message)
-    helper = HelperData(offset=offset.to_bytes(BIO_WIDTH, "big"),
-                        check=sha256_160(sigma))
-    return sigma, helper
+    return sigma, offset.to_bytes(BIO_WIDTH, "big") + sha256_160(sigma)
 
 
-def recover_key(bio: BioTemplate, helper: HelperData) -> bytes:
-    word = _int_from(bio.value, "big") ^ _int_from(helper.offset, "big")
+def recover_key(bio: BioTemplate, helper: bytes) -> bytes:
+    word = _int_from(bio.value, "big") ^ _int_from(helper[:BIO_WIDTH], "big")
     sigma = derive_fe_key(repetition_decode(word))
-    if sha256_160(sigma) != helper.check:
+    if sha256_160(sigma) != helper[BIO_WIDTH:]:
         raise RecoveryFailure("template noise exceeds the correctable budget")
     return sigma
 
@@ -292,11 +283,11 @@ class PrimitiveOps:
         self.counts["dec"] += 1
         return open_sealed(key, sealed)
 
-    def fe_gen(self, bio: BioTemplate) -> tuple[bytes, HelperData]:
+    def fe_gen(self, bio: BioTemplate) -> tuple[bytes, bytes]:
         self.counts["fe"] += 1
         return gen_sketch(bio, self._draw(FE_BLOCKS))
 
-    def fe_rep(self, bio: BioTemplate, helper: HelperData) -> bytes:
+    def fe_rep(self, bio: BioTemplate, helper: bytes) -> bytes:
         self.counts["fe"] += 1
         return recover_key(bio, helper)
 

@@ -10,8 +10,10 @@ to the token and ends with the card on the ledger. The chain holds the user
 id in clear, as each card's `card_uid` and each identity index's `user_id`,
 so a ledger reader learns who registered and whose card each session
 re-keys; password, biometric key and token appear on it only hashed, masked
-or sealed under the server secret. Login checks the factors locally against
-the card verifier, then builds a one-time authentication request; the
+or sealed under the server secret, and each card's biometric helper data
+leaves a ledger reader 2^51 offline guesses at the biometric key (README,
+"Assumptions and limits"). Login checks the factors locally against the
+card verifier, then builds a one-time authentication request; the
 server resolves the request through the ledger (a lookup that misses is a
 rejection), answers with a key-confirmation message, and re-keys the card's
 pseudonymous fields so none of them repeats across sessions. Credential
@@ -35,7 +37,7 @@ from typing import NamedTuple
 from .ledger import IdentityIndex, Ledger, SmartCard, TokenRecord
 from .permissions import PermissionTable, Role
 from .primitives import (
-    WIDTH, BioTemplate, HelperData, PrimitiveOps, RecoveryFailure, SimClock,
+    WIDTH, BioTemplate, PrimitiveOps, RecoveryFailure, SimClock,
     is_fresh, pack_ts,
 )
 
@@ -101,7 +103,7 @@ class UserScratch(NamedTuple):
     user_id: bytes
     b_i: bytes
     pwd_i: bytes
-    tau: HelperData
+    tau: bytes
 
 
 class UserSession(NamedTuple):
@@ -112,15 +114,20 @@ class UserSession(NamedTuple):
 
 
 # --- wire messages ---------------------------------------------------------------
-# One `struct` layout per message, which the codec packs and unpacks and whose
-# size is the width; `20s` pads a short field, but every field is 20 bytes.
+# Each message names its `struct` layout, whose size is its width, and what it
+# is; each class binds the one codec below in its own namespace, where
+# perfbench's traced run wraps it. `20s` pads a short field, but every field
+# is 20 bytes.
 
-_REG_REQUEST = struct.Struct("20s20s20s")          # 60 bytes
-_PROVISIONAL = struct.Struct("20s20s20s20s20s")    # 100 bytes
-_MSG1 = struct.Struct(">Q20s20s20s")               # 68 bytes
-_MSG2 = struct.Struct(">20s20sQ")                  # 48 bytes
-REG_REQUEST_WIDTH, PROVISIONAL_WIDTH, MSG1_WIDTH, MSG2_WIDTH = (
-    _REG_REQUEST.size, _PROVISIONAL.size, _MSG1.size, _MSG2.size)
+def _to_bytes(self) -> bytes:
+    return self._LAYOUT.pack(*self)
+
+
+def _from_bytes(cls, raw: bytes):
+    layout = cls._LAYOUT
+    if len(raw) != layout.size:
+        raise ValueError(f"{cls._WHAT} must be {layout.size} bytes")
+    return cls._make(layout.unpack(raw))
 
 
 class RegRequest(NamedTuple):
@@ -130,14 +137,8 @@ class RegRequest(NamedTuple):
     did: bytes
     pwd: bytes
 
-    def to_bytes(self) -> bytes:
-        return _REG_REQUEST.pack(*self)
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "RegRequest":
-        if len(raw) != REG_REQUEST_WIDTH:
-            raise ValueError(f"registration request must be {REG_REQUEST_WIDTH} bytes")
-        return cls._make(_REG_REQUEST.unpack(raw))
+    _LAYOUT, _WHAT = struct.Struct("20s20s20s"), "registration request"   # 60 bytes
+    to_bytes, from_bytes = _to_bytes, classmethod(_from_bytes)
 
 
 class ProvisionalCard(NamedTuple):
@@ -149,14 +150,8 @@ class ProvisionalCard(NamedTuple):
     r_hms: bytes
     ax_ui: bytes
 
-    def to_bytes(self) -> bytes:
-        return _PROVISIONAL.pack(*self)
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "ProvisionalCard":
-        if len(raw) != PROVISIONAL_WIDTH:
-            raise ValueError(f"provisional card must be {PROVISIONAL_WIDTH} bytes")
-        return cls._make(_PROVISIONAL.unpack(raw))
+    _LAYOUT, _WHAT = struct.Struct("20s20s20s20s20s"), "provisional card"  # 100 bytes
+    to_bytes, from_bytes = _to_bytes, classmethod(_from_bytes)
 
 
 class Msg1(NamedTuple):
@@ -168,14 +163,8 @@ class Msg1(NamedTuple):
     eid: bytes
     ax: bytes
 
-    def to_bytes(self) -> bytes:
-        return _MSG1.pack(*self)
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Msg1":
-        if len(raw) != MSG1_WIDTH:
-            raise ValueError(f"authentication request must be {MSG1_WIDTH} bytes")
-        return cls._make(_MSG1.unpack(raw))
+    _LAYOUT, _WHAT = struct.Struct(">Q20s20s20s"), "authentication request"  # 68 bytes
+    to_bytes, from_bytes = _to_bytes, classmethod(_from_bytes)
 
 
 class Msg2(NamedTuple):
@@ -185,14 +174,12 @@ class Msg2(NamedTuple):
     m2: bytes
     t2: int
 
-    def to_bytes(self) -> bytes:
-        return _MSG2.pack(*self)
+    _LAYOUT, _WHAT = struct.Struct(">20s20sQ"), "server reply"           # 48 bytes
+    to_bytes, from_bytes = _to_bytes, classmethod(_from_bytes)
 
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Msg2":
-        if len(raw) != MSG2_WIDTH:
-            raise ValueError(f"server reply must be {MSG2_WIDTH} bytes")
-        return cls._make(_MSG2.unpack(raw))
+
+REG_REQUEST_WIDTH, PROVISIONAL_WIDTH, MSG1_WIDTH, MSG2_WIDTH = (
+    cls._LAYOUT.size for cls in (RegRequest, ProvisionalCard, Msg1, Msg2))
 
 
 # --- user-side flows --------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Primitive-layer tests: frozen hash vectors, cipher authentication,
 sketch tolerance, clock and counter behavior."""
 
+import math
 import random
 
 import pytest
@@ -58,6 +59,14 @@ def test_rng_has_no_instance_dict_and_restores_its_state():
     first = (rng.randbytes(20), rng.getrandbits(FE_BLOCKS))
     rng.setstate(state)
     assert (rng.randbytes(20), rng.getrandbits(FE_BLOCKS)) == first
+
+
+def test_primitive_ops_has_no_instance_dict():
+    # every entity holds one, so a run keeps one per party alive
+    ops = PrimitiveOps(1)
+    assert not hasattr(ops, "__dict__")
+    with pytest.raises(AttributeError):
+        ops.extra = None
 
 
 _DRAWS = ("rand_digest", "rand_template", "fe_gen", "enc", "release")
@@ -169,7 +178,10 @@ WIRE_DECODERS = [
 ]
 
 
-@pytest.mark.parametrize("decode,width", WIRE_DECODERS)
+# a wire decoder is the shared `_from_bytes`; its id is the name each class
+# binds it to
+@pytest.mark.parametrize("decode,width", WIRE_DECODERS,
+                         ids=lambda v: None if isinstance(v, int) else v.__name__.lstrip("_"))
 @given(st.data())
 @settings(max_examples=25)
 def test_wire_decoders_reject_wrong_width(decode, width, data):
@@ -324,11 +336,54 @@ def test_sketch_offset_is_masked_codeword():
     bio = ops.rand_template()
     message = ops.rng.getrandbits(FE_BLOCKS)
     sigma, helper = gen_sketch(bio, message)
-    word = int.from_bytes(helper.offset, "big") ^ int.from_bytes(bio.value, "big")
+    word = int.from_bytes(helper[:BIO_WIDTH], "big") ^ int.from_bytes(bio.value, "big")
     assert word == repetition_encode(message)
     assert repetition_decode(word) == message
     assert sigma == oracle.fe_key(message)
-    assert helper.offset == oracle.fe_offset(bio.value, message)
+    assert helper[:BIO_WIDTH] == oracle.fe_offset(bio.value, message)
+
+
+@given(st.binary(min_size=BIO_WIDTH, max_size=BIO_WIDTH), st.integers(0, 2 ** FE_BLOCKS - 1))
+def test_helper_data_leaks_all_but_the_message_bits(template, message):
+    # The public helper data is offset ‖ h(sigma). Each 5-bit block of the
+    # offset is the template's block or its complement, and the pad bit is
+    # the template's own, so a ledger reader is left 2**51 guesses: one per
+    # message, each checked against h(sigma) with no reading of the biometric.
+    sigma, helper = gen_sketch(BioTemplate(template), message)
+    assert type(helper) is bytes and len(helper) == BIO_WIDTH + WIDTH
+    offset, bio = int.from_bytes(helper[:BIO_WIDTH], "big"), int.from_bytes(template, "big")
+    for j in range(FE_BLOCKS):
+        block = (bio >> 5 * j) & 0b11111
+        assert (offset >> 5 * j) & 0b11111 in (block, block ^ 0b11111)
+    assert offset >> FE_PAD_BIT == bio >> FE_PAD_BIT
+    assert helper[BIO_WIDTH:] == sha256_160(sigma)
+
+
+def exact_false_reject_rate(p: float) -> float:
+    """1 - (1 - P[>= 3 of a block's 5 bits flip]) ** FE_BLOCKS"""
+    block = sum(math.comb(5, k) * p ** k * (1 - p) ** (5 - k) for k in range(3, 6))
+    return 1 - (1 - block) ** FE_BLOCKS
+
+
+@pytest.mark.parametrize("p, rate", [(0.02, 0.004), (0.05, 0.057), (0.10, 0.355),
+                                     (0.20, 0.952)])
+def test_false_reject_rate_agrees_with_a_seeded_monte_carlo(p, rate):
+    # each of the 256 template bits flips independently with probability p
+    exact = exact_false_reject_rate(p)
+    assert exact == pytest.approx(rate, abs=5e-4)
+    ops = PrimitiveOps(seed=18)
+    bio = ops.rand_template()
+    sigma, helper = ops.fe_gen(bio)
+    noise = random.Random(round(100 * p))
+    trials, rejects = 2000, 0
+    for _ in range(trials):
+        flips = [pos for pos in range(BIO_WIDTH * 8) if noise.random() < p]
+        try:
+            assert recover_key(bio.with_flips(flips), helper) == sigma
+        except RecoveryFailure:
+            rejects += 1
+    sd = math.sqrt(trials * exact * (1 - exact))       # binomial standard deviation
+    assert abs(rejects - trials * exact) <= 4 * sd, rejects
 
 
 def test_sketch_single_flips_all_recover():
@@ -413,7 +468,7 @@ def test_repetition_encode_matches_per_block_loop(message):
 
 
 def test_helper_data_serialization_roundtrip():
-    # the helper data is serialized as two fields of its card's payload
+    # the helper data is serialized as one 52-byte field of its card's payload
     ops = PrimitiveOps(seed=15)
     _, helper = ops.fe_gen(ops.rand_template())
     card = SmartCard(*(ops.rand_digest() for _ in range(6)), helper, ops.rand_digest())

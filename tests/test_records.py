@@ -2,17 +2,22 @@
 NamedTuples whose new versions are new records, and every wire or
 ledger record decodes back from its own bytes. The chain links and every
 protocol value a run keeps are raw 20-byte bytes; a token record's sealed
-token is its envelope's raw bytes."""
+token is its envelope's raw bytes, and a card's biometric helper data its
+52 raw bytes."""
+
+import re
+from pathlib import Path
 
 import pytest
 
+from l2ai import ledger as ledger_module
 from l2ai.channel import parse_scenario
 from l2ai.harness import HONEST_SCENARIO, World, run_scenario
 from l2ai.ledger import (
     IdentityIndex, Ledger, LedgerBlock, SmartCard, TokenRecord,
     parse_record,
 )
-from l2ai.primitives import WIDTH, PrimitiveOps, seal
+from l2ai.primitives import BIO_WIDTH, WIDTH, PrimitiveOps, seal
 from l2ai.protocol import Msg1, Msg2, ProvisionalCard, RegRequest, UserSession
 
 _ops = PrimitiveOps(seed=40)
@@ -26,7 +31,6 @@ RECORDS = {
     "SmartCard": (_CARD, "ax_ui", _d()),
     "TokenRecord": (TokenRecord(_d(), _SEALED), "revoked", True),
     "IdentityIndex": (IdentityIndex(_d(), _d()), "superseded_by", _d()),
-    "HelperData": (_CARD.tau, "check", _d()),
     "UserSession": (UserSession(_d(), _d()), "w1", _d()),
     "RegRequest": (RegRequest(_d(), _d(), _d()), "pwd", _d()),
     "ProvisionalCard": (ProvisionalCard(_d(), _d(), _d(), _d(), _d()), "k_i", _d()),
@@ -109,7 +113,7 @@ def test_every_kept_protocol_value_is_raw_20_bytes():
     ledger = world.ledger
     groups = {
         "card fields": [value for card in ledger._cards.values()
-                        for value in (*card[:6], card.card_uid, card.tau.check)],
+                        for value in (*card[:6], card.card_uid, card.tau[BIO_WIDTH:])],
         "card lookup keys": list(ledger._cards),
         "identity lookup": [v for item in ledger._idents.items() for v in item],
         "live-by-user lookup": [v for item in ledger._live_by_user.items() for v in item],
@@ -122,6 +126,54 @@ def test_every_kept_protocol_value_is_raw_20_bytes():
         assert values, name
         assert all(type(v) is bytes and len(v) == WIDTH for v in values), name
     assert all(uid in ledger._cards for uid in groups["gateway card ids"])
+    # each card's helper data is one 52-byte value: offset (32), then check (20)
+    assert all(type(card.tau) is bytes and len(card.tau) == BIO_WIDTH + WIDTH
+               for card in ledger._cards.values())
     # each sealed token is one envelope: nonce, length, 20-byte body, tag
     assert all(type(token.y) is bytes and len(token.y) == 16 + 4 + WIDTH + WIDTH
                for token in ledger._tokens.values())
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# each row of the README's format tables, by its first cell, and the layout
+# (and, for a ledger payload, the kind tag) the code packs it with
+DOCUMENTED_LAYOUTS = {
+    "login request": (Msg1._LAYOUT, None),
+    "server reply": (Msg2._LAYOUT, None),
+    "registration request": (RegRequest._LAYOUT, None),
+    "provisional card": (ProvisionalCard._LAYOUT, None),
+    "token": (ledger_module._TOKEN, ledger_module.TOKEN_TAG),
+    "identity index": (ledger_module._IDENT, ledger_module.IDENT_TAG),
+    "card": (ledger_module._CARD, ledger_module.CARD_TAG),
+}
+
+
+def readme_format_rows() -> dict[str, dict[str, str]]:
+    """The rows of every table in the README's "Wire and storage formats"
+    section, keyed by first cell, each a map from column name to cell."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Wire and storage formats", 1)[1].split("\n## ", 1)[0]
+    rows, header = {}, None
+    for line in section.splitlines():
+        if not line.startswith("|"):
+            header = None
+            continue
+        cells = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        if header is None:
+            header = cells
+        elif set(cells[0]) != {"-"}:
+            rows[cells[0]] = dict(zip(header, cells))
+    return rows
+
+
+def test_readme_format_tables_match_the_code():
+    rows = readme_format_rows()
+    assert set(rows) == set(DOCUMENTED_LAYOUTS)
+    for name, (layout, tag) in DOCUMENTED_LAYOUTS.items():
+        row = rows[name]
+        assert row["format"] == layout.format, name
+        # a token's width is its fixed head, then the envelope
+        assert int(re.match(r"\d+", row["width"]).group()) == layout.size, name
+        if tag is not None:
+            assert int(row["tag"], 16) == tag, name
