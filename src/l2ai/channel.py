@@ -32,24 +32,28 @@ applies a seq's actions in a fixed order, and leftover seqs are sorted.
 Delivery handlers return an outcome string and must not raise; the caller
 wraps protocol rejections into outcomes. The outcome is stored on its
 envelope; `deliveries` lists delivered envelopes in order, and `delivered`
-is a read-only view of (envelope, outcome) pairs built on each read. Every
-event is logged to a stable line format, so two runs of the same scenario
-compare equal byte-for-byte. The trace is stored as text: the end of `run`
-joins the drain's pending lines onto the last chunk, and a new chunk starts
-once that one holds TRACE_CHUNK characters. Reading the trace first flushes
-any pending lines (sends made outside a drain, lines logged before a
-`ChannelError`). `trace` is the whole text, the bytes the report's event
-digest covers; `log` renders its lines on demand.
+is a read-only view of (envelope, outcome) pairs built on each read. `run`
+counts the replayed and the tampered deliveries as they land, so a report
+need not scan `deliveries` for them. Every event is logged to a stable line
+format, so two runs of the same scenario compare equal byte-for-byte. The
+trace is stored as text: the end of `run` joins the drain's pending lines
+onto the last chunk, and a new chunk starts once that one holds TRACE_CHUNK
+characters. Reading the trace first flushes any pending lines (sends made
+outside a drain, lines logged before a `ChannelError`). `trace` is the whole
+text and `log` renders its lines on demand. `event_digest` is sha256_160 of
+`trace`: each chunk is fed to a running SHA-256 once, when the next chunk
+starts, so the digest costs only the open chunk and never joins the text.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .permissions import DEFAULT_SCOPE, Role, ascii_int
-from .primitives import SimClock
+from .primitives import WIDTH, SimClock
 
 DEFAULT_DELAY = 50  # one-way delivery delay, simulated milliseconds
 TRACE_CHUNK = 4096  # characters a trace chunk holds before the next one starts
@@ -85,7 +89,6 @@ class Envelope:
     dst: str
     payload: bytes
     send_time: int
-    deliver_time: int
     tampered: bool = False
     replay_of: int | None = None
     owner: object = field(default=None, compare=False)
@@ -94,11 +97,6 @@ class Envelope:
     @property
     def touched(self) -> bool:
         return self.tampered or self.replay_of is not None
-
-    @property
-    def origin(self) -> int:
-        """The seq of the honest send this delivery stems from."""
-        return self.seq if self.replay_of is None else self.replay_of
 
 
 Handler = Callable[[Envelope], str]
@@ -121,7 +119,10 @@ class Channel:
         self.knowledge: dict[int, bytes] = {}     # eavesdropped payloads, as sent
         self._chunks: list[str] = []               # the trace, TRACE_CHUNK-sized chunks
         self._pending: list[str] = []              # lines logged since the last flush
+        self._closed = None                        # sha256 of the closed chunks, once any
         self.deliveries: list[Envelope] = []       # delivered envelopes, in order
+        self.replay_deliveries = 0                 # of them, replayed copies
+        self.tampered_deliveries = 0               # of them, modified on the wire
         self.dropped: set[int] = set()            # seqs swallowed by a drop action
         self._next_seq = 1
         self._next_replay = -1
@@ -179,7 +180,7 @@ class Channel:
                 self._next_replay -= 1
                 self._pushes += 1
                 heapq.heappush(self._queue, (at, self._pushes, Envelope(
-                    rseq, src, dst, payload, now, at, False, seq, owner)))
+                    rseq, src, dst, payload, now, False, seq, owner)))
                 pending.append(f"{now:08d} REPLAY seq={rseq} of={seq} at={at}")
             for offset, mask in armed.modifies:
                 end = offset + len(mask)
@@ -195,11 +196,10 @@ class Channel:
                                        f"{armed.drop[1]} but the send is {src}->{dst}")
                 pending.append(f"{now:08d} DROP seq={seq} {src}->{dst}")
                 self.dropped.add(seq)
-        env = Envelope(seq, src, dst, out, now, now + self.base_delay, out != payload,
-                       None, owner)
+        env = Envelope(seq, src, dst, out, now, out != payload, None, owner)
         if armed is None or armed.drop is None:
             self._pushes += 1
-            heapq.heappush(self._queue, (env.deliver_time, self._pushes, env))
+            heapq.heappush(self._queue, (now + self.base_delay, self._pushes, env))
         return env
 
     def run(self, handlers: dict[str, Handler], strict: bool = True) -> None:
@@ -207,15 +207,19 @@ class Channel:
         With strict=True, leftover armed actions fail the run."""
         queue, clock, pending = self._queue, self.clock, self._pending
         while queue:
-            env = heapq.heappop(queue)[2]
-            clock.advance_to(env.deliver_time)
-            pending.append(f"{env.deliver_time:08d} DELIVER seq={env.seq} "
+            at, _, env = heapq.heappop(queue)
+            clock.advance_to(at)
+            pending.append(f"{at:08d} DELIVER seq={env.seq} "
                            f"{env.src}->{env.dst} len={len(env.payload)}")
             handler = handlers.get(env.dst)
             if handler is None:
                 raise ChannelError(f"no handler registered for {env.dst!r}")
             outcome = env.outcome = handler(env)
             self.deliveries.append(env)
+            if env.replay_of is not None:
+                self.replay_deliveries += 1
+            if env.tampered:
+                self.tampered_deliveries += 1
             pending.append(f"{clock.now():08d} OUTCOME seq={env.seq} {outcome}")
         self._flush()
         if strict and self._armed:
@@ -234,7 +238,21 @@ class Channel:
             self._pending.clear()
             if chunks and len(chunks[-1]) < TRACE_CHUNK:
                 text = "\n".join((chunks.pop(), text))
+            elif chunks:                # the last chunk closes: hash it, once
+                if self._closed is None:
+                    self._closed = hashlib.sha256()
+                self._closed.update(chunks[-1].encode())
+                self._closed.update(b"\n")
             chunks.append(text)
+
+    def event_digest(self) -> bytes:
+        """sha256_160 of `trace` as UTF-8, without joining it: the closed
+        chunks are hashed already, so only the open one is added."""
+        self._flush()
+        digest = hashlib.sha256() if self._closed is None else self._closed.copy()
+        if self._chunks:
+            digest.update(self._chunks[-1].encode())
+        return digest.digest()[:WIDTH]
 
     @property
     def trace(self) -> str:

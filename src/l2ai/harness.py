@@ -13,8 +13,11 @@ replies, a user name for enrollment traffic), replayed copies included, so the
 delivery handler records its result on the envelope's owner. The channel
 decides each drop when the message is sent, so a dropped enrollment send
 taints its user right there. Call check_invariants after the final drain;
-it is the one place the ledger chain is verified, and the report renders the
-verdict it is given.
+it is the one place the ledger chain is verified and the verdict's one
+pass over the channel's deliveries. The report renders the verdict it is
+given, with the event digest and the replayed and tampered counts the
+channel kept as the run went, so it neither joins the trace nor scans the
+deliveries.
 
 The invariant checker encodes what a run must satisfy regardless of the
 adversary script:
@@ -288,13 +291,6 @@ class World:
         check_invariants."""
         ch = self.channel
         sends = sum(self.width_counts.values())
-        replays = tampered = 0
-        for env in ch.deliveries:
-            if env.replay_of is not None:
-                replays += 1
-            if env.tampered:
-                tampered += 1
-
         lines = [
             "l2ai-report v=1",
             f"config seed={self.seed} delta-t={self.server.delta_t} "
@@ -331,13 +327,13 @@ class World:
             lines.append(f"violation {text}")
 
         rejected = len(self.sessions) - verified - pending - local
-        digest = sha256_160(ch.trace.encode()).hex()
+        digest = ch.event_digest().hex()
         lines.extend([
             f"summary sessions={len(self.sessions)} verified={verified} "
             f"rejected={rejected} pending={pending} local={local}",
             f"summary sends={sends} deliveries={len(ch.deliveries)} "
-            f"drops={len(ch.dropped)} replay-deliveries={replays} "
-            f"tampered-deliveries={tampered}",
+            f"drops={len(ch.dropped)} replay-deliveries={ch.replay_deliveries} "
+            f"tampered-deliveries={ch.tampered_deliveries}",
             f"summary users={len(self.users)} tainted={len(self.tainted)}",
             f"summary ledger-blocks={len(self.ledger.blocks)} "
             f"chain-ok={'NO' if CHAIN_VIOLATION in violations else 'yes'}",
@@ -370,12 +366,16 @@ def check_invariants(world: World) -> list[str]:
         violations.append(CHAIN_VIOLATION)
 
     accepted_per_origin: dict[int, int] = {}
+    accepted = accepted_per_origin.get
     for env in world.channel.deliveries:
-        if len(env.payload) in AUTH_WIDTHS and not env.outcome.startswith("rejected"):
+        outcome = env.outcome
+        # the first character settles every honest outcome without a call
+        if (outcome[:1] != "r" or not outcome.startswith("rejected")) \
+                and len(env.payload) in AUTH_WIDTHS:
             if env.tampered:
-                violations.append(f"tampered delivery seq={env.seq} accepted: {env.outcome}")
-            origin = env.origin
-            accepted_per_origin[origin] = accepted_per_origin.get(origin, 0) + 1
+                violations.append(f"tampered delivery seq={env.seq} accepted: {outcome}")
+            origin = env.seq if env.replay_of is None else env.replay_of
+            accepted_per_origin[origin] = accepted(origin, 0) + 1
     # sort only the replayed origins, not a tuple per accepted message
     for origin in sorted(o for o, count in accepted_per_origin.items() if count > 1):
         violations.append(f"message seq={origin} accepted {accepted_per_origin[origin]} "

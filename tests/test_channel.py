@@ -6,13 +6,14 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from l2ai.channel import (
     Channel, ChannelError, DEFAULT_DELAY, ParseError, Scenario, TRACE_CHUNK,
     UnknownSeq, parse_scenario,
 )
 from l2ai.permissions import DEFAULT_SCOPE, Role
-from l2ai.primitives import SimClock
+from l2ai.primitives import SimClock, sha256_160
 
 
 def sink(outcomes):
@@ -107,7 +108,7 @@ def test_replay_reinjects_original_bytes():
     assert seen == [(1, b"\x01\x02"), (-1, b"\x00\x02")]
     replayed = ch.delivered[1][0]
     assert replayed.replay_of == 1 and replayed.touched and not replayed.tampered
-    assert replayed.deliver_time == 5000 and clock.now() == 5000
+    assert clock.now() == 5000 and "00005000 DELIVER seq=-1 a->b len=2" in ch.log
 
 
 def test_owner_rides_on_replayed_copies_and_stays_out_of_equality():
@@ -133,7 +134,7 @@ def test_delivered_pairs_each_envelope_with_its_outcome_in_delivery_order():
     def numbered(env):
         if env.seq == 1:
             ch.send("b", "a", b"reply")
-        returned.append(f"took seq={env.seq} at={env.deliver_time}")
+        returned.append(f"took seq={env.seq} at={ch.clock.now()}")
         return returned[-1]
 
     sent = [ch.send("a", "b", b"one"), ch.send("a", "b", b"two")]
@@ -141,6 +142,7 @@ def test_delivered_pairs_each_envelope_with_its_outcome_in_delivery_order():
     assert [env.seq for env, _ in ch.delivered] == [1, 3, -1]
     assert ch.delivered == [(env, env.outcome) for env in ch.deliveries]
     assert [outcome for _, outcome in ch.delivered] == returned
+    assert returned == ["took seq=1 at=10", "took seq=3 at=20", "took seq=-1 at=500"]
     # each stored outcome is the one its OUTCOME line names
     traced = [line.split(" ", 3)[2:] for line in ch.log if " OUTCOME " in line]
     assert traced == [[f"seq={env.seq}", env.outcome] for env in ch.deliveries]
@@ -335,6 +337,63 @@ def test_trace_keeps_lines_not_yet_drained_and_lines_before_an_error():
                            "00000010 OUTCOME seq=1 ok",
                            "00000010 DELIVER seq=2 a->nobody len=2"]
     assert ch.trace == "\n".join(ch.log)
+
+
+# A line naming the long party is a fifth of a chunk or more, so a burst of
+# sends to it closes several chunks; "ghost" has no handler.
+PARTIES = ("a", "zoë", "ünïcødé-" * 100)
+TRAFFIC = st.one_of(
+    st.tuples(st.just("send"), st.sampled_from(PARTIES),
+              st.sampled_from(PARTIES + ("ghost",)), st.integers(1, 30), st.booleans()),
+    st.tuples(st.just("drop"), st.sampled_from(PARTIES), st.sampled_from(PARTIES),
+              st.integers(0, 6)),
+    st.tuples(st.just("replay"), st.integers(0, 6), st.integers(0, 3000)),
+    st.tuples(st.just("modify"), st.integers(0, 6), st.integers(0, 4)),
+    st.tuples(st.just("run"), st.booleans()),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(traffic=[("send", PARTIES[2], PARTIES[1], 30, True), ("run", False)])
+@given(traffic=st.lists(TRAFFIC, min_size=1, max_size=20))
+def test_event_digest_is_the_digest_of_the_trace(traffic):
+    # Sends, drains, drops, replays and modifies, with scripting mistakes
+    # raising ChannelError from a send or from inside a drain, and sends left
+    # undrained: after every step the streamed digest is the hash of the text.
+    ch = Channel(SimClock(), base_delay=10)
+    sent = 0                        # a refused send still takes its seq
+
+    def send(src, dst, payload):
+        nonlocal sent
+        sent += 1
+        ch.send(src, dst, payload)
+
+    def handler(env):
+        if env.payload[:1] == b"?":
+            send(env.dst, env.src, b"!")
+        return f"took {len(env.payload)} bytes"
+
+    handlers = dict.fromkeys(PARTIES, handler)
+    for kind, *args in traffic:
+        try:
+            if kind == "send":
+                src, dst, count, ask = args
+                for i in range(count):
+                    send(src, dst, (b"?" if ask else b".") + bytes(i))
+            elif kind == "drop":
+                ch.script_drop(args[0], args[1], sent + 1 + args[2])
+            elif kind == "replay":
+                ch.script_replay(sent + 1 + args[0], ch.clock.now() + args[1])
+            elif kind == "modify":
+                ch.script_modify(sent + 1 + args[0], args[1], b"\x01")
+            else:
+                ch.run(handlers, strict=args[0])
+        except ChannelError:
+            pass
+        digest = ch.event_digest()
+        assert digest == sha256_160(ch.trace.encode())
+        assert ch.replay_deliveries == sum(e.replay_of is not None for e in ch.deliveries)
+        assert ch.tampered_deliveries == sum(e.tampered for e in ch.deliveries)
 
 
 # --- scenario grammar ---------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from l2ai import cli
-from l2ai.channel import HONEST_PHASES, ChannelError, parse_scenario
+from l2ai.channel import HONEST_PHASES, Channel, ChannelError, parse_scenario
 from l2ai.cli import main as cli_main
 from l2ai.harness import (
     _ATTACK_CASES, AUTH_WIDTHS, CHAIN_VIOLATION, EXPECTED_OPS, HONEST_SCENARIO,
@@ -91,6 +91,38 @@ def test_event_digest_covers_lines_logged_before_a_channel_error():
     assert log[-2:] == ["00000150 DELIVER seq=3 a->hms len=68",
                         "00000150 SEND seq=4 hms->a len=48"]
     assert report_digest(world) == sha256_160("\n".join(log).encode()).hex()
+
+
+def test_report_neither_joins_nor_reads_the_trace(monkeypatch):
+    # 2,000 sessions leave a trace of about 560 K characters; the report
+    # hashes only its open chunk, so its peak stays well below the trace,
+    # where joining and encoding the trace took more than twice its length
+    world = World(seed=5)
+    for i in range(200):
+        world.register_user(f"u{i:03d}")
+    world.drain()
+    for i in range(2000):
+        world.auth_attempt(f"u{i % 200:03d}")
+        world.drain()
+        world.clock.advance(1 + i % 40)
+    violations = check_invariants(world)
+    trace = world.channel.trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        lines = world.report_lines(violations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not violations and len(trace) > 500_000
+    assert f"summary event-digest={sha256_160(trace.encode()).hex()}" in lines
+    assert peak < len(trace), f"report peak {peak} B for a {len(trace)}-character trace"
+
+    def unread(channel):
+        raise AssertionError("the report read Channel.trace")
+
+    monkeypatch.setattr(Channel, "trace", property(unread))
+    assert world.report_lines(violations) == lines
 
 
 def test_tampered_msg1_rejected_without_violations():
