@@ -94,10 +94,6 @@ class Envelope:
     owner: object = field(default=None, compare=False)
     outcome: str | None = field(default=None, compare=False)
 
-    @property
-    def touched(self) -> bool:
-        return self.tampered or self.replay_of is not None
-
 
 Handler = Callable[[Envelope], str]
 

@@ -11,13 +11,13 @@ width dispatch has already checked the one thing a decoder checks.
 Each send carries its owner on its envelope (a Session for msg1 and server
 replies, a user name for enrollment traffic), replayed copies included, so the
 delivery handler records its result on the envelope's owner. The channel
-decides each drop when the message is sent, so a dropped enrollment send
-taints its user right there. Call check_invariants after the final drain;
-it is the one place the ledger chain is verified and the verdict's one
-pass over the channel's deliveries. The report renders the verdict it is
-given, with the event digest and the replayed and tampered counts the
-channel kept as the run went, so it neither joins the trace nor scans the
-deliveries.
+decides each drop and modification at send time, so World._send marks the
+damaged send's Session hit, or taints its user, right there. Call
+check_invariants after the final drain; it is the one place the ledger chain
+is verified and the verdict's one pass over the channel's deliveries. The
+report renders the verdict it is given, with the event digest and the
+replayed and tampered counts the channel kept as the run went, so it neither
+joins the trace nor scans the deliveries.
 
 The invariant checker encodes what a run must satisfy regardless of the
 adversary script:
@@ -27,8 +27,8 @@ adversary script:
   * each authentication request is accepted at most once across its
     original delivery and any replays (a replay of a message whose original
     was suppressed is a delayed delivery and may legitimately succeed);
-  * sessions the adversary never touched complete with equal session keys
-    on both sides.
+  * untouched sessions (the channel dropped or modified no message the
+    session owns, decided when each is sent) complete with equal keys.
 
 Registration traffic is assumed to run over a protected enrollment channel,
 so a scenario that tampers with it taints the user instead of proving
@@ -87,16 +87,16 @@ EXPECTED_OPS = {
 @dataclass(slots=True)
 class Session:
     """One authentication attempt, from the user's login call to the final
-    verdict. Wire-less local failures have no msg1 envelope; reply_env is the
-    server's reply as the channel sent it. `outcome` is written where each
-    verdict is decided: a verified reply outranks the server's rejection of
-    the original msg1, which outranks the user's rejection of an original
-    reply."""
+    verdict. Wire-less local failures have no msg1 envelope; `hit` says the
+    channel dropped or modified a message the session owns. `outcome` is
+    written where each verdict is decided: a verified reply outranks the
+    server's rejection of the original msg1, which outranks the user's
+    rejection of an original reply."""
 
     user: str
     scope: str
     msg1_env: Envelope | None = None
-    reply_env: Envelope | None = None
+    hit: bool = False
     sk_user: bytes | None = None
     sk_server: bytes | None = None
     outcome: str = "pending"
@@ -168,13 +168,17 @@ class World:
             self.phase_calls[key] += 1
 
     def _send(self, src: str, dst: str, payload: bytes,
-              owner: Session | str | None) -> Envelope:
+              owner: Session | str) -> Envelope:
         """Put a payload on the wire for its owner: a Session, or the name of
-        the user whose enrollment it carries, who is tainted if it is dropped."""
+        the user whose enrollment it carries; a dropped or modified send hits
+        the one or taints the other."""
         self.width_counts[len(payload)] += 1
         env = self.channel.send(src, dst, payload, owner)
-        if isinstance(owner, str) and env.seq in self.channel.dropped:
-            self.tainted.add(owner)
+        if env.tampered or env.seq in self.channel.dropped:
+            if isinstance(owner, str):
+                self.tainted.add(owner)
+            else:
+                owner.hit = True
         return env
 
     # --- honest steps -------------------------------------------------------------
@@ -230,8 +234,8 @@ class World:
         """The delivery handler of every party: the receiver and the payload
         width choose the step; an auth-width delivery carries its Session."""
         width, owner = len(env.payload), env.owner
-        if isinstance(owner, str) and env.touched:
-            self.tainted.add(owner)         # its user's enrollment was hit
+        if isinstance(owner, str) and env.replay_of is not None:
+            self.tainted.add(owner)         # its user's enrollment was replayed
         if env.dst == SERVER:
             if width == REG_REQUEST_WIDTH:
                 provisional, rejected = self._metered(
@@ -251,7 +255,7 @@ class World:
                         owner.outcome = rejected
                     return rejected
                 msg2, sk = result
-                owner.reply_env = self._send(SERVER, env.src, msg2.to_bytes(), owner)
+                self._send(SERVER, env.src, msg2.to_bytes(), owner)
                 owner.sk_server = sk
                 return f"accepted sk={sk.hex()[:8]}"
         else:
@@ -382,19 +386,15 @@ def check_invariants(world: World) -> list[str]:
                           "times (replay got through)")
 
     # one pass: incomplete untouched sessions, then key mismatches, in order
-    dropped, tainted = world.channel.dropped, world.tainted
+    tainted = world.tainted
     mismatched: list[str] = []
     for session in world.sessions:
         sk_user, sk_server = session.sk_user, session.sk_server
         if sk_user is not None and sk_server is not None and sk_user != sk_server:
             mismatched.append(f"session keys differ for user={session.user}")
-        env, reply = session.msg1_env, session.reply_env
-        if env is None or session.user in tainted:
-            continue            # rejected locally, or its user's enrollment was hit
-        if env.tampered or env.seq in dropped:
-            continue
-        if reply is not None and (reply.tampered or reply.seq in dropped):
-            continue
+        env = session.msg1_env
+        if env is None or session.hit or session.user in tainted:
+            continue    # rejected locally, hit on the wire, or its user is tainted
         if sk_user is None or sk_user != sk_server:
             violations.append(f"untouched session (user={session.user} "
                               f"seq={env.seq}) did not complete: {session.outcome}")

@@ -85,9 +85,6 @@ class BioTemplate:
             as_int ^= 1 << p
         return BioTemplate(as_int.to_bytes(BIO_WIDTH, "big"))
 
-    def __repr__(self) -> str:
-        return f"BioTemplate({self.value.hex()})"
-
 
 # --- authenticated cipher -----------------------------------------------------
 #

@@ -63,7 +63,7 @@ def test_eavesdrop_records_bytes_as_sent():
     env = ch.send("a", "b", b"\x00\x01\x02")
     assert ch.knowledge[1] == b"\x00\x01\x02"   # pre-modification
     assert env.payload == b"\xff\x01\x02"
-    assert env.tampered and env.touched
+    assert env.tampered and env.replay_of is None
 
 
 def test_modifies_compose_and_bounds_checked():
@@ -107,7 +107,7 @@ def test_replay_reinjects_original_bytes():
     ch.run({"b": sink(seen)})
     assert seen == [(1, b"\x01\x02"), (-1, b"\x00\x02")]
     replayed = ch.delivered[1][0]
-    assert replayed.replay_of == 1 and replayed.touched and not replayed.tampered
+    assert replayed.replay_of == 1 and not replayed.tampered
     assert clock.now() == 5000 and "00005000 DELIVER seq=-1 a->b len=2" in ch.log
 
 
@@ -173,6 +173,18 @@ def test_replay_before_send_time_is_a_scripting_error():
     ch.script_replay(1, 99)
     with pytest.raises(ChannelError):
         ch.send("a", "b", b"x")
+
+
+def test_a_replay_due_with_a_queued_send_lands_in_push_order():
+    # seq 1 is queued for t=50 when seq 2's replay is armed for t=50 too:
+    # heap entries that tie on time fall back to the order they were pushed
+    ch = Channel(SimClock(), base_delay=50)
+    ch.script_replay(2, 50)
+    ch.send("a", "b", b"one")
+    ch.send("a", "b", b"two")
+    seen = []
+    ch.run({"b": sink(seen)})
+    assert seen == [(1, b"one"), (-1, b"two"), (2, b"two")]
 
 
 def test_honest_numbering_immune_to_armed_actions():
@@ -241,6 +253,10 @@ def test_a_second_drop_and_a_bad_modify_are_refused_and_arm_nothing():
         ch.script_modify(6, -1, b"\x01")
     with pytest.raises(ChannelError, match="non-empty mask"):
         ch.script_modify(3, 0, b"")
+    with pytest.raises(ChannelError, match="replay time must be non-negative"):
+        ch.script_replay(6, -1)
+    with pytest.raises(ChannelError, match="sequence numbers start at 1, got 0"):
+        ch.script_eavesdrop(0)
     assert sorted(ch._armed) == [3] and ch._armed[3].drop == ("a", "b")
 
 
@@ -327,7 +343,8 @@ def test_trace_keeps_lines_not_yet_drained_and_lines_before_an_error():
     ch = Channel(SimClock(), base_delay=10)
     assert ch.trace == "" and ch.log == []
     ch.send("a", "b", b"x")
-    assert ch.log == ["00000000 SEND seq=1 a->b len=1"]    # sent, not drained
+    assert ch.trace == "00000000 SEND seq=1 a->b len=1"    # sent, not drained
+    assert ch.log == ["00000000 SEND seq=1 a->b len=1"]
 
     ch.send("a", "nobody", b"yy")
     with pytest.raises(ChannelError):
@@ -490,6 +507,8 @@ def test_parsed_honest_step_defaults_and_immutability():
     ("modify ３ 1 ff", "seq must be an integer, got '３'"),
     ("modify 3 0_1 ff", "offset must be an integer, got '0_1'"),
     ("eavesdrop 0", ">= 1"),
+    ("eavesdrop", "usage"),
+    ("eavesdrop 1 2", "usage"),
     ("drop a b", "usage"),
     ("modify 1 2", "usage"),
     ("modify 1 2 zz", "hex"),

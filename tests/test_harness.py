@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from l2ai import cli
+from l2ai import cli, harness
 from l2ai.channel import HONEST_PHASES, Channel, ChannelError, parse_scenario
 from l2ai.cli import main as cli_main
 from l2ai.harness import (
@@ -24,7 +24,7 @@ from l2ai.harness import (
 from l2ai.permissions import (
     DEFAULT_TABLE_TEXT, SCOPE_CATALOG, PermissionTable, Role, RoleGrant,
 )
-from l2ai.ledger import LedgerBlock, TokenRecord
+from l2ai.ledger import Ledger, LedgerBlock, TokenRecord
 from l2ai.primitives import WIDTH, seal, sha256_160
 from l2ai.protocol import HospitalServer, RegRequest, UserGateway
 
@@ -177,6 +177,24 @@ def test_auth_disturbance_taints_nobody(script):
     assert world.tainted == set()
     auth = [env for env in world.channel.deliveries if len(env.payload) in AUTH_WIDTHS]
     assert auth and all(isinstance(env.owner, Session) for env in auth)
+
+
+# the channel decides each drop and modification at send time, and the send
+# marks its Session hit there; a replay or an eavesdrop hits nothing
+@pytest.mark.parametrize("attack, hit", [
+    ("drop alice hms 3", True), ("modify 3 10 ff", True),
+    ("drop hms alice 4", True), ("modify 4 5 80", True),
+    ("replay 3 120", False), ("replay 4 210", False), ("eavesdrop 3", False),
+])
+def test_a_session_is_hit_when_the_channel_drops_or_modifies_its_message(attack, hit):
+    world, result = run_text(f"honest register alice\nhonest auth alice\n{attack}\n")
+    assert result.ok, result.violations
+    assert [session.hit for session in world.sessions] == [hit]
+    # the verdict reads the flag, not the channel's drop set or tampered flags
+    world.channel.dropped.clear()
+    for env in world.channel.deliveries:
+        env.tampered = False
+    assert check_invariants(world) == []
 
 
 def test_unexpected_width_is_rejected_without_a_protocol_call():
@@ -366,17 +384,130 @@ def test_scope_by_session_not_global():
     assert bad.outcome == "rejected Unauthorized"
 
 
-@pytest.mark.parametrize("name", ["honest", "attacks", "metrics"])
+@pytest.mark.parametrize("name", ["honest", "attacks", "metrics", "fuzz"])
 def test_suite_passes(name):
     lines = []
     assert SUITES[name](seed=42, emit=lines.append) is True
-    assert lines and not any(line.startswith("FAIL") for line in lines)
+    golden = GOLDEN / f"suite-{name}-seed42.txt"
+    assert lines == golden.read_text(encoding="utf-8").splitlines()
+
+
+def test_honest_suite_reports_a_violating_seed(monkeypatch):
+    # a checker that finds one violation on one seed fails the suite
+    check = harness.check_invariants
+    monkeypatch.setattr(harness, "check_invariants",
+                        lambda world: check(world) + ["planted"] * (world.seed == 44))
+    lines = []
+    assert SUITES["honest"](seed=42, emit=lines.append) is False
+    assert lines[1:4] == ["ok honest seed=43 sessions=4 verified=4 distinct-keys=4",
+                          "FAIL honest seed=44 sessions=4 verified=4 distinct-keys=4",
+                          "  violation: planted"]
+    assert sum(line.startswith("FAIL") for line in lines) == 1 and len(lines) == 21
+
+
+def test_attack_suite_reports_expectations_that_do_not_match(monkeypatch):
+    _, replay_text, _ = _ATTACK_CASES[0]
+    monkeypatch.setattr(harness, "_ATTACK_CASES", [
+        ("wrong-replay", replay_text,
+         {"replay_outcome": "verified", "verified": 0}),
+        ("wrong-sessions", "honest register alice\nhonest auth alice\n",
+         {"session_outcomes": ["pending"], "verified": 1}),
+    ])
+    lines = []
+    assert SUITES["attacks"](seed=42, emit=lines.append) is False
+    assert lines == [
+        "FAIL attack wrong-replay",
+        "  problem: expected 0 verified, got 1",
+        "  problem: replay outcomes ['rejected UnknownPrincipal'] != [verified]",
+        "FAIL attack wrong-sessions",
+        "  problem: session outcomes ['verified'] != ['pending']",
+        "ok attack scope-outside-role (outcome=rejected Unauthorized)",
+    ]
+
+
+def test_attack_suite_reports_a_scope_granted_outside_the_role(monkeypatch):
+    monkeypatch.setattr(harness, "_ATTACK_CASES", [])
+    monkeypatch.setattr(PermissionTable, "allows", lambda self, role, scope, at_ms: True)
+    lines = []
+    assert SUITES["attacks"](seed=42, emit=lines.append) is False
+    assert lines == ["FAIL attack scope-outside-role (outcome=verified)"]
+
+
+def _wrong_login_counts(monkeypatch):
+    login = EXPECTED_OPS[("user", "login")]
+    monkeypatch.setitem(EXPECTED_OPS, ("user", "login"), {**login, "hash": login["hash"] + 1})
+
+
+# one fault per run, each failing exactly one of the suite's checks
+@pytest.mark.parametrize("fault, failed", [
+    (_wrong_login_counts,
+     "FAIL metrics side=user phase=login calls=4 hash=24/28 xor=24/24 enc=0/0 dec=0/0 fe=4/4"),
+    (lambda mp: mp.setitem(EXPECTED_OPS, ("server", "audit"), EXPECTED_OPS[("user", "verify")]),
+     "FAIL metrics side=server phase=audit: never exercised"),
+    (lambda mp: mp.setitem(harness.WIRE_KINDS, 1, "probe"),
+     "FAIL metrics wire-widths 1B=0 48B=4 60B=2 68B=4 100B=2"),
+    (lambda mp: mp.setattr(Ledger, "verify_chain", lambda self: False),
+     f"FAIL metrics: {CHAIN_VIOLATION}"),
+], ids=["wrong-counts", "never-exercised", "wire-kind-never-sent", "violation"])
+def test_metrics_suite_reports_each_failed_check(monkeypatch, fault, failed):
+    fault(monkeypatch)
+    lines = []
+    assert SUITES["metrics"](seed=42, emit=lines.append) is False
+    assert [line for line in lines if line.startswith("FAIL")] == [failed]
 
 
 def test_fuzz_suite_scaled_down():
     lines = []
     assert SUITES["fuzz"](seed=42, sessions=80, users=8, emit=lines.append)
     assert lines[0].startswith("ok fuzz")
+
+
+def test_fuzz_suite_reports_a_session_that_does_not_verify(monkeypatch):
+    monkeypatch.setattr(PermissionTable, "allows", lambda self, role, scope, at_ms: False)
+    lines = []
+    assert SUITES["fuzz"](seed=42, sessions=80, users=8, emit=lines.append) is False
+    assert lines[0].startswith("FAIL fuzz sessions=80 users=8 ")
+    assert lines[1] == "  problem: session #0 user=u03 scope=read-prescriptions: " \
+                       "rejected Unauthorized"
+    assert len(lines) == 21         # the first twenty problems
+
+
+def test_fuzz_suite_reports_tampered_traffic(monkeypatch):
+    # the first session's server reply is modified on the wire
+    init = Channel.__init__
+
+    def armed(self, *args):
+        init(self, *args)
+        self.script_modify(18, 5, b"\x80")
+
+    monkeypatch.setattr(Channel, "__init__", armed)
+    lines = []
+    assert SUITES["fuzz"](seed=42, sessions=80, users=8, emit=lines.append) is False
+    assert lines[1:] == [
+        "  problem: session #0 user=u03 scope=read-prescriptions: rejected BadMac",
+        "  problem: fuzz traffic was dropped or tampered"]
+
+
+def test_fuzz_suite_reports_the_verdict_of_the_invariant_checker(monkeypatch):
+    monkeypatch.setattr(Ledger, "verify_chain", lambda self: False)
+    lines = []
+    assert SUITES["fuzz"](seed=42, sessions=80, users=8, emit=lines.append) is False
+    assert lines[1:] == [f"  problem: {CHAIN_VIOLATION}"]
+
+
+def test_fuzz_suite_reports_the_master_secret_on_the_wire(monkeypatch):
+    # a server that also sends its master secret to a user, in the final drain
+    drain = World.drain
+
+    def leaky_drain(self, strict=False):
+        if strict:
+            self.channel.send(SERVER, "u00", self.server.s_hms)
+        drain(self, strict)
+
+    monkeypatch.setattr(World, "drain", leaky_drain)
+    lines = []
+    assert SUITES["fuzz"](seed=42, sessions=80, users=8, emit=lines.append) is False
+    assert lines[1:] == ["  problem: master secret bytes appeared on the wire"]
 
 
 def test_fuzz_suite_reports_a_wrong_password_that_reached_the_wire(monkeypatch):
@@ -389,6 +520,16 @@ def test_fuzz_suite_reports_a_wrong_password_that_reached_the_wire(monkeypatch):
     problems = [line for line in lines if line.startswith("  problem: wrong password #")]
     assert problems and any(line.endswith(" reached the wire") for line in problems)
     assert all("master secret" not in line for line in lines)
+
+    # the last session is such a login: only the final drain delivers it, so
+    # it verifies and the verdict holds
+    lines = []
+    assert SUITES["fuzz"](seed=42, sessions=5, users=8, emit=lines.append) is False
+    assert lines == [
+        "FAIL fuzz sessions=5 users=8 mix=honest:2,noisy-bio:2,wrong-password:1 "
+        "wire-bytes=1860 ledger-blocks=39",
+        "  problem: wrong password #4: pending",
+        "  problem: wrong password #4 reached the wire"]
 
 
 def test_fuzz_suite_reports_the_master_secret_in_a_ledger_record(monkeypatch):
@@ -481,6 +622,36 @@ def test_a_finished_run_holds_no_generator():
     assert world.sessions[-1].local_reject is not None
     assert world.server.ops.rng is None
     assert [g.ops.rng for g in world.users.values()] == [None, None]
+
+
+def test_a_run_releases_a_generator_a_gateway_built_before_it():
+    world = World(seed=5)
+    world.get_user("alice").ops.rand_digest()       # a draw outside any flow
+    assert world.users["alice"].ops.rng is not None
+    run_scenario(world, parse_scenario("honest register bob\n"))
+    assert [g.ops.rng for g in world.users.values()] == [None, None]
+
+
+def test_report_counts_each_kind_of_session():
+    # the wrong password never reaches the wire (local), seq 3 is dropped
+    # (pending), seq 4 verifies and seq 6 is modified (rejected)
+    world = World(seed=42)
+    parse_scenario("drop alice hms 3\nmodify 6 10 ff\n").arm(world.channel)
+    world.register_user("alice")
+    world.drain()
+    wrong = replace(world.users["alice"].creds, password=b"nope")
+    for creds in (wrong, None, None, None):
+        world.auth_attempt("alice", creds=creds)
+        world.drain()
+    world.drain(strict=True)
+    assert [s.outcome for s in world.sessions] == [
+        "rejected LocalVerifyFailed", "pending", "verified", "rejected BadMac"]
+    violations = check_invariants(world)
+    assert violations == []
+    lines = world.report_lines(violations)
+    assert "session user=alice scope=read-patient-vitals msg1-seq=- t1=- " \
+           "outcome=rejected LocalVerifyFailed sk=-" in lines
+    assert "summary sessions=4 verified=1 rejected=1 pending=1 local=1" in lines
 
 
 def test_a_world_continued_after_a_run_draws_like_an_unreleased_twin():
@@ -661,7 +832,8 @@ def test_cli_export_and_suite(tmp_path, capsys):
     out = tmp_path / "exported"
     assert cli_main(["export", str(scn), "--out", str(out)]) == 0
     assert (out / "report.txt").exists() and (out / "trace.txt").exists()
-    capsys.readouterr()
+    assert capsys.readouterr().out == \
+        f"wrote {out / 'report.txt'} and {out / 'trace.txt'}\n"
     assert cli_main(["suite", "metrics"]) == 0
     assert "ok metrics headline" in capsys.readouterr().out
 

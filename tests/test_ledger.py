@@ -412,6 +412,9 @@ def test_import_accepts_line_endings():
         rebuilt = Ledger.from_lines([line + ending for line in SEED42_EXPORT])
         assert rebuilt.export_lines() == SEED42_EXPORT
         assert rebuilt.verify_chain()
+    # empty lines, with or without their line ending, are skipped
+    spaced = [line for exported in SEED42_EXPORT for line in ("", exported, "\n")]
+    assert Ledger.from_lines(spaced).export_lines() == SEED42_EXPORT
 
 
 # --- mutated exports of a finished honest World -----------------------------------

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from l2ai.primitives import (
-    WIDTH, BIO_WIDTH, FE_BLOCKS, FE_PAD_BIT, OP_KEYS,
+    WIDTH, BIO_WIDTH, FE_BLOCKS, FE_PAD_BIT, NONCE_WIDTH, OP_KEYS,
     AuthFailure, RecoveryFailure,
     BioTemplate, PrimitiveOps, Rng, SimClock,
     gen_sketch, is_fresh, open_sealed, recover_key,
@@ -284,6 +284,12 @@ def test_cipher_matches_reference_bytes():
     assert seal(key, plaintext, nonce) == oracle.seal(key, nonce, plaintext)
 
 
+@pytest.mark.parametrize("size", [NONCE_WIDTH - 1, NONCE_WIDTH + 1])
+def test_seal_refuses_a_nonce_of_the_wrong_width(size):
+    with pytest.raises(ValueError, match=f"nonce must be {NONCE_WIDTH} bytes"):
+        seal(bytes(WIDTH), b"plaintext", bytes(size))
+
+
 # Known-answer envelopes (key bytes 0..19, nonce bytes 100..115), recorded
 # with a byte-by-byte keystream XOR.
 SEAL_VECTORS = [
@@ -313,6 +319,12 @@ def test_ciphertext_envelope_roundtrip():
 
 
 # --- biometric sketch -------------------------------------------------------------
+
+@pytest.mark.parametrize("size", [BIO_WIDTH - 1, BIO_WIDTH + 1])
+def test_a_template_of_the_wrong_width_is_refused(size):
+    with pytest.raises(ValueError, match=f"template must be {BIO_WIDTH} bytes, got {size}"):
+        BioTemplate(bytes(size))
+
 
 def test_sketch_roundtrip_exact():
     ops = PrimitiveOps(seed=8)

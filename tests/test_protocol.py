@@ -14,9 +14,10 @@ from l2ai.permissions import (
 )
 from l2ai.primitives import OP_KEYS, WIDTH, PrimitiveOps, SimClock, split_sealed
 from l2ai.protocol import (
+    MSG2_WIDTH, PROVISIONAL_WIDTH,
     AlreadyRegistered, BadMac, Credentials, HospitalServer, InvalidRole,
     LocalVerifyFailed, Msg1, Msg2, ProvisionalCard, RegRequest, Stale,
-    UnknownPrincipal, UnknownToken, Unauthorized, UserGateway,
+    UnexpectedMessage, UnknownPrincipal, UnknownToken, Unauthorized, UserGateway,
     finalize_card, login, register_request, update_credentials, verify_server,
 )
 
@@ -359,6 +360,16 @@ def test_verify_server_rejections():
         verify_server(gateway.ops, clock, server.delta_t, session, msg2)
 
 
+def test_a_fresh_gateway_refuses_a_provisional_card_and_a_server_reply():
+    clock, ledger, _ = make_world()
+    gateway = UserGateway(5, clock, ledger, make_creds())
+    with pytest.raises(UnexpectedMessage, match="no registration in progress"):
+        gateway.accept_provisional(ProvisionalCard.from_bytes(bytes(PROVISIONAL_WIDTH)))
+    with pytest.raises(UnexpectedMessage, match="no login in progress"):
+        gateway.accept_server_reply(Msg2.from_bytes(bytes(MSG2_WIDTH)))
+    assert ledger.blocks == []
+
+
 def test_session_keys_fresh_across_sessions():
     clock, ledger, server = make_world()
     gateway, _ = registered_user(clock, ledger, server)
@@ -596,6 +607,8 @@ def test_permission_table_parse_errors():
         PermissionTable.parse(DEFAULT_TABLE_TEXT + "D *\n")
     with pytest.raises(ValueError):
         PermissionTable.parse(DEFAULT_TABLE_TEXT + "Q *\n")
+    with pytest.raises(ValueError, match="^line 1: unknown role 'Q'$"):
+        PermissionTable.parse("Q *\n" + DEFAULT_TABLE_TEXT)
     with pytest.raises(ValueError):
         PermissionTable.parse(DEFAULT_TABLE_TEXT.replace("SA  *", "SA  * 10"))
     # a window minute that is not ASCII digits is named with its line; int()
