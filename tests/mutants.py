@@ -9,12 +9,13 @@ fields, and module-level assignments (the constants); `pass` itself is
 skipped too. Everything else is a mutant, compound statements (`if`, `for`,
 `try`, `with`) as a whole and each statement inside them.
 
-    python tests/mutants.py [--workers N] [--timeout S] [MODULE ...]
+    python tests/mutants.py [--workers N]
 
-MODULE names files under src/l2ai/ (`harness.py`); the default is every
-module. Each worker owns one copy of the repository under a temporary
-directory and runs one mutant at a time in it, and there are at most as many
-workers as cores. Prints one line per survivor and timeout, then the counts.
+Every module under src/l2ai/ is mutated. Each worker owns one copy of the
+repository under a temporary directory and runs one mutant at a time in it,
+and there are at most as many workers as cores. A test run longer than
+TIMEOUT seconds counts as a timeout: `_keystream` without its `out += ...`
+never ends. Prints one line per survivor and timeout, then the counts.
 Needs only the standard library and pytest; the test suite never runs it.
 """
 
@@ -40,6 +41,7 @@ SKIPPED = (ast.Import, ast.ImportFrom, ast.FunctionDef, ast.AsyncFunctionDef,
 # mutant's verdict depends neither on the draws nor on the mutants before it
 PYTEST = (sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
           "--hypothesis-seed=0")
+TIMEOUT = 120.0                         # seconds one test run may take
 
 
 def mutants(path: Path) -> list[tuple[int, int, int, str]]:
@@ -80,24 +82,26 @@ def _byte_col(line: str, col: int) -> int:
     return len(line.encode("utf-8")[:col].decode("utf-8"))
 
 
-def run_tests(copy: Path, timeout: float) -> str:
+def run_tests(copy: Path) -> str:
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
     try:
         done = subprocess.run(PYTEST, cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=timeout)
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "survived" if done.returncode == 0 else "killed"
 
 
-def worker(jobs: queue.Queue, results: list, timeout: float) -> None:
+def worker(jobs: queue.Queue, results: list) -> None:
     with tempfile.TemporaryDirectory(prefix="l2ai-mutants-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks", "*.egg-info"))
-        if run_tests(copy, timeout) != "survived":
-            results.append(("baseline", None, 0, "the unmutated suite fails"))
+        baseline = run_tests(copy)
+        if baseline != "survived":
+            results.append(("baseline", None, 0,
+                            "times out" if baseline == "timeout" else "fails"))
             return
         while True:
             try:
@@ -107,19 +111,16 @@ def worker(jobs: queue.Queue, results: list, timeout: float) -> None:
             target = copy / rel
             target.write_text(source[:start] + "pass" + source[end:], encoding="utf-8")
             try:
-                results.append((run_tests(copy, timeout), rel, line, text))
+                results.append((run_tests(copy), rel, line, text))
             finally:
                 target.write_text(source, encoding="utf-8")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("modules", nargs="*", help="files under src/l2ai/ (default: all)")
     parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="seconds one mutant's test run may take (default 120)")
     args = parser.parse_args(argv)
-    names = args.modules or sorted(p.name for p in (ROOT / PACKAGE).glob("*.py"))
+    names = sorted(p.name for p in (ROOT / PACKAGE).glob("*.py"))
     jobs: queue.Queue = queue.Queue()
     total = 0
     for name in names:
@@ -132,15 +133,16 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{total} mutants in {len(names)} modules, {workers} workers", flush=True)
     results: list = []
     began = time.monotonic()
-    threads = [threading.Thread(target=worker, args=(jobs, results, args.timeout))
+    threads = [threading.Thread(target=worker, args=(jobs, results))
                for _ in range(workers)]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    if any(verdict == "baseline" for verdict, *_ in results):
-        print("the unmutated suite fails; no census", file=sys.stderr)
-        return 2
+    for verdict, _, _, text in results:
+        if verdict == "baseline":
+            print(f"the unmutated suite {text}; no census", file=sys.stderr)
+            return 2
     for verdict, rel, line, text in sorted(results, key=lambda r: (str(r[1]), r[2])):
         if verdict != "killed":
             print(f"{verdict} {rel}:{line}: {text}")
