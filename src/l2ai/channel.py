@@ -33,16 +33,21 @@ Delivery handlers return an outcome string and must not raise; the caller
 wraps protocol rejections into outcomes. The outcome is stored on its
 envelope; `deliveries` lists delivered envelopes in order, and `delivered`
 is a read-only view of (envelope, outcome) pairs built on each read. `run`
-counts the replayed and the tampered deliveries as they land, so a report
-need not scan `deliveries` for them. Every event is logged to a stable line
-format, so two runs of the same scenario compare equal byte-for-byte. The
-trace is stored as text: the end of `run` joins the drain's pending lines
-onto the last chunk, and a new chunk starts once that one holds TRACE_CHUNK
-characters. Reading the trace first flushes any pending lines (sends made
-outside a drain, lines logged before a `ChannelError`). `trace` is the whole
-text and `log` renders its lines on demand. `event_digest` is sha256_160 of
-`trace`: each chunk is fed to a running SHA-256 once, when the next chunk
-starts, so the digest costs only the open chunk and never joins the text.
+also lists in `adversary_deliveries` each delivery the adversary had a hand
+in: a tampered one, a replayed copy, or one whose seq it recorded into
+`knowledge`. Every other delivery is an untouched original, unmodified and
+delivered once, and every replayed seq is recorded, so a verdict or a count
+about tampering or replays reads that list and never scans `deliveries`.
+
+Every event is logged to a stable line format, so two runs of the same
+scenario compare equal byte-for-byte. The trace is stored as text: the end
+of `run` joins the drain's pending lines onto the last chunk, and a new
+chunk starts once that one holds TRACE_CHUNK characters. Reading the trace
+first flushes any pending lines (sends made outside a drain, lines logged
+before a `ChannelError`). `trace` is the whole text and `log` renders its
+lines on demand. `event_digest` is sha256_160 of `trace`: each chunk is fed
+to a running SHA-256 once, when the next chunk starts, so the digest costs
+only the open chunk and never joins the text.
 """
 
 from __future__ import annotations
@@ -117,8 +122,7 @@ class Channel:
         self._pending: list[str] = []              # lines logged since the last flush
         self._closed = None                        # sha256 of the closed chunks, once any
         self.deliveries: list[Envelope] = []       # delivered envelopes, in order
-        self.replay_deliveries = 0                 # of them, replayed copies
-        self.tampered_deliveries = 0               # of them, modified on the wire
+        self.adversary_deliveries: list[Envelope] = []  # of them, tampered, replayed, recorded
         self.dropped: set[int] = set()            # seqs swallowed by a drop action
         self._next_seq = 1
         self._next_replay = -1
@@ -202,6 +206,7 @@ class Channel:
         """Deliver everything in deliver-time order (handlers may send more).
         With strict=True, leftover armed actions fail the run."""
         queue, clock, pending = self._queue, self.clock, self._pending
+        knowledge, adversary = self.knowledge, self.adversary_deliveries
         while queue:
             at, _, env = heapq.heappop(queue)
             clock.advance_to(at)
@@ -212,10 +217,8 @@ class Channel:
                 raise ChannelError(f"no handler registered for {env.dst!r}")
             outcome = env.outcome = handler(env)
             self.deliveries.append(env)
-            if env.replay_of is not None:
-                self.replay_deliveries += 1
-            if env.tampered:
-                self.tampered_deliveries += 1
+            if env.tampered or env.replay_of is not None or env.seq in knowledge:
+                adversary.append(env)
             pending.append(f"{clock.now():08d} OUTCOME seq={env.seq} {outcome}")
         self._flush()
         if strict and self._armed:

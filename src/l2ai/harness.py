@@ -4,8 +4,10 @@ programmatic sessions over them, and writes line-oriented reports.
 
 Outcome strings, not exceptions, cross the harness boundary. Every protocol
 call goes through World._metered, which charges the call's counted operations
-to its (side, phase), also when it is rejected part way, and turns a Reject or
-ValueError into "rejected <Class>"; so an attack scenario runs to completion.
+to its (side, phase) key, also when it is rejected part way, and turns a
+Reject or ValueError into "rejected <Class>"; so an attack scenario runs to
+completion. Each key is a constant tuple at its call site, so no call builds
+one and every World's phase maps share the same key objects.
 The delivery handler decodes the payload before the metered call, since its
 width dispatch has already checked the one thing a decoder checks.
 Each send carries its owner on its envelope (a Session for msg1 and server
@@ -14,10 +16,14 @@ delivery handler records its result on the envelope's owner. The channel
 decides each drop and modification at send time, so World._send marks the
 damaged send's Session hit, or taints its user, right there. Call
 check_invariants after the final drain; it is the one place the ledger chain
-is verified and the verdict's one pass over the channel's deliveries. The
-report renders the verdict it is given, with the event digest and the
-replayed and tampered counts the channel kept as the run went, so it neither
-joins the trace nor scans the deliveries.
+is verified. Its two adversary checks read only the channel's
+`adversary_deliveries`, the deliveries that were tampered, are replayed
+copies, or have a seq the adversary recorded, and that is exact: every other
+delivery is an untouched original, unmodified and delivered once, and a
+second acceptance of one origin needs a replayed copy, whose original was
+recorded when it was sent. The report renders the verdict it is given, with
+the event digest and the replayed and tampered counts taken from that same
+list, so it neither joins the trace nor scans the deliveries.
 
 The invariant checker encodes what a run must satisfy regardless of the
 adversary script:
@@ -147,13 +153,13 @@ class World:
 
     # --- instrumentation -------------------------------------------------------
 
-    def _metered(self, side: str, phase: str, ops: PrimitiveOps, call, *args,
+    def _metered(self, key: tuple[str, str], ops: PrimitiveOps, call, *args,
                  rejects=(Reject, ValueError)):
         """Run call(*args) with the counted operations of `ops` charged
-        directly to (side, phase), as one call, whether or not it completes.
-        Returns (result, None), or (None, "rejected <Class>") when it raises
-        one of `rejects`; anything else propagates."""
-        key = (side, phase)
+        directly to `key`, a (side, phase) tuple written as a constant, as
+        one call, whether or not it completes. Returns (result, None), or
+        (None, "rejected <Class>") when it raises one of `rejects`; anything
+        else propagates."""
         bucket = self.phase_ops.get(key)
         if bucket is None:
             bucket = self.phase_ops[key] = dict.fromkeys(OP_KEYS, 0)
@@ -187,10 +193,10 @@ class World:
         # the token is delivered out of band; a failure in either call is the
         # caller's mistake, not an outcome of the run, so it propagates
         gateway = self.get_user(name)
-        token, _ = self._metered("server", "issue-token", self.server.ops,
+        token, _ = self._metered(("server", "issue-token"), self.server.ops,
                                  self.server.issue_token, name.encode(), role,
                                  rejects=())
-        req, _ = self._metered("user", "register", gateway.ops,
+        req, _ = self._metered(("user", "register"), gateway.ops,
                                gateway.build_registration, token, rejects=())
         gateway.ops.release()       # a gateway draws again only to update
         self._send(name, SERVER, req.to_bytes(), name)
@@ -198,7 +204,7 @@ class World:
     def auth_attempt(self, name: str, scope: str = DEFAULT_SCOPE,
                      creds: Credentials | None = None) -> Session:
         gateway = self.get_user(name)
-        msg1, rejected = self._metered("user", "login", gateway.ops,
+        msg1, rejected = self._metered(("user", "login"), gateway.ops,
                                        gateway.start_login, creds)
         session = Session(user=name, scope=scope, outcome=rejected or "pending")
         if not rejected:
@@ -211,7 +217,7 @@ class World:
         serial = self.phase_calls.get(("user", "update-creds"), 0) + 1
         new_password = f"pw-{name}-v{serial}".encode()
         new_bio = gateway.ops.rand_template()
-        _, rejected = self._metered("user", "update-creds", gateway.ops,
+        _, rejected = self._metered(("user", "update-creds"), gateway.ops,
                                     gateway.change_credentials, new_password, new_bio)
         gateway.ops.release()
         self.step_notes.append(f"step kind=update-creds user={name} "
@@ -219,7 +225,7 @@ class World:
 
     def update_authorization(self, name: str, role: Role) -> None:
         gateway = self.get_user(name)
-        _, rejected = self._metered("server", "update-auth", self.server.ops,
+        _, rejected = self._metered(("server", "update-auth"), self.server.ops,
                                     self.server.update_authorization,
                                     gateway.creds.user_id, role)
         result = rejected or f"ok role={role.value}"
@@ -239,7 +245,7 @@ class World:
         if env.dst == SERVER:
             if width == REG_REQUEST_WIDTH:
                 provisional, rejected = self._metered(
-                    "server", "register", self.server.ops, self.server.register,
+                    ("server", "register"), self.server.ops, self.server.register,
                     RegRequest.from_bytes(env.payload))
                 if rejected:
                     return rejected
@@ -247,7 +253,7 @@ class World:
                 return "provisional-issued"
             if width == MSG1_WIDTH:
                 result, rejected = self._metered(
-                    "server", "auth", self.server.ops, self.server.authenticate,
+                    ("server", "auth"), self.server.ops, self.server.authenticate,
                     Msg1.from_bytes(env.payload), owner.scope)
                 if rejected:
                     # only the original's rejection counts; a verified reply outranks it
@@ -262,12 +268,12 @@ class World:
             gateway = self.users[env.dst]
             if width == PROVISIONAL_WIDTH:
                 _, rejected = self._metered(
-                    "user", "finalize", gateway.ops, gateway.accept_provisional,
+                    ("user", "finalize"), gateway.ops, gateway.accept_provisional,
                     ProvisionalCard.from_bytes(env.payload))
                 return rejected or "registered"
             if width == MSG2_WIDTH:
                 sk, rejected = self._metered(
-                    "user", "verify", gateway.ops, gateway.accept_server_reply,
+                    ("user", "verify"), gateway.ops, gateway.accept_server_reply,
                     Msg2.from_bytes(env.payload))
                 if rejected:
                     # an original reply's rejection ranks below every other verdict
@@ -314,7 +320,7 @@ class World:
                     verified += 1
                 elif outcome == "pending":
                     pending += 1
-            sk = session.sk_user.hex()[:8] if session.sk_user else "-"
+            sk = session.sk_user[:4].hex() if session.sk_user else "-"
             lines.append(f"session user={session.user} scope={session.scope} "
                          f"msg1-seq={seq} t1={t1} outcome={outcome} sk={sk}")
         lines.extend(self.step_notes)
@@ -332,12 +338,15 @@ class World:
 
         rejected = len(self.sessions) - verified - pending - local
         digest = ch.event_digest().hex()
+        adversary = ch.adversary_deliveries
+        replays = sum(env.replay_of is not None for env in adversary)
+        tampered = sum(env.tampered for env in adversary)
         lines.extend([
             f"summary sessions={len(self.sessions)} verified={verified} "
             f"rejected={rejected} pending={pending} local={local}",
             f"summary sends={sends} deliveries={len(ch.deliveries)} "
-            f"drops={len(ch.dropped)} replay-deliveries={ch.replay_deliveries} "
-            f"tampered-deliveries={ch.tampered_deliveries}",
+            f"drops={len(ch.dropped)} replay-deliveries={replays} "
+            f"tampered-deliveries={tampered}",
             f"summary users={len(self.users)} tainted={len(self.tainted)}",
             f"summary ledger-blocks={len(self.ledger.blocks)} "
             f"chain-ok={'NO' if CHAIN_VIOLATION in violations else 'yes'}",
@@ -371,11 +380,10 @@ def check_invariants(world: World) -> list[str]:
 
     accepted_per_origin: dict[int, int] = {}
     accepted = accepted_per_origin.get
-    for env in world.channel.deliveries:
+    # no other delivery can be tampered or share its origin (module docstring)
+    for env in world.channel.adversary_deliveries:
         outcome = env.outcome
-        # the first character settles every honest outcome without a call
-        if (outcome[:1] != "r" or not outcome.startswith("rejected")) \
-                and len(env.payload) in AUTH_WIDTHS:
+        if not outcome.startswith("rejected") and len(env.payload) in AUTH_WIDTHS:
             if env.tampered:
                 violations.append(f"tampered delivery seq={env.seq} accepted: {outcome}")
             origin = env.seq if env.replay_of is None else env.replay_of

@@ -47,6 +47,7 @@ then update just the lookups their records touch.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from typing import NamedTuple
 
@@ -296,12 +297,12 @@ class Ledger:
         """True iff every record is long enough to hold its height, a link
         and a digest, and holds its own height, the previous record's digest,
         and the digest of everything before its last 20 bytes."""
-        prev = _GENESIS
+        prev, sha256 = _GENESIS, hashlib.sha256
         for height, record in enumerate(self.blocks):
             if len(record) < _MIN_RECORD or _HEIGHT.unpack_from(record)[0] != height \
                     or record[_PREV] != prev:
                 return False
-            prev = sha256_160(record[_COVERED])
+            prev = sha256(record[_COVERED]).digest()[:WIDTH]   # sha256_160, one frame fewer
             if record[_DIGEST] != prev:
                 return False
         return True

@@ -1,9 +1,10 @@
 """Statement-deletion census: which statements of src/l2ai/ no test pins.
 
 Each mutant replaces one statement of a package module with `pass` and runs
-`pytest -x -q` on a copy of the repository, with Hypothesis seeded. A mutant
-the tests still pass on survives: nothing in the suite notices that
-statement gone. Skipped, as deleting them only breaks the import:
+`pytest -x -q` on a copy of the repository, under the tier1 Hypothesis
+profile of tests/conftest.py, which draws the same examples on every run.
+A mutant the tests still pass on survives: nothing in the suite notices
+that statement gone. Skipped, as deleting them only breaks the import:
 docstrings, imports, function and class definitions, a class's annotated
 fields, and module-level assignments (the constants); `pass` itself is
 skipped too. Everything else is a mutant, compound statements (`if`, `for`,
@@ -37,10 +38,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "l2ai"
 SKIPPED = (ast.Import, ast.ImportFrom, ast.FunctionDef, ast.AsyncFunctionDef,
            ast.ClassDef, ast.Pass)
-# a fixed Hypothesis seed, and no example database kept between runs, so a
-# mutant's verdict depends neither on the draws nor on the mutants before it
-PYTEST = (sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-          "--hypothesis-seed=0")
+# tier1's fixed draws and absent example database make a mutant's verdict
+# depend neither on the draws nor on the mutants before it
+PYTEST = (sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider")
 TIMEOUT = 120.0                         # seconds one test run may take
 
 
@@ -84,7 +84,6 @@ def _byte_col(line: str, col: int) -> int:
 
 def run_tests(copy: Path) -> str:
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
     try:
         done = subprocess.run(PYTEST, cwd=copy, env=env, stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL, timeout=TIMEOUT)

@@ -409,8 +409,13 @@ def test_event_digest_is_the_digest_of_the_trace(traffic):
             pass
         digest = ch.event_digest()
         assert digest == sha256_160(ch.trace.encode())
-        assert ch.replay_deliveries == sum(e.replay_of is not None for e in ch.deliveries)
-        assert ch.tampered_deliveries == sum(e.tampered for e in ch.deliveries)
+        # the adversary's deliveries, in order; every replay's original is
+        # recorded, so no delivery left out shares its origin with another
+        assert ch.adversary_deliveries == [
+            e for e in ch.deliveries
+            if e.tampered or e.replay_of is not None or e.seq in ch.knowledge]
+        assert all(e.replay_of in ch.knowledge for e in ch.deliveries
+                   if e.replay_of is not None)
 
 
 # --- scenario grammar ---------------------------------------------------------

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from l2ai import cli, harness
-from l2ai.channel import HONEST_PHASES, Channel, ChannelError, parse_scenario
+from l2ai.channel import (
+    HONEST_PHASES, Channel, ChannelError, ParseError, parse_scenario,
+)
 from l2ai.cli import main as cli_main
 from l2ai.harness import (
     _ATTACK_CASES, AUTH_WIDTHS, CHAIN_VIOLATION, EXPECTED_OPS, HONEST_SCENARIO,
@@ -246,17 +249,18 @@ def test_clean_rejection_is_a_violation():
 
 def test_checker_catches_rigged_acceptances():
     # replace the server handler with one that accepts anything: both the
-    # tamper check and the double-acceptance check must fire
-    world = World(seed=1)
-    world.register_user("mallory")
-    world.drain()
-    world.handlers[SERVER] = lambda env: "accepted sk=00000000"
-    result = run_scenario(world, parse_scenario(
-        "honest auth mallory\nmodify 3 0 ff\nreplay 3 400\n"))
-    assert not result.ok
-    text = "\n".join(result.violations)
-    assert "tampered delivery" in text
-    assert "accepted 2 times" in text
+    # tamper check and the double-acceptance check must fire, also when the
+    # replayed original is untouched
+    for attack, tampered in (("modify 3 0 ff\nreplay 3 400", True), ("replay 3 400", False)):
+        world = World(seed=1)
+        world.register_user("mallory")
+        world.drain()
+        world.handlers[SERVER] = lambda env: "accepted sk=00000000"
+        result = run_scenario(world, parse_scenario(f"honest auth mallory\n{attack}\n"))
+        text = "\n".join(result.violations)
+        assert ("tampered delivery" in text) == tampered
+        assert "message seq=3 accepted 2 times" in text
+        assert result.violations == full_scan_verdict(world)
 
     # a gateway that keeps a key of its own: both ends verify, keys differ
     world = World(seed=1)
@@ -358,6 +362,62 @@ def test_race_report_is_pinned(name, tmp_path, capsys):
     scn.write_text("honest register alice\n" + RACE_SCENARIOS[name], encoding="utf-8")
     assert cli_main(["run", str(scn)]) == 0
     assert capsys.readouterr().out == (RACES / f"{name}.txt").read_text(encoding="utf-8")
+
+
+# --- the verdict reads only the adversary's deliveries --------------------------------
+
+
+def full_scan_verdict(world: World) -> list[str]:
+    """check_invariants as it was when its two adversary checks scanned every
+    delivery: the reference that the scan of `adversary_deliveries` equals."""
+    violations = []
+    if not world.ledger.verify_chain():
+        violations.append(CHAIN_VIOLATION)
+    accepted = Counter()
+    for env in world.channel.deliveries:
+        if not env.outcome.startswith("rejected") and len(env.payload) in AUTH_WIDTHS:
+            if env.tampered:
+                violations.append(f"tampered delivery seq={env.seq} accepted: "
+                                  f"{env.outcome}")
+            accepted[env.seq if env.replay_of is None else env.replay_of] += 1
+    violations.extend(f"message seq={origin} accepted {count} times "
+                      "(replay got through)"
+                      for origin, count in sorted(accepted.items()) if count > 1)
+    mismatched = []
+    for session in world.sessions:
+        if session.sk_user is not None and session.sk_server is not None \
+                and session.sk_user != session.sk_server:
+            mismatched.append(f"session keys differ for user={session.user}")
+        if session.msg1_env is None or session.hit or session.user in world.tainted:
+            continue
+        if session.sk_user is None or session.sk_user != session.sk_server:
+            violations.append(f"untouched session (user={session.user} "
+                              f"seq={session.msg1_env.seq}) did not complete: "
+                              f"{session.outcome}")
+    return violations + mismatched
+
+
+# two modifies of one field, on the card and on the msg1 built from it,
+# cancel: the server accepts a tampered msg1, and the verdict must say so
+CANCELLING_MODIFIES = HONEST_SCENARIO + "modify 2 20 01\nmodify 5 28 01\n"
+
+EXACTNESS_SCRIPTS = {
+    **{name: text for name, text, _ in _ATTACK_CASES},
+    **{f"race-{name}": "honest register alice\n" + text
+       for name, text in RACE_SCENARIOS.items()},
+    "cancelling-modifies": CANCELLING_MODIFIES,
+}
+
+
+@pytest.mark.parametrize("name", EXACTNESS_SCRIPTS)
+def test_the_verdict_equals_a_scan_of_every_delivery(name):
+    world, result = run_text(EXACTNESS_SCRIPTS[name])
+    assert result.violations == full_scan_verdict(world)
+
+
+def test_cancelling_modifies_are_a_tampered_acceptance():
+    _, result = run_text(CANCELLING_MODIFIES)
+    assert result.violations == ["tampered delivery seq=5 accepted: accepted sk=cb656fd6"]
 
 
 def test_wrong_password_never_reaches_wire():
@@ -568,7 +628,7 @@ def test_counts_land_where_the_call_was_metered():
         raise RuntimeError("not a rejection")
 
     with pytest.raises(RuntimeError):
-        world._metered("server", "probe", ops, spend_then_fail)
+        world._metered(("server", "probe"), ops, spend_then_fail)
     probe = {"hash": 1, "xor": 0, "enc": 0, "dec": 0, "fe": 0}
     assert world.phase_calls == {("server", "probe"): 1}
     assert world.phase_ops == {("server", "probe"): probe}
@@ -577,6 +637,11 @@ def test_counts_land_where_the_call_was_metered():
     ops.hash(b"y")
     assert world.phase_ops == {("server", "probe"): probe}
     assert own == {"hash": 3, "xor": 0, "enc": 0, "dec": 0, "fe": 0}
+
+    # each phase key is one constant: two runs key their maps by the same objects
+    first, second = (sorted(run_text(HONEST_SCENARIO)[0].phase_ops) for _ in range(2))
+    assert first == sorted(EXPECTED_OPS)
+    assert all(a is b for a, b in zip(first, second))
 
 
 def test_gateways_hold_no_generator_between_flows():
@@ -1095,23 +1160,108 @@ ADVERSARY_LINES = st.one_of(
 )
 
 
-def run_cli(path: Path, seed: int) -> tuple[int, str]:
+def run_cli(path: Path, *options: str) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli_main(["run", str(path), "--seed", str(seed)])
+        code = cli_main(["run", str(path), *options])
     return code, out.getvalue()
 
 
+SCENARIOS = {"steps": st.lists(honest_lines(), min_size=1, max_size=6),
+             "attacks": st.lists(ADVERSARY_LINES, max_size=4),
+             "seed": st.integers(0, 2**32)}
+
+
 @settings(max_examples=40, deadline=None)
-@given(steps=st.lists(honest_lines(), min_size=1, max_size=6),
-       attacks=st.lists(ADVERSARY_LINES, max_size=4),
-       seed=st.integers(0, 2**32))
+@given(**SCENARIOS)
 def test_generated_scenarios_end_in_a_defined_result(tmp_path_factory, steps,
                                                      attacks, seed):
     # any script in the grammar ends in a report (0), a violation (1) or an
     # input error (2), never an exception, and a seed fixes the report
     path = tmp_path_factory.mktemp("scenario") / "s.scn"
     path.write_text("\n".join(steps + attacks) + "\n", encoding="utf-8")
-    code, out = run_cli(path, seed)
+    code, out = run_cli(path, "--seed", str(seed))
     assert code in (0, 1, 2)
-    assert run_cli(path, seed) == (code, out)
+    assert run_cli(path, "--seed", str(seed)) == (code, out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**SCENARIOS)
+def test_generated_verdicts_equal_a_scan_of_every_delivery(steps, attacks, seed):
+    # also on a run an input error cut short, whatever it delivered so far
+    world = World(seed=seed)
+    try:
+        run_scenario(world, parse_scenario("\n".join(steps + attacks) + "\n"))
+    except (ParseError, ChannelError, ValueError):
+        pass
+    assert check_invariants(world) == full_scan_verdict(world)
+
+
+def test_tier1_draws_the_same_scenarios_on_every_run(request):
+    # the tier1 profile in conftest.py is loaded unless another is named, and
+    # it derandomizes: a second run of a test draws what the first drew
+    if request.config.getoption("--hypothesis-profile") is None:
+        assert settings.get_current_profile_name() == "tier1"
+    drawn = []
+
+    @settings(settings.get_profile("tier1"), max_examples=40)
+    @given(**SCENARIOS)
+    def draw(steps, attacks, seed):
+        drawn.append(("\n".join(steps + attacks), seed))
+
+    draw()
+    first = drawn[:]
+    drawn.clear()
+    draw()
+    assert len(first) > 1 and drawn == first
+
+
+# Permission tables: the default table with lines deleted and lines added
+# from the grammar's tokens, including window minutes at the edges of the
+# day and digits that are not ASCII. Roles with no grant for the scenario's
+# scopes make clean rejections, so exit 1 is a defined result too.
+TABLE_ROLES = st.sampled_from([role.value for role in Role] + ["X", "d", "#"])
+TABLE_SCOPES = st.one_of(
+    st.just("*"),
+    st.lists(st.sampled_from(SCOPE_CATALOG + ("*", "#", "")), min_size=1,
+             max_size=3).map(",".join))
+MINUTES = st.one_of(
+    st.integers(-2, 2), st.integers(1437, 1442),
+    st.sampled_from(["\u0661\u0664\u0663\u0669", "\uff10", "\u00b2", "1e3", "+1", "#1"]))
+
+
+@st.composite
+def table_line(draw, role):
+    words = [role, draw(TABLE_SCOPES)]
+    if draw(st.booleans()):
+        words += [str(draw(MINUTES)), str(draw(MINUTES))]
+    if draw(st.booleans()):
+        words.append("# " + draw(st.sampled_from(SCOPE_CATALOG)))
+    return " ".join(words)
+
+
+@st.composite
+def table_texts(draw):
+    # each edit deletes a line, adds one, or does both to one role's line
+    lines = DEFAULT_TABLE_TEXT.splitlines()
+    for edit in draw(st.lists(st.sampled_from(("delete", "add", "replace")), max_size=3)):
+        at = draw(st.integers(0, len(lines) - (edit != "add")))
+        if edit == "delete":
+            del lines[at]
+        elif edit == "add":
+            lines.insert(at, draw(table_line(draw(TABLE_ROLES))))
+        else:
+            lines[at] = draw(table_line(lines[at].split()[0]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=table_texts())
+def test_generated_permission_tables_end_in_a_defined_result(tmp_path_factory, table):
+    folder = tmp_path_factory.mktemp("table")
+    scenario, table_path = folder / "s.scn", folder / "perm.txt"
+    scenario.write_text(HONEST_SCENARIO, encoding="utf-8")
+    table_path.write_text(table, encoding="utf-8")
+    code, out = run_cli(scenario, "--perm-table", str(table_path))
+    assert code in (0, 1, 2)
+    assert run_cli(scenario, "--perm-table", str(table_path)) == (code, out)
