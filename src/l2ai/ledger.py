@@ -39,10 +39,13 @@ the exact width of every identity and card payload, so the fields it unpacks
 need no check of their own. Block digests go through the uncounted hash core
 (chain maintenance is not a protocol operation).
 Every block comes from one builder, ``Ledger._link``, which links a payload
-to the record last on the chain as it stands. ``append`` indexes any record
-through the generic ``_index`` first, as import does; the typed writers
-(``put_card``, ``replace_index``, ``revoke_token``) run their own checks and
-then update just the lookups their records touch.
+to the record last on the chain as it stands, hashes the record once and
+keeps it in ``_linked``, in build order. ``verify_chain`` checks every height
+and link and re-hashes each record that is not the object ``_linked`` holds
+at its position, so every record of an import is re-hashed. ``append``
+indexes any record through the generic ``_index`` first, as import does; the
+typed writers (``put_card``, ``replace_index``, ``revoke_token``) run their
+own checks and then update just the lookups their records touch.
 """
 
 from __future__ import annotations
@@ -189,6 +192,7 @@ class Ledger:
 
     def __init__(self):
         self.blocks: list[bytes] = []                    # one record per block
+        self._linked: list[bytes] = []                   # each record _link built, in order
         self._tokens: dict[bytes, TokenRecord] = {}
         self._idents: dict[bytes, bytes] = {}            # live digest -> user id
         self._cards: dict[bytes, SmartCard] = {}         # latest version per card
@@ -203,7 +207,9 @@ class Ledger:
         height = len(blocks)
         preimage = b"".join((_HEIGHT.pack(height),
                              blocks[-1][_DIGEST] if blocks else _GENESIS, payload))
-        blocks.append(preimage + sha256_160(preimage))
+        record = preimage + sha256_160(preimage)
+        blocks.append(record)
+        self._linked.append(record)
         return height
 
     def append(self, record) -> int:
@@ -296,14 +302,24 @@ class Ledger:
     def verify_chain(self) -> bool:
         """True iff every record is long enough to hold its height, a link
         and a digest, and holds its own height, the previous record's digest,
-        and the digest of everything before its last 20 bytes."""
-        prev, sha256 = _GENESIS, hashlib.sha256
+        and the digest of everything before its last 20 bytes.
+
+        A record is hashed once, when `_link` writes it. Every height and
+        link is checked here, but a record is hashed again only if it is not
+        the very object at its position in `_linked`: that object is `bytes`
+        `_link` built, which cannot change, so its digest is the one `_link`
+        computed. Every record of a `from_lines` import, and one inserted,
+        replaced or moved, is hashed again."""
+        prev, sha256, linked = _GENESIS, hashlib.sha256, self._linked
+        built = len(linked)
         for height, record in enumerate(self.blocks):
             if len(record) < _MIN_RECORD or _HEIGHT.unpack_from(record)[0] != height \
                     or record[_PREV] != prev:
                 return False
-            prev = sha256(record[_COVERED]).digest()[:WIDTH]   # sha256_160, one frame fewer
-            if record[_DIGEST] != prev:
+            prev = record[_DIGEST]
+            # sha256_160 inline, one frame fewer
+            if (height >= built or record is not linked[height]) \
+                    and sha256(record[_COVERED]).digest()[:WIDTH] != prev:
                 return False
         return True
 

@@ -15,6 +15,8 @@ Add `--hypothesis-seed=N` to repeat one exploring run's draws.
 
 from hypothesis import settings
 
+pytest_plugins = ["pytester"]
+
 EXPLORE_FACTOR = 10
 
 settings.register_profile("tier1", derandomize=True, database=None)

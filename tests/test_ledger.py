@@ -2,11 +2,13 @@
 tamper evidence, export/import, and the frozen seed-42 ledger golden."""
 
 import gc
+import hashlib
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from l2ai.channel import parse_scenario
@@ -93,6 +95,127 @@ def test_record_too_short_for_height_link_and_digest_fails_verification(length):
     assert world.ledger.verify_chain()
     world.ledger.blocks[3] = world.ledger.blocks[3][:length]
     assert not world.ledger.verify_chain()
+
+
+# --- verify_chain hashes only the records _link did not build -------------------
+
+def full_rehash_verify(blocks) -> bool:
+    """The reference: every record's length, height and link checked and
+    every digest recomputed, taking no digest on trust."""
+    prev = bytes(WIDTH)
+    for height, record in enumerate(blocks):
+        if len(record) < 8 + 2 * WIDTH or struct.unpack_from(">Q", record)[0] != height \
+                or record[8:8 + WIDTH] != prev:
+            return False
+        prev = hashlib.sha256(record[:-WIDTH]).digest()[:WIDTH]
+        if record[-WIDTH:] != prev:
+            return False
+    return True
+
+
+def honest_ledger() -> Ledger:
+    world = World(seed=42)
+    assert run_scenario(world, parse_scenario(HONEST_SCENARIO)).ok
+    return world.ledger
+
+
+_HONEST_RECORDS = [parse_record(LedgerBlock.from_record(record).payload)
+                   for record in honest_ledger().blocks]
+CARD_UIDS_42 = sorted({r.card_uid for r in _HONEST_RECORDS if isinstance(r, SmartCard)})
+USERS_42 = sorted({r.user_id for r in _HONEST_RECORDS if isinstance(r, IdentityIndex)})
+
+
+def test_every_linked_record_holds_the_digest_of_what_precedes_it():
+    # verify_chain takes the digest _link wrote on trust, so this recomputes it
+    records = honest_ledger().blocks
+    assert len(records) == 22
+    for record in records:
+        assert record[-WIDTH:] == hashlib.sha256(record[:-WIDTH]).digest()[:WIDTH]
+
+
+def test_an_untouched_chain_verifies_without_hashing_and_an_import_hashes_every_block(
+        monkeypatch):
+    ledger, hashed = honest_ledger(), []
+
+    def counting_sha256(data):
+        hashed.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr("l2ai.ledger.hashlib", SimpleNamespace(sha256=counting_sha256))
+    assert ledger.verify_chain()
+    assert hashed == []
+    assert Ledger.from_lines(ledger.export_lines()).verify_chain()
+    assert hashed == [record[:-WIDTH] for record in ledger.blocks]
+
+
+def test_a_record_linked_above_an_insert_that_is_then_deleted_fails_verification():
+    # after the delete every position holds the record _link built at that
+    # place in build order, and the last one links to its predecessor, but
+    # it holds the height it was written at, one above its position
+    ledger = honest_ledger()
+    ledger.blocks.insert(0, ledger.blocks[0])
+    ledger.put_card(ledger.get_card(CARD_UIDS_42[0])._replace(ax_ui=bytes(WIDTH)))
+    del ledger.blocks[0]
+    assert all(record is built
+               for record, built in zip(ledger.blocks, ledger._linked, strict=True))
+    assert not full_rehash_verify(ledger.blocks)
+    assert not ledger.verify_chain()
+
+
+CHAIN_STEPS = ("put-card", "replace-index", "flip", "truncate", "del", "insert-earlier",
+               "swap", "pop", "copy", "rebind")
+
+
+def chain_step(ledger: Ledger, seen: list[bytes], step: tuple, number: int) -> None:
+    """One `_link` write through a typed writer, or one edit of the records
+    in place; `seen` holds every record the chain has held, to reinsert."""
+    name, i, j, byte = step
+    blocks = ledger.blocks
+    if name == "put-card":
+        uid = CARD_UIDS_42[i % len(CARD_UIDS_42)]
+        ledger.put_card(ledger.get_card(uid)._replace(ax_ui=bytes([byte]) * WIDTH))
+    elif name == "replace-index":
+        user = USERS_42[i % len(USERS_42)]
+        old = ledger.live_index_for(user)
+        new = old if j % 2 else hashlib.sha256(b"%d" % number).digest()[:WIDTH]
+        ledger.replace_index(old, new, user)
+    elif name == "insert-earlier":
+        blocks.insert(i % (len(blocks) + 1), seen[j % len(seen)])
+    elif name == "rebind":
+        ledger.blocks = list(blocks)
+    elif blocks:
+        i = i % len(blocks)
+        if name == "flip":
+            flipped = bytearray(blocks[i])
+            if flipped:
+                flipped[j % len(flipped)] ^= byte
+                blocks[i] = bytes(flipped)
+        elif name == "truncate":
+            blocks[i] = blocks[i][:j % max(len(blocks[i]), 1)]
+        elif name == "del":
+            del blocks[i]
+        elif name == "swap":
+            j = j % len(blocks)
+            blocks[i], blocks[j] = blocks[j], blocks[i]
+        elif name == "pop":
+            blocks.pop()
+        elif name == "copy":
+            blocks[i] = bytes(bytearray(blocks[i]))       # equal content, a new object
+    seen.extend(ledger.blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(CHAIN_STEPS), st.integers(0, 2**16),
+                          st.integers(0, 2**16), st.integers(1, 255)),
+                min_size=1, max_size=12))
+def test_verify_chain_equals_a_full_rehash_through_writes_and_edits(steps):
+    ledger = honest_ledger()
+    seen = list(ledger.blocks)
+    for number, step in enumerate(steps):
+        chain_step(ledger, seen, step, number)
+        verdict = ledger.verify_chain()
+        assert verdict == full_rehash_verify(ledger.blocks), (number, step)
+    event(f"the chain verifies after the last step: {verdict}")
 
 
 def test_token_revocation_is_append_only():
