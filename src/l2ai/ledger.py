@@ -40,12 +40,13 @@ need no check of their own. Block digests go through the uncounted hash core
 (chain maintenance is not a protocol operation).
 Every block comes from one builder, ``Ledger._link``, which links a payload
 to the record last on the chain as it stands, hashes the record once and
-keeps it in ``_linked``, in build order. ``verify_chain`` checks every height
-and link and re-hashes each record that is not the object ``_linked`` holds
-at its position, so every record of an import is re-hashed. ``append``
-indexes any record through the generic ``_index`` first, as import does; the
-typed writers (``put_card``, ``replace_index``, ``revoke_token``) run their
-own checks and then update just the lookups their records touch.
+keeps it in ``_linked``, in build order. While every write has extended the
+chain ``_linked`` holds, ``_linked`` is a valid chain, so a chain equal to it
+verifies by one list compare; any other chain, an import included, is
+re-hashed in full. ``append`` indexes any record through the generic
+``_index`` first, as import does; the typed writers (``put_card``,
+``replace_index``, ``revoke_token``) run their own checks and then update
+just the lookups their records touch.
 """
 
 from __future__ import annotations
@@ -193,6 +194,7 @@ class Ledger:
     def __init__(self):
         self.blocks: list[bytes] = []                    # one record per block
         self._linked: list[bytes] = []                   # each record _link built, in order
+        self._intact = True                  # every _link so far extended _linked itself
         self._tokens: dict[bytes, TokenRecord] = {}
         self._idents: dict[bytes, bytes] = {}            # live digest -> user id
         self._cards: dict[bytes, SmartCard] = {}         # latest version per card
@@ -203,13 +205,15 @@ class Ledger:
     def _link(self, payload: bytes) -> int:
         """Append the block holding `payload`, linked to the last record on
         the chain; returns its height. Every block is built here."""
-        blocks = self.blocks
+        blocks, linked = self.blocks, self._linked
         height = len(blocks)
+        if height != len(linked) or height and blocks[-1] is not linked[-1]:
+            self._intact = False            # this record extends some other chain
         preimage = b"".join((_HEIGHT.pack(height),
                              blocks[-1][_DIGEST] if blocks else _GENESIS, payload))
         record = preimage + sha256_160(preimage)
         blocks.append(record)
-        self._linked.append(record)
+        linked.append(record)
         return height
 
     def append(self, record) -> int:
@@ -304,22 +308,23 @@ class Ledger:
         and a digest, and holds its own height, the previous record's digest,
         and the digest of everything before its last 20 bytes.
 
-        A record is hashed once, when `_link` writes it. Every height and
-        link is checked here, but a record is hashed again only if it is not
-        the very object at its position in `_linked`: that object is `bytes`
-        `_link` built, which cannot change, so its digest is the one `_link`
-        computed. Every record of a `from_lines` import, and one inserted,
-        replaced or moved, is hashed again."""
-        prev, sha256, linked = _GENESIS, hashlib.sha256, self._linked
-        built = len(linked)
-        for height, record in enumerate(self.blocks):
+        While `_intact` holds, every record `_link` built extended `_linked`
+        itself: it holds its position there as its height, the digest of the
+        record before it there as its link, and the digest `_link` computed.
+        So `_linked` is a valid chain, and a chain equal to it verifies by one
+        list compare. Any other chain, a `from_lines` import included, is
+        re-hashed in full."""
+        blocks = self.blocks
+        if self._intact and blocks == self._linked:
+            return True
+        prev, sha256 = _GENESIS, hashlib.sha256
+        for height, record in enumerate(blocks):
             if len(record) < _MIN_RECORD or _HEIGHT.unpack_from(record)[0] != height \
                     or record[_PREV] != prev:
                 return False
             prev = record[_DIGEST]
             # sha256_160 inline, one frame fewer
-            if (height >= built or record is not linked[height]) \
-                    and sha256(record[_COVERED]).digest()[:WIDTH] != prev:
+            if sha256(record[_COVERED]).digest()[:WIDTH] != prev:
                 return False
         return True
 

@@ -97,7 +97,8 @@ def test_record_too_short_for_height_link_and_digest_fails_verification(length):
     assert not world.ledger.verify_chain()
 
 
-# --- verify_chain hashes only the records _link did not build -------------------
+# --- a chain equal to what _link built verifies by one list compare; any other
+# chain, an import included, is re-hashed in full --------------------------------
 
 def full_rehash_verify(blocks) -> bool:
     """The reference: every record's length, height and link checked and
@@ -123,6 +124,21 @@ _HONEST_RECORDS = [parse_record(LedgerBlock.from_record(record).payload)
                    for record in honest_ledger().blocks]
 CARD_UIDS_42 = sorted({r.card_uid for r in _HONEST_RECORDS if isinstance(r, SmartCard)})
 USERS_42 = sorted({r.user_id for r in _HONEST_RECORDS if isinstance(r, IdentityIndex)})
+TOKENS_42 = sorted({r.x for r in _HONEST_RECORDS if isinstance(r, TokenRecord)})
+
+
+def new_card_version(ledger: Ledger, byte: int = 0,
+                     uid: bytes = CARD_UIDS_42[0]) -> SmartCard:
+    """A newer version of a card of the seed-42 chain, for `put_card`."""
+    return ledger.get_card(uid)._replace(ax_ui=bytes([byte]) * WIDTH)
+
+
+def resigned(record: bytes, at: int, byte: int) -> bytes:
+    """`record` with one payload byte xor-ed by `byte` and its digest
+    recomputed: a self-consistent edit, whose height and link are kept."""
+    covered = bytearray(record[:-WIDTH])
+    covered[8 + WIDTH + at % (len(covered) - 8 - WIDTH)] ^= byte
+    return bytes(covered) + sha256_160(bytes(covered))
 
 
 def test_every_linked_record_holds_the_digest_of_what_precedes_it():
@@ -133,18 +149,61 @@ def test_every_linked_record_holds_the_digest_of_what_precedes_it():
         assert record[-WIDTH:] == hashlib.sha256(record[:-WIDTH]).digest()[:WIDTH]
 
 
-def test_an_untouched_chain_verifies_without_hashing_and_an_import_hashes_every_block(
-        monkeypatch):
-    ledger, hashed = honest_ledger(), []
+def count_sha256(monkeypatch) -> list[bytes]:
+    """Patch the SHA-256 that verify_chain calls; returns the list of what
+    it hashes. `_link` hashes through the hash core and is not counted."""
+    hashed = []
 
     def counting_sha256(data):
         hashed.append(data)
         return hashlib.sha256(data)
 
     monkeypatch.setattr("l2ai.ledger.hashlib", SimpleNamespace(sha256=counting_sha256))
+    return hashed
+
+
+def test_an_untouched_chain_verifies_without_hashing_and_an_import_hashes_every_block(
+        monkeypatch):
+    ledger = honest_ledger()
+    hashed = count_sha256(monkeypatch)
     assert ledger.verify_chain()
     assert hashed == []
     assert Ledger.from_lines(ledger.export_lines()).verify_chain()
+    assert hashed == [record[:-WIDTH] for record in ledger.blocks]
+
+
+def test_every_write_keeps_an_untouched_chain_off_sha256_and_any_other_is_rehashed(
+        monkeypatch):
+    ledger = honest_ledger()
+    hashed = count_sha256(monkeypatch)
+    user = USERS_42[0]
+    live = [x for x in TOKENS_42 if not ledger.get_token(x).revoked]
+    writes = [
+        lambda: ledger.put_card(new_card_version(ledger)),
+        lambda: ledger.replace_index(ledger.live_index_for(user), bytes(WIDTH), user),
+        lambda: ledger.revoke_token(live[0]),
+        lambda: ledger.append(sample_token(make_ops())),
+    ]
+    for write in writes:
+        height = len(ledger.blocks)
+        write()
+        assert len(ledger.blocks) > height
+        assert ledger.verify_chain()
+        assert hashed == []
+    ledger.blocks = list(ledger.blocks)
+    assert ledger.verify_chain()
+    assert hashed == []
+    # an import never took the fast path, and a write onto it does not open it
+    imported = Ledger.from_lines(ledger.export_lines())
+    imported.put_card(new_card_version(imported))
+    assert imported.verify_chain()
+    assert hashed == [record[:-WIDTH] for record in imported.blocks]
+    # a write onto a chain that is not the one _link built leaves a valid chain
+    # of records _link built, and it too is re-hashed in full
+    hashed.clear()
+    ledger.blocks.pop()
+    ledger.put_card(new_card_version(ledger, 1))
+    assert ledger.verify_chain()
     assert hashed == [record[:-WIDTH] for record in ledger.blocks]
 
 
@@ -154,7 +213,7 @@ def test_a_record_linked_above_an_insert_that_is_then_deleted_fails_verification
     # it holds the height it was written at, one above its position
     ledger = honest_ledger()
     ledger.blocks.insert(0, ledger.blocks[0])
-    ledger.put_card(ledger.get_card(CARD_UIDS_42[0])._replace(ax_ui=bytes(WIDTH)))
+    ledger.put_card(new_card_version(ledger))
     del ledger.blocks[0]
     assert all(record is built
                for record, built in zip(ledger.blocks, ledger._linked, strict=True))
@@ -162,18 +221,36 @@ def test_a_record_linked_above_an_insert_that_is_then_deleted_fails_verification
     assert not ledger.verify_chain()
 
 
-CHAIN_STEPS = ("put-card", "replace-index", "flip", "truncate", "del", "insert-earlier",
-               "swap", "pop", "copy", "rebind")
+def test_a_record_linked_to_a_replaced_tail_fails_once_the_tail_is_restored():
+    # the chain keeps its length throughout, and after the restore every
+    # position holds the record _link built there, but the last one links to
+    # the digest of the re-signed tail it was written above
+    ledger = honest_ledger()
+    tail = ledger.blocks[-1]
+    ledger.blocks[-1] = resigned(tail, 0, 1)
+    assert full_rehash_verify(ledger.blocks) and ledger.verify_chain()
+    ledger.put_card(new_card_version(ledger))
+    ledger.blocks[-2] = tail
+    assert all(record is built
+               for record, built in zip(ledger.blocks, ledger._linked, strict=True))
+    assert not full_rehash_verify(ledger.blocks)
+    assert not ledger.verify_chain()
 
 
-def chain_step(ledger: Ledger, seen: list[bytes], step: tuple, number: int) -> None:
+CHAIN_STEPS = ("put-card", "replace-index", "flip", "resign", "truncate", "del",
+               "insert-earlier", "swap", "pop", "copy", "restore", "rebind")
+
+
+def chain_step(ledger: Ledger, seen: list[bytes], first: list[bytes], step: tuple,
+               number: int) -> None:
     """One `_link` write through a typed writer, or one edit of the records
-    in place; `seen` holds every record the chain has held, to reinsert."""
+    in place; `seen` holds every record the chain has held, to reinsert, and
+    `first` the record the chain first held at each position, to restore."""
     name, i, j, byte = step
     blocks = ledger.blocks
     if name == "put-card":
         uid = CARD_UIDS_42[i % len(CARD_UIDS_42)]
-        ledger.put_card(ledger.get_card(uid)._replace(ax_ui=bytes([byte]) * WIDTH))
+        ledger.put_card(new_card_version(ledger, byte, uid))
     elif name == "replace-index":
         user = USERS_42[i % len(USERS_42)]
         old = ledger.live_index_for(user)
@@ -190,6 +267,9 @@ def chain_step(ledger: Ledger, seen: list[bytes], step: tuple, number: int) -> N
             if flipped:
                 flipped[j % len(flipped)] ^= byte
                 blocks[i] = bytes(flipped)
+        elif name == "resign":
+            if len(blocks[i]) > 8 + 2 * WIDTH:          # a payload byte to edit
+                blocks[i] = resigned(blocks[i], j, byte)
         elif name == "truncate":
             blocks[i] = blocks[i][:j % max(len(blocks[i]), 1)]
         elif name == "del":
@@ -201,7 +281,10 @@ def chain_step(ledger: Ledger, seen: list[bytes], step: tuple, number: int) -> N
             blocks.pop()
         elif name == "copy":
             blocks[i] = bytes(bytearray(blocks[i]))       # equal content, a new object
+        elif name == "restore":
+            blocks[i] = first[i]
     seen.extend(ledger.blocks)
+    first.extend(ledger.blocks[len(first):])
 
 
 @settings(max_examples=200, deadline=None)
@@ -210,9 +293,9 @@ def chain_step(ledger: Ledger, seen: list[bytes], step: tuple, number: int) -> N
                 min_size=1, max_size=12))
 def test_verify_chain_equals_a_full_rehash_through_writes_and_edits(steps):
     ledger = honest_ledger()
-    seen = list(ledger.blocks)
+    seen, first = list(ledger.blocks), list(ledger.blocks)
     for number, step in enumerate(steps):
-        chain_step(ledger, seen, step, number)
+        chain_step(ledger, seen, first, step, number)
         verdict = ledger.verify_chain()
         assert verdict == full_rehash_verify(ledger.blocks), (number, step)
     event(f"the chain verifies after the last step: {verdict}")
