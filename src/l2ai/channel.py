@@ -16,18 +16,20 @@ The adversary is a set of actions armed before the run:
 
 Replayed copies carry negative sequence numbers so honest numbering never
 shifts underneath a script. A sender may name an owner for a send; its
-envelope and every replayed copy carry it back to the handlers, and the
-channel itself never reads it. Modification happens on the wire: the
-eavesdrop record and the adversary's replay material keep the bytes as the
-honest party sent them. The armed actions live in one map keyed by seq, and
-each send pops its own entry, so a matched action leaves nothing behind; an
-armed seq that never occurs is a scripting mistake and fails the run
-loudly. A dropped send's seq goes into `dropped` when it is sent; every
-other send is delivered by the next run, so after a drain "not delivered"
-means exactly "dropped". A parsed `Scenario` keeps its steps and directives
-as calls in script order and arms the directives in that order. The order
-cannot change a run: only a second drop on one seq fails when armed, `send`
-applies a seq's actions in a fixed order, and leftover seqs are sorted.
+envelope and every replayed copy carry it to the handler and no further:
+`run` clears it once the handler returns, and a dropped send, which no
+handler sees, never holds it. The channel itself never reads it. Modification
+happens on the wire: the eavesdrop record and the adversary's replay material
+keep the bytes as the honest party sent them. The armed actions live in one
+map keyed by seq, and each send pops its own entry, so a matched action
+leaves nothing behind; an armed seq that never occurs is a scripting mistake
+and fails the run loudly. A dropped send's seq goes into `dropped` when it is
+sent; every other send is delivered by the next run, so after a drain "not
+delivered" means exactly "dropped". A parsed `Scenario` keeps its steps and
+directives as calls in script order and arms the directives in that order.
+The order cannot change a run: only a second drop on one seq fails when
+armed, `send` applies a seq's actions in a fixed order, and leftover seqs are
+sorted.
 
 Delivery handlers return an outcome string and must not raise; the caller
 wraps protocol rejections into outcomes. The outcome is stored on its
@@ -84,10 +86,11 @@ class ParseError(ValueError):
 class Envelope:
     """One message in flight. `tampered` marks an adversary modification;
     `replay_of` names the original send for re-injected copies. `owner` is
-    whatever the sender passed to `send` (replayed copies keep it): the
-    channel carries it and never reads it. `outcome` is the handler's return,
-    None until delivery. Neither takes part in `==` or `hash`. Not frozen,
-    which saves a per-field `object.__setattr__`."""
+    whatever the sender passed to `send` (replayed copies keep it) until the
+    handler has seen it: None after delivery, and None on a dropped send; the
+    channel never reads it. `outcome` is the handler's return, None until
+    delivery. Neither takes part in `==` or `hash`. Not frozen, which saves a
+    per-field `object.__setattr__`."""
 
     seq: int
     src: str
@@ -196,6 +199,7 @@ class Channel:
                                        f"{armed.drop[1]} but the send is {src}->{dst}")
                 pending.append(f"{now:08d} DROP seq={seq} {src}->{dst}")
                 self.dropped.add(seq)
+                owner = None        # no handler will see it; replays took theirs
         env = Envelope(seq, src, dst, out, now, out != payload, None, owner)
         if armed is None or armed.drop is None:
             self._pushes += 1
@@ -216,6 +220,7 @@ class Channel:
             if handler is None:
                 raise ChannelError(f"no handler registered for {env.dst!r}")
             outcome = env.outcome = handler(env)
+            env.owner = None            # the owner rides to the handler, no further
             self.deliveries.append(env)
             if env.tampered or env.replay_of is not None or env.seq in knowledge:
                 adversary.append(env)

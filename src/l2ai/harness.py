@@ -12,18 +12,21 @@ The delivery handler decodes the payload before the metered call, since its
 width dispatch has already checked the one thing a decoder checks.
 Each send carries its owner on its envelope (a Session for msg1 and server
 replies, a user name for enrollment traffic), replayed copies included, so the
-delivery handler records its result on the envelope's owner. The channel
+delivery handler records its result on the envelope's owner; the channel
+clears the owner once the handler returns. Every party's handler reaches its
+World through a weak reference, so a finished run holds no reference cycle: a
+World is freed by reference counting when its last reference goes. The channel
 decides each drop and modification at send time, so World._send marks the
 damaged send's Session hit, or taints its user, right there. Call
 check_invariants after the final drain; it is the one place the ledger chain
 is verified. Its two adversary checks read only the channel's
 `adversary_deliveries`, the deliveries that were tampered, are replayed
 copies, or have a seq the adversary recorded, and that is exact: every other
-delivery is an untouched original, unmodified and delivered once, and a
-second acceptance of one origin needs a replayed copy, whose original was
-recorded when it was sent. The report renders the verdict it is given, with
-the event digest and the replayed and tampered counts taken from that same
-list, so it neither joins the trace nor scans the deliveries.
+delivery is an untouched original, unmodified and delivered once, and a second
+acceptance of one origin needs a replayed copy, whose original was recorded
+when it was sent. The report renders the verdict it is given, with the event
+digest and the replayed and tampered counts taken from that same list, so it
+neither joins the trace nor scans the deliveries.
 
 The invariant checker encodes what a run must satisfy regardless of the
 adversary script:
@@ -47,6 +50,7 @@ EXPECTED_OPS pins the per-call costs the metrics suite enforces.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -113,6 +117,22 @@ class Session:
         return self.outcome if self.msg1_env is None else None
 
 
+_referent = weakref.ref.__call__         # a weak reference's own dereference
+
+
+class _Handler(weakref.ref):
+    """The delivery handler every party of one World shares: a weak
+    reference to the World that, called with an envelope, runs its
+    `_deliver`. A bound method would point back at the World and make every
+    finished run a reference cycle; a closure over a weak reference would
+    cost a function, a cell and a tuple per World."""
+
+    __slots__ = ()
+
+    def __call__(self, env: Envelope) -> str:
+        return _referent(self)._deliver(env)
+
+
 class World:
     def __init__(self, seed: int = 42, delta_t: int = DEFAULT_DELTA_T,
                  perm_table: PermissionTable | None = None):
@@ -123,7 +143,7 @@ class World:
                                      delta_t)
         self.channel = Channel(self.clock)
         self.users: dict[str, UserGateway] = {}
-        self.handlers = {SERVER: self._deliver}
+        self.handlers = {SERVER: _Handler(self)}
         self.sessions: list[Session] = []
         self.step_notes: list[str] = []
         self.tainted: set[str] = set()

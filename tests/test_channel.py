@@ -112,17 +112,29 @@ def test_replay_reinjects_original_bytes():
 
 
 def test_owner_rides_on_replayed_copies_and_stays_out_of_equality():
+    # the owner rides to the handler, replayed copies included, and no further
     ch = Channel(SimClock(), base_delay=50)
     ch.script_replay(1, 500)
-    owner = ["mutable", "so unhashable"]
+    ch.script_drop("a", "b", 2)
+    ch.script_replay(2, 600)
+    owner, other = ["mutable", "so unhashable"], ["another"]
+    received = []
+
+    def recording(env):
+        received.append((env.seq, env.owner))
+        return "ok"
+
     sent = ch.send("a", "b", b"\x00\x02", owner)
-    ch.run({"b": sink([])})
+    dropped = ch.send("a", "b", b"\x00\x03", other)
+    ch.run({"b": recording})
+    assert [seq for seq, _ in received] == [1, -1, -2]
+    assert all(got is want for (_, got), want in zip(received, [owner, owner, other]))
+    assert all(env.owner is None for env in [sent, dropped, *ch.deliveries])
     replayed = ch.delivered[1][0]
-    assert sent.owner is owner and replayed.owner is owner
-    unowned = replace(sent, owner=None)
-    assert unowned == sent and hash(unowned) == hash(sent)
-    assert replace(replayed, owner=None) == replayed
-    assert len({sent, unowned, replayed}) == 2
+    owned = replace(sent, owner=owner)
+    assert owned == sent and hash(owned) == hash(sent)
+    assert replace(replayed, owner=owner) == replayed
+    assert len({sent, owned, replayed}) == 2
 
 
 def test_delivered_pairs_each_envelope_with_its_outcome_in_delivery_order():

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from l2ai import cli, harness
 from l2ai.channel import (
-    HONEST_PHASES, Channel, ChannelError, ParseError, parse_scenario,
+    HONEST_PHASES, Channel, ChannelError, ParseError, UnknownSeq, parse_scenario,
 )
 from l2ai.cli import main as cli_main
 from l2ai.harness import (
@@ -39,6 +40,26 @@ RACES = Path(__file__).parent / "races"
 def run_text(text: str, seed: int = 42):
     world = World(seed=seed)
     return world, run_scenario(world, parse_scenario(text))
+
+
+def run_recorded(text: str, seed: int = 42):
+    """run_text, also returning the (envelope, owner) pair each delivery
+    handed the shared handler, and every envelope the channel sent."""
+    world = World(seed=seed)
+    received, sent = [], []
+    shared, send = world.handlers[SERVER], world.channel.send
+
+    def recording(env):
+        received.append((env, env.owner))
+        return shared(env)
+
+    def recording_send(*args):
+        sent.append(send(*args))
+        return sent[-1]
+
+    world.handlers[SERVER] = recording      # get_user shares it with every user
+    world.channel.send = recording_send
+    return world, run_scenario(world, parse_scenario(text)), received, sent
 
 
 def test_honest_scenario_all_sessions_verified():
@@ -176,10 +197,12 @@ def test_enrollment_disturbance_taints_its_user(attack):
     *(pytest.param(text, id=name) for name, text, _ in _ATTACK_CASES),
 ])
 def test_auth_disturbance_taints_nobody(script):
-    world, _ = run_text(script)
+    world, _, received, sent = run_recorded(script)
     assert world.tainted == set()
-    auth = [env for env in world.channel.deliveries if len(env.payload) in AUTH_WIDTHS]
-    assert auth and all(isinstance(env.owner, Session) for env in auth)
+    auth = [owner for env, owner in received if len(env.payload) in AUTH_WIDTHS]
+    assert auth and all(isinstance(owner, Session) for owner in auth)
+    # the owner rides to the handler and no further, dropped sends included
+    assert all(env.owner is None for env in [*sent, *world.channel.deliveries])
 
 
 # the channel decides each drop and modification at send time, and the send
@@ -230,12 +253,54 @@ def test_unexpected_width_is_rejected_without_a_protocol_call():
     ("drop alice hms 3", "pending"),
 ])
 def test_session_outcome_precedence(attack, outcome):
-    world, _ = run_text(f"honest register alice\nhonest auth alice\n{attack}\n")
+    world, _, received, sent = run_recorded(
+        f"honest register alice\nhonest auth alice\n{attack}\n")
     (session,) = world.sessions
     assert session.outcome == outcome
     assert session.local_reject is None
-    assert session.msg1_env.owner is session
-    assert hash(session.msg1_env) == hash(replace(session.msg1_env, owner=None))
+    # every auth-width delivery, replayed copies included, handed over the Session
+    auth = [owner for env, owner in received if len(env.payload) in AUTH_WIDTHS]
+    assert all(owner is session for owner in auth)
+    assert auth or attack.startswith("drop")        # a dropped msg1 reaches no handler
+    assert all(env.owner is None for env in [*sent, *world.channel.deliveries])
+    owned = replace(session.msg1_env, owner=session)
+    assert owned == session.msg1_env and hash(owned) == hash(session.msg1_env)
+
+
+# A finished run holds no reference cycle, so reference counting frees it the
+# moment its last reference goes, also after an UnknownSeq exit: the handler
+# reaches its World through a weak reference, and an envelope drops its owner
+# once the handler has seen it (a dropped send never holds one).
+@pytest.mark.parametrize("script, code", [
+    pytest.param(HONEST_SCENARIO, 0, id="honest"),
+    *(pytest.param(text, 0, id=name) for name, text, _ in _ATTACK_CASES),
+    pytest.param("honest register alice\nhonest auth alice\n"
+                 "drop alice hms 3\nreplay 3 2101\n", 0, id="dropped-then-replayed-msg1"),
+    pytest.param("honest register alice\nhonest auth alice\neavesdrop 9\n", 2,
+                 id="unknown-seq"),
+])
+@pytest.mark.parametrize("via", ["run_scenario", "cli"])
+def test_a_finished_run_leaves_nothing_for_the_cycle_collector(script, code, via,
+                                                                tmp_path):
+    path = tmp_path / "s.scn"
+    path.write_text(script, encoding="utf-8")
+    gc.collect()
+    gc.disable()
+    try:
+        if via == "cli":
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                assert cli_main(["run", str(path)]) == code
+        else:
+            try:
+                run_text(script)
+            except UnknownSeq:
+                assert code == 2
+            else:
+                assert code == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_clean_rejection_is_a_violation():
@@ -743,6 +808,9 @@ def test_every_party_shares_one_delivery_handler():
     handler = world.handlers[SERVER]
     assert sorted(world.handlers) == sorted([SERVER, *world.users])
     assert all(h is handler for h in world.handlers.values())
+    # a weak reference to its World and no more: no cycle, no per-World dict
+    assert weakref.ref.__call__(handler) is world
+    assert sys.getsizeof(handler) == sys.getsizeof(weakref.ref(world))
 
 
 def test_worlds_do_not_share_a_permission_table():

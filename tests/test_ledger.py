@@ -238,7 +238,8 @@ def test_a_record_linked_to_a_replaced_tail_fails_once_the_tail_is_restored():
 
 
 CHAIN_STEPS = ("put-card", "replace-index", "flip", "resign", "truncate", "del",
-               "insert-earlier", "swap", "pop", "copy", "restore", "rebind")
+               "insert-earlier", "swap", "pop", "copy", "restore", "rebind",
+               "edit-link-undo")
 
 
 def chain_step(ledger: Ledger, seen: list[bytes], first: list[bytes], step: tuple,
@@ -260,6 +261,20 @@ def chain_step(ledger: Ledger, seen: list[bytes], first: list[bytes], step: tupl
         blocks.insert(i % (len(blocks) + 1), seen[j % len(seen)])
     elif name == "rebind":
         ledger.blocks = list(blocks)
+    elif name == "edit-link-undo":
+        # an insert or a re-signed record near the tail, one `_link` write
+        # above it, then the edit undone: every record is then one `_link`
+        # built, but the new one holds the wrong height or link
+        at = max(len(blocks) - 1 - i % 3, 0)
+        if j % 2 or not blocks or len(blocks[at]) <= 8 + 2 * WIDTH:
+            blocks.insert(at, seen[j % len(seen)])
+            ledger.put_card(new_card_version(ledger, byte))
+            del blocks[at]
+        else:
+            record = blocks[at]
+            blocks[at] = resigned(record, j, byte)
+            ledger.put_card(new_card_version(ledger, byte))
+            blocks[at] = record
     elif blocks:
         i = i % len(blocks)
         if name == "flip":
