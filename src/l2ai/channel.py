@@ -15,24 +15,27 @@ The adversary is a set of actions armed before the run:
   delay <ms>                 set the one-way delivery delay for the run
 
 Replayed copies carry negative sequence numbers so honest numbering never
-shifts underneath a script. A sender may name an owner for a send; its
-envelope and every replayed copy carry it to the handler and no further:
-`run` clears it once the handler returns, and a dropped send, which no
-handler sees, never holds it. The channel itself never reads it. Modification
-happens on the wire: the eavesdrop record and the adversary's replay material
-keep the bytes as the honest party sent them. The armed actions live in one
-map keyed by seq, and each send pops its own entry, so a matched action
-leaves nothing behind; an armed seq that never occurs is a scripting mistake
-and fails the run loudly. A dropped send's seq goes into `dropped` when it is
-sent; every other send is delivered by the next run, so after a drain "not
-delivered" means exactly "dropped". A parsed `Scenario` keeps its steps and
-directives as calls in script order and arms the directives in that order.
-The order cannot change a run: only a second drop on one seq fails when
-armed, `send` applies a seq's actions in a fixed order, and leftover seqs are
-sorted.
+shifts underneath a script. A sender may name an owner for a send; it rides
+in the delivery-queue entry of the send and of each replayed copy, never on
+an envelope, and `run` hands it to the handler with the envelope. A dropped
+send is never queued, so only its replayed copies' entries keep its owner:
+an owner lives as long as a delivery of it is pending, and the channel never
+reads it. Modification happens on the wire: the eavesdrop record and the
+adversary's replay material keep the bytes as the honest party sent them.
+The armed actions live in one map keyed by seq, and each send pops its own
+entry, so a matched action leaves nothing behind; an armed seq that never
+occurs is a scripting mistake and fails the run loudly. A dropped send's seq
+goes into `dropped` when it is sent; every other send is delivered by the
+next run, so after a drain "not delivered" means exactly "dropped". A parsed
+`Scenario` keeps its steps and directives as calls in script order and arms
+the directives in that order. The order cannot change a run: only a second
+drop on one seq fails when armed, `send` applies a seq's actions in a fixed
+order, and leftover seqs are sorted.
 
-Delivery handlers return an outcome string and must not raise; the caller
-wraps protocol rejections into outcomes. The outcome is stored on its
+Delivery handlers take the envelope and its owner and return an outcome
+string; the caller wraps protocol rejections into outcomes. A handler's own
+send can raise `ChannelError` (a scripting mistake on a reply's seq), which
+ends the run: the CLI reports it and exits 2. The outcome is stored on its
 envelope; `deliveries` lists delivered envelopes in order, and `delivered`
 is a read-only view of (envelope, outcome) pairs built on each read. `run`
 also lists in `adversary_deliveries` each delivery the adversary had a hand
@@ -85,12 +88,10 @@ class ParseError(ValueError):
 @dataclass(slots=True, unsafe_hash=True)
 class Envelope:
     """One message in flight. `tampered` marks an adversary modification;
-    `replay_of` names the original send for re-injected copies. `owner` is
-    whatever the sender passed to `send` (replayed copies keep it) until the
-    handler has seen it: None after delivery, and None on a dropped send; the
-    channel never reads it. `outcome` is the handler's return, None until
-    delivery. Neither takes part in `==` or `hash`. Not frozen, which saves a
-    per-field `object.__setattr__`."""
+    `replay_of` names the original send for re-injected copies. `outcome` is
+    the handler's return, None until delivery, and takes no part in `==` or
+    `hash`. A send's owner is not kept here but in its queue entry. Not
+    frozen, which saves a per-field `object.__setattr__`."""
 
     seq: int
     src: str
@@ -99,11 +100,10 @@ class Envelope:
     send_time: int
     tampered: bool = False
     replay_of: int | None = None
-    owner: object = field(default=None, compare=False)
     outcome: str | None = field(default=None, compare=False)
 
 
-Handler = Callable[[Envelope], str]
+Handler = Callable[[Envelope, object], str]
 
 
 @dataclass(slots=True)
@@ -130,7 +130,7 @@ class Channel:
         self._next_seq = 1
         self._next_replay = -1
         self._pushes = 0
-        self._queue: list[tuple[int, int, Envelope]] = []
+        self._queue: list[tuple[int, int, Envelope, object]] = []
         self._armed: dict[int, _Armed] = {}        # seq -> actions not yet matched
 
     # --- adversary scripting (armed before or between runs) -------------------
@@ -183,7 +183,7 @@ class Channel:
                 self._next_replay -= 1
                 self._pushes += 1
                 heapq.heappush(self._queue, (at, self._pushes, Envelope(
-                    rseq, src, dst, payload, now, False, seq, owner)))
+                    rseq, src, dst, payload, now, False, seq), owner))
                 pending.append(f"{now:08d} REPLAY seq={rseq} of={seq} at={at}")
             for offset, mask in armed.modifies:
                 end = offset + len(mask)
@@ -199,11 +199,10 @@ class Channel:
                                        f"{armed.drop[1]} but the send is {src}->{dst}")
                 pending.append(f"{now:08d} DROP seq={seq} {src}->{dst}")
                 self.dropped.add(seq)
-                owner = None        # no handler will see it; replays took theirs
-        env = Envelope(seq, src, dst, out, now, out != payload, None, owner)
+        env = Envelope(seq, src, dst, out, now, out != payload)
         if armed is None or armed.drop is None:
             self._pushes += 1
-            heapq.heappush(self._queue, (now + self.base_delay, self._pushes, env))
+            heapq.heappush(self._queue, (now + self.base_delay, self._pushes, env, owner))
         return env
 
     def run(self, handlers: dict[str, Handler], strict: bool = True) -> None:
@@ -212,15 +211,14 @@ class Channel:
         queue, clock, pending = self._queue, self.clock, self._pending
         knowledge, adversary = self.knowledge, self.adversary_deliveries
         while queue:
-            at, _, env = heapq.heappop(queue)
+            at, _, env, owner = heapq.heappop(queue)
             clock.advance_to(at)
             pending.append(f"{at:08d} DELIVER seq={env.seq} "
                            f"{env.src}->{env.dst} len={len(env.payload)}")
             handler = handlers.get(env.dst)
             if handler is None:
                 raise ChannelError(f"no handler registered for {env.dst!r}")
-            outcome = env.outcome = handler(env)
-            env.owner = None            # the owner rides to the handler, no further
+            outcome = env.outcome = handler(env, owner)
             self.deliveries.append(env)
             if env.tampered or env.replay_of is not None or env.seq in knowledge:
                 adversary.append(env)

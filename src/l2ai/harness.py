@@ -10,14 +10,15 @@ completion. Each key is a constant tuple at its call site, so no call builds
 one and every World's phase maps share the same key objects.
 The delivery handler decodes the payload before the metered call, since its
 width dispatch has already checked the one thing a decoder checks.
-Each send carries its owner on its envelope (a Session for msg1 and server
-replies, a user name for enrollment traffic), replayed copies included, so the
-delivery handler records its result on the envelope's owner; the channel
-clears the owner once the handler returns. Every party's handler reaches its
-World through a weak reference, so a finished run holds no reference cycle: a
-World is freed by reference counting when its last reference goes. The channel
-decides each drop and modification at send time, so World._send marks the
-damaged send's Session hit, or taints its user, right there. Call
+Each send names its owner (a Session for msg1 and server replies, a user name
+for enrollment traffic); the channel keeps it in the send's delivery-queue
+entry, replayed copies included, and hands it to the delivery handler with the
+envelope, so the handler records its result on the owner and no envelope
+points back at one. Every party's handler reaches its World through a weak
+reference, so a run holds no reference cycle on any exit: a World is freed by
+reference counting when its last reference goes. The channel decides each drop
+and modification at send time, so World._send marks the damaged send's Session
+hit, or taints its user, right there. Call
 check_invariants after the final drain; it is the one place the ledger chain
 is verified. Its two adversary checks read only the channel's
 `adversary_deliveries`, the deliveries that were tampered, are replayed
@@ -122,15 +123,15 @@ _referent = weakref.ref.__call__         # a weak reference's own dereference
 
 class _Handler(weakref.ref):
     """The delivery handler every party of one World shares: a weak
-    reference to the World that, called with an envelope, runs its
-    `_deliver`. A bound method would point back at the World and make every
-    finished run a reference cycle; a closure over a weak reference would
-    cost a function, a cell and a tuple per World."""
+    reference to the World that, called with an envelope and its owner, runs
+    its `_deliver`. A bound method would point back at the World and make
+    every run a reference cycle; a closure over a weak reference would cost
+    a function, a cell and a tuple per World."""
 
     __slots__ = ()
 
-    def __call__(self, env: Envelope) -> str:
-        return _referent(self)._deliver(env)
+    def __call__(self, env: Envelope, owner: Session | str) -> str:
+        return _referent(self)._deliver(env, owner)
 
 
 class World:
@@ -256,10 +257,10 @@ class World:
 
     # --- delivery handler -------------------------------------------------------
 
-    def _deliver(self, env: Envelope) -> str:
+    def _deliver(self, env: Envelope, owner: Session | str) -> str:
         """The delivery handler of every party: the receiver and the payload
-        width choose the step; an auth-width delivery carries its Session."""
-        width, owner = len(env.payload), env.owner
+        width choose the step; an auth-width delivery's owner is its Session."""
+        width = len(env.payload)
         if isinstance(owner, str) and env.replay_of is not None:
             self.tainted.add(owner)         # its user's enrollment was replayed
         if env.dst == SERVER:

@@ -112,12 +112,8 @@ def split_sealed(sealed: bytes) -> tuple[bytes, bytes, bytes]:
 
 
 def _keystream(k_enc: bytes, nonce: bytes, length: int) -> bytes:
-    out = b""
-    block = 0
-    while len(out) < length:
-        out += hashlib.sha256(k_enc + nonce + struct.pack(">Q", block)).digest()
-        block += 1
-    return out[:length]
+    return b"".join(hashlib.sha256(k_enc + nonce + struct.pack(">Q", block)).digest()
+                    for block in range((length + 31) // 32))[:length]
 
 
 def _tag(k_mac: bytes, nonce: bytes, body: bytes) -> bytes:

@@ -15,8 +15,8 @@ skipped too. Everything else is a mutant, compound statements (`if`, `for`,
 Every module under src/l2ai/ is mutated. Each worker owns one copy of the
 repository under a temporary directory and runs one mutant at a time in it,
 and there are at most as many workers as cores. A test run longer than
-TIMEOUT seconds counts as a timeout: `_keystream` without its `out += ...`
-never ends. Prints one line per survivor and timeout, then the counts.
+TIMEOUT seconds counts as a timeout: a deleted statement can leave a loop
+that never ends. Prints one line per survivor and timeout, then the counts.
 Needs only the standard library and pytest; the test suite never runs it.
 """
 

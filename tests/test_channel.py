@@ -3,13 +3,14 @@ grammar, and run-to-run determinism."""
 
 import gc
 import tracemalloc
-from dataclasses import replace
+import weakref
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from l2ai.channel import (
-    Channel, ChannelError, DEFAULT_DELAY, ParseError, Scenario, TRACE_CHUNK,
+    Channel, ChannelError, DEFAULT_DELAY, Envelope, ParseError, Scenario, TRACE_CHUNK,
     UnknownSeq, parse_scenario,
 )
 from l2ai.permissions import DEFAULT_SCOPE, Role
@@ -17,7 +18,7 @@ from l2ai.primitives import SimClock, sha256_160
 
 
 def sink(outcomes):
-    def handler(env):
+    def handler(env, owner):
         outcomes.append((env.seq, env.payload))
         return "ok"
     return handler
@@ -39,12 +40,12 @@ def test_handlers_can_reply_mid_run():
     ch = Channel(clock, base_delay=10)
     log = []
 
-    def server(env):
+    def server(env, owner):
         log.append(("server", env.payload, clock.now()))
         ch.send("b", "a", b"pong")
         return "replied"
 
-    def client(env):
+    def client(env, owner):
         log.append(("client", env.payload, clock.now()))
         return "done"
 
@@ -112,7 +113,8 @@ def test_replay_reinjects_original_bytes():
 
 
 def test_owner_rides_on_replayed_copies_and_stays_out_of_equality():
-    # the owner rides to the handler, replayed copies included, and no further
+    # the handler receives the send's owner as its second argument, replayed
+    # copies included; a dropped original reaches no handler, its copy does
     ch = Channel(SimClock(), base_delay=50)
     ch.script_replay(1, 500)
     ch.script_drop("a", "b", 2)
@@ -120,8 +122,8 @@ def test_owner_rides_on_replayed_copies_and_stays_out_of_equality():
     owner, other = ["mutable", "so unhashable"], ["another"]
     received = []
 
-    def recording(env):
-        received.append((env.seq, env.owner))
+    def recording(env, owner):
+        received.append((env.seq, owner))
         return "ok"
 
     sent = ch.send("a", "b", b"\x00\x02", owner)
@@ -129,12 +131,34 @@ def test_owner_rides_on_replayed_copies_and_stays_out_of_equality():
     ch.run({"b": recording})
     assert [seq for seq, _ in received] == [1, -1, -2]
     assert all(got is want for (_, got), want in zip(received, [owner, owner, other]))
-    assert all(env.owner is None for env in [sent, dropped, *ch.deliveries])
-    replayed = ch.delivered[1][0]
-    owned = replace(sent, owner=owner)
-    assert owned == sent and hash(owned) == hash(sent)
-    assert replace(replayed, owner=owner) == replayed
-    assert len({sent, owned, replayed}) == 2
+    assert ch.dropped == {2} and all(env is not dropped for env in ch.deliveries)
+    assert ch.deliveries[2].replay_of == 2
+    # the envelope holds no owner, so two sends differing only in owner are equal
+    assert "owner" not in {f.name for f in fields(Envelope)}
+    assert not hasattr(sent, "owner")
+    twin = Channel(SimClock(), base_delay=50).send("a", "b", b"\x00\x02", other)
+    assert twin == sent and hash(twin) == hash(sent)
+
+
+def test_an_owner_lives_as_long_as_its_pending_delivery():
+    # only the queue entries keep an owner: once its send and every replayed
+    # copy are delivered, or a dropped send's copies are, nothing holds it
+    class Owner:
+        pass
+
+    ch = Channel(SimClock(), base_delay=50)
+    ch.script_drop("a", "b", 2)
+    ch.script_replay(2, 600)
+    ch.script_drop("a", "b", 3)
+    owners = [Owner(), Owner(), Owner()]
+    refs = [weakref.ref(owner) for owner in owners]
+    for owner in owners:
+        ch.send("a", "b", b"x", owner)
+    del owners, owner
+    assert refs[2]() is None            # an unreplayed drop keeps nothing
+    assert refs[0]() is not None and refs[1]() is not None
+    ch.run({"b": lambda env, owner: "ok"})
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 def test_delivered_pairs_each_envelope_with_its_outcome_in_delivery_order():
@@ -143,7 +167,7 @@ def test_delivered_pairs_each_envelope_with_its_outcome_in_delivery_order():
     ch.script_replay(1, 500)
     returned = []
 
-    def numbered(env):
+    def numbered(env, owner):
         if env.seq == 1:
             ch.send("b", "a", b"reply")
         returned.append(f"took seq={env.seq} at={ch.clock.now()}")
@@ -172,7 +196,7 @@ def test_outcome_stays_out_of_equality_and_hash():
     ch = Channel(SimClock())
     sent = ch.send("a", "b", b"x")
     undelivered = replace(sent)
-    ch.run({"b": lambda env: "accepted"})
+    ch.run({"b": lambda env, owner: "accepted"})
     assert sent.outcome == "accepted" and undelivered.outcome is None
     assert undelivered == sent and hash(undelivered) == hash(sent)
     assert replace(sent, outcome="rejected BadMac") == sent
@@ -299,14 +323,14 @@ def test_identical_scripts_produce_identical_logs():
         ch.script_replay(2, 700)
         ch.script_modify(3, 4, b"55aa")
 
-        def echo(env):
+        def echo(env, owner):
             if env.seq <= 2:
                 ch.send("b", "a", b"reply-" + env.payload)
             return "ok"
 
         ch.send("a", "b", b"m1")
         ch.send("a", "b", b"m2-longer")
-        ch.run({"a": lambda e: "ok", "b": echo})
+        ch.run({"a": lambda env, owner: "ok", "b": echo})
         return ch.log
 
     assert one_run() == one_run()
@@ -317,14 +341,14 @@ def test_identical_scripts_produce_identical_logs():
 def test_trace_is_kept_as_one_chunk_per_drain():
     ch = Channel(SimClock(), base_delay=10)
 
-    def echo(env):
+    def echo(env, owner):
         ch.send("b", "a", b"pong")
         return "ok"
 
     runs = 30
     for _ in range(runs):
         ch.send("a", "b", b"ping")
-        ch.run({"a": lambda env: "ok", "b": echo})
+        ch.run({"a": lambda env, owner: "ok", "b": echo})
     ch.send("a", "b", b"undrained")
     # six lines per round trip; a run adds at most one chunk, since it joins
     # its lines onto the last chunk until that one holds TRACE_CHUNK characters
@@ -336,14 +360,14 @@ def test_trace_is_kept_as_one_chunk_per_drain():
 def test_long_trace_chunk_count_follows_its_length_not_its_drains():
     ch = Channel(SimClock(), base_delay=10)
 
-    def echo(env):
+    def echo(env, owner):
         ch.send("b", "a", b"pong")
         return "ok"
 
     runs = 2000
     for _ in range(runs):
         ch.send("a", "b", b"ping")
-        ch.run({"a": lambda env: "ok", "b": echo})
+        ch.run({"a": lambda env, owner: "ok", "b": echo})
     log, trace = ch.log, ch.trace
     assert len(log) == 6 * runs and trace == "\n".join(log)
     chunks = ch._chunks
@@ -360,7 +384,7 @@ def test_trace_keeps_lines_not_yet_drained_and_lines_before_an_error():
 
     ch.send("a", "nobody", b"yy")
     with pytest.raises(ChannelError):
-        ch.run({"b": lambda env: "ok"})
+        ch.run({"b": lambda env, owner: "ok"})
     # the delivery that found no handler was logged before the run failed
     assert ch.log[-3:] == ["00000010 DELIVER seq=1 a->b len=1",
                            "00000010 OUTCOME seq=1 ok",
@@ -397,7 +421,7 @@ def test_event_digest_is_the_digest_of_the_trace(traffic):
         sent += 1
         ch.send(src, dst, payload)
 
-    def handler(env):
+    def handler(env, owner):
         if env.payload[:1] == b"?":
             send(env.dst, env.src, b"!")
         return f"took {len(env.payload)} bytes"

@@ -44,22 +44,30 @@ def run_text(text: str, seed: int = 42):
 
 def run_recorded(text: str, seed: int = 42):
     """run_text, also returning the (envelope, owner) pair each delivery
-    handed the shared handler, and every envelope the channel sent."""
+    handed the shared handler, and the owner each send named, by seq."""
     world = World(seed=seed)
-    received, sent = [], []
+    received, owners = [], {}
     shared, send = world.handlers[SERVER], world.channel.send
 
-    def recording(env):
-        received.append((env, env.owner))
-        return shared(env)
+    def recording(env, owner):
+        received.append((env, owner))
+        return shared(env, owner)
 
-    def recording_send(*args):
-        sent.append(send(*args))
-        return sent[-1]
+    def recording_send(src, dst, payload, owner=None):
+        env = send(src, dst, payload, owner)
+        owners[env.seq] = owner
+        return env
 
     world.handlers[SERVER] = recording      # get_user shares it with every user
     world.channel.send = recording_send
-    return world, run_scenario(world, parse_scenario(text)), received, sent
+    return world, run_scenario(world, parse_scenario(text)), received, owners
+
+
+def assert_each_delivery_had_its_senders_owner(world, received, owners):
+    # the original and every replayed copy hand over the owner its send named;
+    # a dropped original reaches no handler
+    assert all(owner is owners[env.replay_of or env.seq] for env, owner in received)
+    assert not {env.seq for env, _ in received} & world.channel.dropped
 
 
 def test_honest_scenario_all_sessions_verified():
@@ -197,12 +205,11 @@ def test_enrollment_disturbance_taints_its_user(attack):
     *(pytest.param(text, id=name) for name, text, _ in _ATTACK_CASES),
 ])
 def test_auth_disturbance_taints_nobody(script):
-    world, _, received, sent = run_recorded(script)
+    world, _, received, owners = run_recorded(script)
     assert world.tainted == set()
     auth = [owner for env, owner in received if len(env.payload) in AUTH_WIDTHS]
     assert auth and all(isinstance(owner, Session) for owner in auth)
-    # the owner rides to the handler and no further, dropped sends included
-    assert all(env.owner is None for env in [*sent, *world.channel.deliveries])
+    assert_each_delivery_had_its_senders_owner(world, received, owners)
 
 
 # the channel decides each drop and modification at send time, and the send
@@ -253,7 +260,7 @@ def test_unexpected_width_is_rejected_without_a_protocol_call():
     ("drop alice hms 3", "pending"),
 ])
 def test_session_outcome_precedence(attack, outcome):
-    world, _, received, sent = run_recorded(
+    world, _, received, owners = run_recorded(
         f"honest register alice\nhonest auth alice\n{attack}\n")
     (session,) = world.sessions
     assert session.outcome == outcome
@@ -262,15 +269,14 @@ def test_session_outcome_precedence(attack, outcome):
     auth = [owner for env, owner in received if len(env.payload) in AUTH_WIDTHS]
     assert all(owner is session for owner in auth)
     assert auth or attack.startswith("drop")        # a dropped msg1 reaches no handler
-    assert all(env.owner is None for env in [*sent, *world.channel.deliveries])
-    owned = replace(session.msg1_env, owner=session)
-    assert owned == session.msg1_env and hash(owned) == hash(session.msg1_env)
+    assert_each_delivery_had_its_senders_owner(world, received, owners)
+    assert not hasattr(session.msg1_env, "owner")   # no envelope points back
 
 
 # A finished run holds no reference cycle, so reference counting frees it the
-# moment its last reference goes, also after an UnknownSeq exit: the handler
-# reaches its World through a weak reference, and an envelope drops its owner
-# once the handler has seen it (a dropped send never holds one).
+# moment its last reference goes, also after an UnknownSeq exit or a handler's
+# reply send raising ChannelError: the handler reaches its World through a weak
+# reference, and a send's owner rides in its queue entry, never on an envelope.
 @pytest.mark.parametrize("script, code", [
     pytest.param(HONEST_SCENARIO, 0, id="honest"),
     *(pytest.param(text, 0, id=name) for name, text, _ in _ATTACK_CASES),
@@ -278,6 +284,8 @@ def test_session_outcome_precedence(attack, outcome):
                  "drop alice hms 3\nreplay 3 2101\n", 0, id="dropped-then-replayed-msg1"),
     pytest.param("honest register alice\nhonest auth alice\neavesdrop 9\n", 2,
                  id="unknown-seq"),
+    pytest.param("honest register alice\nhonest auth alice\nreplay 4 10\n", 2,
+                 id="reply-send-raises"),
 ])
 @pytest.mark.parametrize("via", ["run_scenario", "cli"])
 def test_a_finished_run_leaves_nothing_for_the_cycle_collector(script, code, via,
@@ -294,7 +302,7 @@ def test_a_finished_run_leaves_nothing_for_the_cycle_collector(script, code, via
         else:
             try:
                 run_text(script)
-            except UnknownSeq:
+            except ChannelError:
                 assert code == 2
             else:
                 assert code == 0
@@ -320,7 +328,7 @@ def test_checker_catches_rigged_acceptances():
         world = World(seed=1)
         world.register_user("mallory")
         world.drain()
-        world.handlers[SERVER] = lambda env: "accepted sk=00000000"
+        world.handlers[SERVER] = lambda env, owner: "accepted sk=00000000"
         result = run_scenario(world, parse_scenario(f"honest auth mallory\n{attack}\n"))
         text = "\n".join(result.violations)
         assert ("tampered delivery" in text) == tampered
