@@ -112,8 +112,10 @@ def split_sealed(sealed: bytes) -> tuple[bytes, bytes, bytes]:
 
 
 def _keystream(k_enc: bytes, nonce: bytes, length: int) -> bytes:
-    return b"".join(hashlib.sha256(k_enc + nonce + struct.pack(">Q", block)).digest()
-                    for block in range((length + 31) // 32))[:length]
+    out = b""
+    for block in range((length + 31) // 32):
+        out += hashlib.sha256(k_enc + nonce + struct.pack(">Q", block)).digest()
+    return out[:length]
 
 
 def _tag(k_mac: bytes, nonce: bytes, body: bytes) -> bytes:

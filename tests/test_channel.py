@@ -133,11 +133,15 @@ def test_owner_rides_on_replayed_copies_and_stays_out_of_equality():
     assert all(got is want for (_, got), want in zip(received, [owner, owner, other]))
     assert ch.dropped == {2} and all(env is not dropped for env in ch.deliveries)
     assert ch.deliveries[2].replay_of == 2
-    # the envelope holds no owner, so two sends differing only in owner are equal
+    # the envelope holds no owner, so two sends differing only in owner are
+    # equal, while a replayed copy differs from its original by seq and replay_of
     assert "owner" not in {f.name for f in fields(Envelope)}
     assert not hasattr(sent, "owner")
     twin = Channel(SimClock(), base_delay=50).send("a", "b", b"\x00\x02", other)
     assert twin == sent and hash(twin) == hash(sent)
+    replayed = ch.delivered[1][0]
+    assert replayed.replay_of == 1 and replayed != sent
+    assert len({sent, twin, replayed}) == 2
 
 
 def test_an_owner_lives_as_long_as_its_pending_delivery():

@@ -277,18 +277,19 @@ def test_session_outcome_precedence(attack, outcome):
 # moment its last reference goes, also after an UnknownSeq exit or a handler's
 # reply send raising ChannelError: the handler reaches its World through a weak
 # reference, and a send's owner rides in its queue entry, never on an envelope.
-@pytest.mark.parametrize("script, code", [
-    pytest.param(HONEST_SCENARIO, 0, id="honest"),
-    *(pytest.param(text, 0, id=name) for name, text, _ in _ATTACK_CASES),
+@pytest.mark.parametrize("script, code, exc", [
+    pytest.param(HONEST_SCENARIO, 0, None, id="honest"),
+    *(pytest.param(text, 0, None, id=name) for name, text, _ in _ATTACK_CASES),
     pytest.param("honest register alice\nhonest auth alice\n"
-                 "drop alice hms 3\nreplay 3 2101\n", 0, id="dropped-then-replayed-msg1"),
+                 "drop alice hms 3\nreplay 3 2101\n", 0, None,
+                 id="dropped-then-replayed-msg1"),
     pytest.param("honest register alice\nhonest auth alice\neavesdrop 9\n", 2,
-                 id="unknown-seq"),
+                 UnknownSeq, id="unknown-seq"),
     pytest.param("honest register alice\nhonest auth alice\nreplay 4 10\n", 2,
-                 id="reply-send-raises"),
+                 ChannelError, id="reply-send-raises"),
 ])
 @pytest.mark.parametrize("via", ["run_scenario", "cli"])
-def test_a_finished_run_leaves_nothing_for_the_cycle_collector(script, code, via,
+def test_a_finished_run_leaves_nothing_for_the_cycle_collector(script, code, exc, via,
                                                                 tmp_path):
     path = tmp_path / "s.scn"
     path.write_text(script, encoding="utf-8")
@@ -299,13 +300,12 @@ def test_a_finished_run_leaves_nothing_for_the_cycle_collector(script, code, via
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
                 assert cli_main(["run", str(path)]) == code
+        elif exc is None:
+            run_text(script)
         else:
-            try:
+            with pytest.raises(exc) as raised:
                 run_text(script)
-            except ChannelError:
-                assert code == 2
-            else:
-                assert code == 0
+            assert type(raised.value) is exc
         assert gc.collect() == 0
     finally:
         gc.enable()
